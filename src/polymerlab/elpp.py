@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.special import xlogy
@@ -460,37 +460,3 @@ def solve_field(
     points = [(float(i), float(xp), float(wv)) for wv, (i, xp) in stats.entries]
     return solve(points, beta, kappa=kappa, entropy_kind=entropy_kind, cardinality=cardinality)
 
-
-class SiteMax(NamedTuple):
-    value: float
-    site: Optional[Tuple[int, int]]
-
-
-def heavy_site_max(
-    field: DisorderField,
-    beta: float,
-    t_floor: float = 0.0,
-    half_width: Optional[int] = None,
-) -> SiteMax:
-    """max of w - x^2 / (2 beta i) over sites with beta*w >= 1, i at least
-    t_floor * n, |x| <= half_width.  (-inf, None) when the region is empty."""
-    if beta <= 0.0:
-        raise ValueError("need beta > 0")
-    if not 0.0 <= t_floor <= 1.0:
-        raise ValueError("t_floor must lie in [0, 1]")
-    n, h = field.n, field.h
-    cap = h if half_width is None else min(half_width, h)
-    i0 = max(1, math.ceil(t_floor * n))
-    rows = np.arange(i0, n + 1)
-    cols = np.arange(-cap, cap + 1)
-    block = field.weights[i0 - 1 :, h - cap : h + cap + 1]
-    heavy = beta * block >= 1.0
-    if not heavy.any():
-        return SiteMax(NEG_INF, None)
-    scores = np.where(
-        heavy, block - cols[None, :] ** 2 / (2.0 * beta * rows[:, None]), NEG_INF
-    )
-    best = float(scores.max())
-    ti, xi = np.nonzero(scores == best)
-    pick = np.lexsort((cols[xi], rows[ti]))[0]
-    return SiteMax(best, (int(rows[ti[pick]]), int(cols[xi[pick]])))

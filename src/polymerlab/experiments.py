@@ -22,6 +22,7 @@ import dataclasses
 import json
 import math
 import multiprocessing
+import re
 import statistics
 import subprocess
 import time
@@ -37,22 +38,19 @@ from .continuum import (
     lipschitz_chain_value,
     sample_heat_kernel_sum,
     sample_ppp,
-    single_point_max,
 )
-from .elpp import ENTROPY_LIPSCHITZ, at_least, solve
+from .elpp import ENTROPY_LIPSCHITZ, solve
 from .environment import (
     TailParams,
-    mean_weight,
     ordered_statistics,
     quantile,
     reachable_mask,
     sample_field,
-    truncated_mean_weight,
 )
 from .polymer import FREE, chaos_terms, gibbs_band_probability, log_partition
 from .regimes import (
+    DIFFUSIVE,
     LABEL_BOUNDARY,
-    LABEL_R1,
     LABEL_R2,
     LABEL_R3,
     LABEL_R3A,
@@ -61,8 +59,10 @@ from .regimes import (
     LABEL_R5,
     LABEL_SMALL_N,
     LABEL_SMALL_SPLIT,
-    LABEL_SMALL_SQRT,
+    LINEAR,
+    RECORDS,
     PowerLawSchedule,
+    RegimeRecord,
     classify,
     fluctuation_scale,
 )
@@ -209,7 +209,29 @@ class ExperimentConfig:
         return self.schedule().at(n)
 
 
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+# JSON value type per config key, read off the field annotation:
+# (scalar type, list of them, null allowed)
+_CONFIG_TYPES = {
+    f.name: (
+        re.search(r"int|float|str", f.type).group(),
+        f.type.startswith("Tuple"),
+        f.type.startswith("Optional"),
+    )
+    for f in dataclasses.fields(ExperimentConfig)
+}
+_JSON_SCALARS = {"int": int, "float": (int, float), "str": str}
+
+
+def _json_value_ok(value, key: str) -> bool:
+    scalar, is_list, nullable = _CONFIG_TYPES[key]
+    if value is None:
+        return nullable
+    if is_list != isinstance(value, list):
+        return False
+    return all(
+        isinstance(v, _JSON_SCALARS[scalar]) and not isinstance(v, bool)
+        for v in (value if is_list else [value])
+    )
 
 
 def load_config(path) -> ExperimentConfig:
@@ -220,12 +242,14 @@ def load_config(path) -> ExperimentConfig:
     schema = raw.pop("schema", None)
     if schema != SCHEMA_VERSION:
         raise ValueError(f"config schema must be {SCHEMA_VERSION}, got {schema!r}")
-    unknown = set(raw) - _CONFIG_FIELDS
+    unknown = set(raw) - set(_CONFIG_TYPES)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("sizes", "a_values", "c_values", "c1_values"):
-        if key in raw:
-            raw[key] = tuple(raw[key])
+    for key, value in raw.items():
+        if not _json_value_ok(value, key):
+            raise ValueError(f"config key {key!r} has the wrong type: {value!r}")
+        if isinstance(value, list):
+            raw[key] = tuple(value)
     return ExperimentConfig(**raw)
 
 
@@ -370,85 +394,30 @@ def run_fluctuation(config: ExperimentConfig) -> ExperimentResult:
 # Per-class convergence
 # ---------------------------------------------------------------------------
 
-# pathway per resolved label: field box, weight-quantile scale argument,
-# centering rule, companion limit object
-_LINEAR = "linear"  # box n, scale m(n^2), Lipschitz coupling
-_BALANCED = "balanced"  # box h_n, scale m(n h)
-_DIFFUSIVE = "diffusive"  # box K sqrt(n), scale m(n^{3/2})
 
-_PATHWAY = {
-    LABEL_R1: _LINEAR,
-    LABEL_SMALL_N: _LINEAR,
-    LABEL_R2: _BALANCED,
-    LABEL_R3A: _BALANCED,
-    LABEL_R3B: _BALANCED,
-    LABEL_R4: _BALANCED,
-    LABEL_R5: _DIFFUSIVE,
-    LABEL_SMALL_SQRT: _DIFFUSIVE,
-    LABEL_ZERO: _DIFFUSIVE,
-}
-
-_WRAPPER = {
-    LABEL_R3B: "log",
-    LABEL_R4: "log(sqrt(n) * .)",
-}
+def _record(label: str) -> RegimeRecord:
+    # the zero-coupling control runs on the diffusive record
+    return RECORDS[LABEL_R5 if label == LABEL_ZERO else label]
 
 
-def _field_box(label: str, n: int, beta: float, tail: TailParams,
-               kernel_cutoff: float) -> int:
-    pathway = _PATHWAY[label]
-    if pathway == _LINEAR:
-        return n
-    if pathway == _BALANCED:
-        return max(1, round(fluctuation_scale(n, beta, tail).h))
-    return min(n, math.ceil(kernel_cutoff * math.sqrt(n)))
-
-
-def _centering_total(label: str, n: int, beta: float, tail: TailParams) -> float:
-    alpha = tail.alpha
-    if beta == 0.0:
-        return 0.0
-    if label in (LABEL_R2, LABEL_R3A) and alpha >= 1.5:
-        return n * beta * mean_weight(tail)
-    if label in (LABEL_R3B, LABEL_R4) and alpha >= 1.0:
-        return n * beta * truncated_mean_weight(tail, 1.0 / beta)
-    if label in (LABEL_R5, LABEL_SMALL_SQRT) and alpha >= 1.0:
-        cut = quantile(tail, float(n) ** 1.5)
-        return n * beta * truncated_mean_weight(tail, cut)
-    return 0.0
-
-
-def _companion_sample(label: str, config: ExperimentConfig, n: int,
-                      beta_limit: float, seed: int) -> Tuple[float, np.ndarray]:
-    alpha = config.alpha
-    if _PATHWAY[label] == _DIFFUSIVE:
+def _companion_sample(record: RegimeRecord, config: ExperimentConfig,
+                      beta_limit: float, nu: float,
+                      seed: int) -> Tuple[float, np.ndarray]:
+    if record.companion is None:
         # the stable functional at positive coupling is out of scope;
         # only the zero-coupling heat-kernel limit is sampled
         if beta_limit == 0.0:
             value = 2.0 * sample_heat_kernel_sum(
-                alpha, config.eps, half_width=config.kernel_cutoff, seed=seed
+                config.alpha, config.eps, half_width=config.kernel_cutoff, seed=seed
             )
         else:
             value = math.nan
         return value, np.empty((0, 3))
-    pts = sample_ppp(alpha, 1.0, top=config.ell, seed=seed)
-    if label in (LABEL_R1, LABEL_SMALL_N):
-        beta_run = config.beta_at(n) * quantile(config.tail(), float(n) ** 2) / n
-        value = lipschitz_chain_value(pts, beta_run) if beta_run > 0 else 0.0
-    elif label == LABEL_R2:
-        value = chain_value(pts, 1.0)
-    elif label == LABEL_R3A:
-        value = chain_value(pts, 1.0, beta=beta_limit)
-    elif label == LABEL_R3B:
-        value = chain_value(pts, 1.0, beta=beta_limit, cardinality=at_least(1))
-    elif label == LABEL_R4:
-        value = single_point_max(pts, 1.0).value
-    else:
-        raise ValueError(f"no companion for label {label!r}")
-    return value, pts
+    pts = sample_ppp(config.alpha, 1.0, top=config.ell, seed=seed)
+    return record.companion(pts, beta_limit, nu), pts
 
 
-def _coupled_pair(label: str, field, beta: float, h: int, ell: int,
+def _coupled_pair(record: RegimeRecord, field, beta: float, h: int, ell: int,
                   tail: TailParams) -> Tuple[float, float, float]:
     """Discrete chain value in continuum units vs the continuum solver
     on the same rescaled points.  Exact up to rounding: the costs scale
@@ -459,7 +428,7 @@ def _coupled_pair(label: str, field, beta: float, h: int, ell: int,
     lattice = np.column_stack(
         [stats.rows.astype(float), stats.cols.astype(float), stats.weights]
     )
-    if _PATHWAY[label] == _LINEAR:
+    if record.pathway is LINEAR:
         m_scale = quantile(tail, float(n) ** 2)
         rescaled = np.column_stack(
             [lattice[:, 0] / n, lattice[:, 1] / n, lattice[:, 2] / m_scale]
@@ -480,41 +449,27 @@ def _coupled_pair(label: str, field, beta: float, h: int, ell: int,
 
 def _regime_replica(task) -> dict:
     config, n, replica, label, beta_limit = task
+    record = _record(label)
+    pathway = record.pathway
     tail = config.tail()
     beta = config.beta_at(n)
-    h = _field_box(label, n, beta, tail, config.kernel_cutoff)
+    h = pathway.box(n, beta, tail, config.kernel_cutoff)
     seed = derive_seed(config.seed, n, replica, _FIELD_SLOT)
     field = sample_field(n, h, tail, seed)
     logz = log_partition(field, beta, FREE)
 
-    center = _centering_total(label, n, beta, tail)
-    pathway = _PATHWAY[label]
-    if beta == 0.0:
-        rescaled = 0.0
-    elif pathway == _LINEAR:
-        rescaled = logz / (beta * quantile(tail, float(n) ** 2))
-    elif pathway == _BALANCED:
-        rescaled = (logz - center) / (beta * quantile(tail, float(n) * h))
-    else:
-        rescaled = (
-            math.sqrt(n) * (logz - center)
-            / (beta * quantile(tail, float(n) ** 1.5))
-        )
+    center = record.centering_total(n, beta, tail)
+    prefactor = pathway.prefactor(n)
+    scale = beta * quantile(tail, pathway.scale_arg(n, h))
+    rescaled = 0.0 if beta == 0.0 else prefactor * (logz - center) / scale
+    rescaled_vn = math.nan
+    if pathway is DIFFUSIVE:
+        v_n = chaos_terms(field, beta, band=h).v_n
+        rescaled_vn = 0.0 if beta == 0.0 else prefactor * v_n / scale
 
-    if pathway == _DIFFUSIVE:
-        terms = chaos_terms(field, beta, band=h)
-        if beta == 0.0:
-            rescaled_vn = 0.0
-        else:
-            rescaled_vn = (
-                math.sqrt(n) * terms.v_n
-                / (beta * quantile(tail, float(n) ** 1.5))
-            )
-    else:
-        rescaled_vn = math.nan
-
+    discrete, cont, nu = _coupled_pair(record, field, beta, h, config.ell, tail)
     seed_ppp = derive_seed(config.seed, n, replica, _PPP_SLOT)
-    companion, pts = _companion_sample(label, config, n, beta_limit, seed_ppp)
+    companion, pts = _companion_sample(record, config, beta_limit, nu, seed_ppp)
 
     flagged = 0
     if label == LABEL_R3B and len(pts) and chain_value(
@@ -522,7 +477,6 @@ def _regime_replica(task) -> dict:
     ) > 0.0:
         flagged = 1  # sample sits above its own critical coupling
 
-    discrete, cont, nu = _coupled_pair(label, field, beta, h, config.ell, tail)
     diff = abs(discrete - cont)
     failures = int(diff > COUPLING_TOL * max(1.0, abs(cont)))
 
@@ -593,14 +547,15 @@ def run_regime_convergence(config: ExperimentConfig) -> ExperimentResult:
     failures = sum(b["failures"] for b in bundles)
     flagged = sum(b["flagged"] for b in bundles)
 
-    wrapper = _WRAPPER.get(label, "identity")
+    record = _record(label)
+    wrapper = record.wrapper
     obs_rows = [r + (label, wrapper, normalizer) for r in obs_rows]
 
     ks_rows = []
     # the chaos term keeps its weight cutoff, so its shape is reported
     # beside the cutoff-free exact free energy, never instead of it
     targets = [("rescaled", 7)]
-    if _PATHWAY[label] == _DIFFUSIVE:
+    if record.pathway is DIFFUSIVE:
         targets.append(("rescaled_vn", 8))
     for n in config.sizes:
         sub = [r for r in obs_rows if r[0] == n]

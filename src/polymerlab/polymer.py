@@ -179,6 +179,15 @@ def kernel_grid(n: int, half_width: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _spread(v: np.ndarray) -> np.ndarray:
+    """One walk step in log domain: log((e^v[x-1] + e^v[x+1]) / 2) per site."""
+    left = np.full(v.size, NEG_INF)
+    left[1:] = v[:-1]
+    right = np.full(v.size, NEG_INF)
+    right[:-1] = v[1:]
+    return np.logaddexp(left, right) + LOG_HALF
+
+
 def _transfer_free(
     weights: np.ndarray,
     h: int,
@@ -197,11 +206,7 @@ def _transfer_free(
     lo = max(-h, -half_width)
     hi = min(h, half_width)
     for i in range(1, n + 1):
-        left = np.full(wdt, NEG_INF)
-        left[1:] = cur[:-1]
-        right = np.full(wdt, NEG_INF)
-        right[:-1] = cur[1:]
-        cur = np.logaddexp(left, right) + LOG_HALF
+        cur = _spread(cur)
         if lo <= hi:
             g = filt.apply(beta * weights[i - 1, lo + h : hi + h + 1])
             cur[lo + half_width : hi + half_width + 1] += g
@@ -233,17 +238,9 @@ def _transfer_window(
     nf[half_width] = 0.0
     lo = max(-h, -half_width)
     hi = min(h, half_width)
-
-    def spread(v):
-        left = np.full(wdt, NEG_INF)
-        left[1:] = v[:-1]
-        right = np.full(wdt, NEG_INF)
-        right[:-1] = v[1:]
-        return np.logaddexp(left, right) + LOG_HALF
-
     for i in range(1, n + 1):
-        a = spread(nf)
-        b = spread(fl)
+        a = _spread(nf)
+        b = _spread(fl)
         g = np.zeros(wdt)
         if lo <= hi:
             g[lo + half_width : hi + half_width + 1] = filt.apply(
@@ -334,7 +331,8 @@ def sample_gibbs_path(
                 p_left = 1.0 / (1.0 + math.exp(min(hi - lo, 700.0)))
             x = x - 1 if rng.random() < p_left else x + 1
             paths[r, i - 1] = x
-        assert abs(paths[r, 0]) == 1
+        if abs(paths[r, 0]) != 1:
+            raise RuntimeError("backward sampling left the walk lattice")
     return paths
 
 
@@ -354,12 +352,8 @@ def gibbs_site_marginals(field: DisorderField, beta: float) -> np.ndarray:
     for i in range(n - 1, 0, -1):
         g = np.zeros(wdt)
         g[lo_col + n : hi_col + n + 1] = beta * field.weights[i, lo_col + h : hi_col + h + 1]
-        gb = g + back
-        left = np.full(wdt, NEG_INF)
-        left[:-1] = gb[1:]
-        right = np.full(wdt, NEG_INF)
-        right[1:] = gb[:-1]
-        back = np.logaddexp(left, right) + LOG_HALF
+        # the walk step is symmetric, so the backward step is the forward one
+        back = _spread(g + back)
         marg[i - 1] = np.exp(states[i - 1] + back - logz)
     return marg
 

@@ -27,8 +27,15 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .continuum import critical_coupling
+from .continuum import (
+    chain_value,
+    critical_coupling,
+    lipschitz_chain_value,
+    single_point_max,
+)
+from .elpp import at_least
 from .environment import TailParams, mean_weight, quantile, truncated_mean_weight
+from .polymer import CENTER_MEAN, CENTER_NONE, CENTER_TRUNCATED
 
 LABEL_R1 = "R1"
 LABEL_R2 = "R2"
@@ -49,10 +56,12 @@ __all__ = [
     "ExplicitSchedule",
     "ScaleResult",
     "RegimeReport",
+    "Pathway",
+    "RegimeRecord",
+    "RECORDS",
     "fluctuation_scale",
     "fluctuation_exponent",
     "classify",
-    "centering_constant",
 ]
 
 
@@ -159,17 +168,6 @@ def fluctuation_exponent(alpha: float, gamma: float) -> float | None:
     return None
 
 
-def centering_constant(tail: TailParams, beta: float, kind: str) -> float:
-    """Centering weight moment: "mean" or "truncated_mean" at level 1/beta."""
-    if kind == "mean":
-        return mean_weight(tail)
-    if kind == "truncated_mean":
-        if beta <= 0.0:
-            raise ValueError("truncated mean needs beta > 0")
-        return truncated_mean_weight(tail, 1.0 / beta)
-    raise ValueError(f"unknown centering kind {kind!r}")
-
-
 @dataclass(frozen=True)
 class RegimeReport:
     """Classification outcome with the matching normalization recipe.
@@ -250,58 +248,139 @@ def _probe_limits(schedule, tail: TailParams, n_probe: int):
     return limits, probes
 
 
-def _mean_centering(alpha: float) -> str:
-    if alpha >= 1.5:
-        return "subtract n * beta_n * mean_weight(tail)"
-    return "none"
+# ---------------------------------------------------------------------------
+# Normalization record per resolved label
+# ---------------------------------------------------------------------------
 
 
-def _truncated_centering(alpha: float) -> str:
-    if alpha >= 1.0:
-        return "subtract n * beta_n * truncated_mean_weight(tail, 1/beta_n)"
-    return "none"
+@dataclass(frozen=True)
+class Pathway:
+    """Field box, weight-scale argument and prefactor of a rescaling route.
+
+    A label on this route rescales as prefactor(n) * (log Z - centering)
+    / (beta_n * quantile(tail, scale_arg(n, h))) on a field of half-width
+    h = box(n, beta_n, tail, kernel_cutoff).  ``cutoff`` is the level of a
+    truncated-mean centering.
+    """
+
+    prefactor_text: str
+    box: Callable[[int, float, TailParams, float], int]
+    scale_arg: Callable[[int, int], float]
+    prefactor: Callable[[int], float] = lambda n: 1.0
+    cutoff: Callable[[int, float, TailParams], float] | None = None
+    cutoff_text: str = ""
+    # the normalizer states the centering's alpha condition rather than
+    # resolving it at the classified alpha
+    states_condition: bool = False
 
 
-def _recipe(label: str, beta_limit: float, alpha: float) -> Tuple[str, str]:
-    """Normalizer description and limit object for a resolved label."""
-    scale_pref = "prefactor 1/(beta_n * quantile(tail, n * h_n))"
-    mean_c = _mean_centering(alpha)
-    trunc_c = _truncated_centering(alpha)
-    if label in (LABEL_R1, LABEL_SMALL_N):
-        return (
-            "prefactor 1/(beta_n * quantile(tail, n^2)); centering none; "
-            "wrapper identity",
-            f"lipschitz_chain_value at coupling {beta_limit:g}",
+LINEAR = Pathway(
+    "1/(beta_n * quantile(tail, n^2))",
+    box=lambda n, beta, tail, k: n,
+    scale_arg=lambda n, h: float(n) ** 2,
+)
+BALANCED = Pathway(
+    "1/(beta_n * quantile(tail, n * h_n))",
+    box=lambda n, beta, tail, k: max(1, round(fluctuation_scale(n, beta, tail).h)),
+    scale_arg=lambda n, h: float(n) * h,
+    cutoff=lambda n, beta, tail: 1.0 / beta,
+    cutoff_text="1/beta_n",
+)
+DIFFUSIVE = Pathway(
+    "sqrt(n)/(beta_n * quantile(tail, n^{3/2}))",
+    box=lambda n, beta, tail, k: min(n, math.ceil(k * math.sqrt(n))),
+    scale_arg=lambda n, h: float(n) ** 1.5,
+    prefactor=math.sqrt,
+    cutoff=lambda n, beta, tail: quantile(tail, float(n) ** 1.5),
+    cutoff_text="quantile(n^{3/2})",
+    states_condition=True,
+)
+
+
+@dataclass(frozen=True)
+class RegimeRecord:
+    """Normalization of one resolved label: pathway, centering rule
+    (a ``polymer.CENTER_*`` kind applied for alpha >= center_from),
+    wrapper, limit-object text and companion functional.
+
+    ``companion(points, beta_limit, nu)`` evaluates the limit functional
+    on a top-ell Poisson sample, nu being the replica's effective
+    coupling; it is None on the diffusive pathway, whose companion is the
+    doubled heat-kernel sum.
+    """
+
+    pathway: Pathway
+    wrapper: str
+    limit: Callable[[float], str]
+    companion: Callable[[np.ndarray, float, float], float] | None
+    centering: str = CENTER_NONE
+    center_from: float = 0.0
+
+    def centering_total(self, n: int, beta: float, tail: TailParams) -> float:
+        """n * beta_n times the centering moment; 0 where the rule is off."""
+        if beta == 0.0 or self.centering == CENTER_NONE or tail.alpha < self.center_from:
+            return 0.0
+        if self.centering == CENTER_MEAN:
+            return n * beta * mean_weight(tail)
+        return n * beta * truncated_mean_weight(tail, self.pathway.cutoff(n, beta, tail))
+
+    def recipe(self, beta_limit: float, alpha: float) -> Tuple[str, str]:
+        """Normalizer description and limit object at the limiting coupling."""
+        centering = "none"
+        if self.centering != CENTER_NONE:
+            moment = (
+                "mean_weight(tail)" if self.centering == CENTER_MEAN
+                else f"truncated_mean_weight(tail, {self.pathway.cutoff_text})"
+            )
+            rule = f"subtract n * beta_n * {moment}"
+            if self.pathway.states_condition:
+                centering = f"{rule} when alpha >= {self.center_from:g}"
+            elif alpha >= self.center_from:
+                centering = rule
+        normalizer = (
+            f"prefactor {self.pathway.prefactor_text}; centering {centering}; "
+            f"wrapper {self.wrapper}"
         )
-    if label == LABEL_R2:
-        return (
-            f"{scale_pref}; centering {mean_c}; wrapper identity",
-            "chain_value(nu=1)",
-        )
-    if label == LABEL_R3A:
-        return (
-            f"{scale_pref}; centering {mean_c}; wrapper identity",
-            f"chain_value(nu=1, beta={beta_limit:g}) (floored penalized value)",
-        )
-    if label == LABEL_R3B:
-        return (
-            f"{scale_pref}; centering {trunc_c}; wrapper log",
-            f"chain_value(nu=1, beta={beta_limit:g}, cardinality=at_least(1))",
-        )
-    if label == LABEL_R4:
-        return (
-            f"{scale_pref}; centering {trunc_c}; wrapper log(sqrt(n) * .)",
-            "single_point_max at coupling 1",
-        )
-    if label in (LABEL_R5, LABEL_SMALL_SQRT):
-        return (
-            "prefactor sqrt(n)/(beta_n * quantile(tail, n^{3/2})); centering "
-            "subtract n * beta_n * truncated_mean_weight(tail, quantile(n^{3/2})) "
-            "when alpha >= 1; wrapper identity",
-            f"2 * stable heat-kernel functional at coupling {beta_limit:g}"
-            + (" (heat_kernel_sum limit)" if beta_limit == 0.0 else ""),
-        )
-    raise ValueError(f"no recipe for label {label!r}")
+        return normalizer, self.limit(beta_limit)
+
+
+_LINEAR_RECORD = RegimeRecord(
+    LINEAR, "identity",
+    lambda b: f"lipschitz_chain_value at coupling {b:g}",
+    lambda pts, b, nu: lipschitz_chain_value(pts, nu) if nu > 0 else 0.0,
+)
+_DIFFUSIVE_RECORD = RegimeRecord(
+    DIFFUSIVE, "identity",
+    lambda b: f"2 * stable heat-kernel functional at coupling {b:g}"
+    + (" (heat_kernel_sum limit)" if b == 0.0 else ""),
+    None, CENTER_TRUNCATED, 1.0,
+)
+
+RECORDS = {
+    LABEL_R1: _LINEAR_RECORD,
+    LABEL_SMALL_N: _LINEAR_RECORD,
+    LABEL_R2: RegimeRecord(
+        BALANCED, "identity", lambda b: "chain_value(nu=1)",
+        lambda pts, b, nu: chain_value(pts, 1.0), CENTER_MEAN, 1.5,
+    ),
+    LABEL_R3A: RegimeRecord(
+        BALANCED, "identity",
+        lambda b: f"chain_value(nu=1, beta={b:g}) (floored penalized value)",
+        lambda pts, b, nu: chain_value(pts, 1.0, beta=b), CENTER_MEAN, 1.5,
+    ),
+    LABEL_R3B: RegimeRecord(
+        BALANCED, "log",
+        lambda b: f"chain_value(nu=1, beta={b:g}, cardinality=at_least(1))",
+        lambda pts, b, nu: chain_value(pts, 1.0, beta=b, cardinality=at_least(1)),
+        CENTER_TRUNCATED, 1.0,
+    ),
+    LABEL_R4: RegimeRecord(
+        BALANCED, "log(sqrt(n) * .)", lambda b: "single_point_max at coupling 1",
+        lambda pts, b, nu: single_point_max(pts, 1.0).value, CENTER_TRUNCATED, 1.0,
+    ),
+    LABEL_R5: _DIFFUSIVE_RECORD,
+    LABEL_SMALL_SQRT: _DIFFUSIVE_RECORD,
+}
 
 
 def classify(
@@ -403,23 +482,23 @@ def classify(
             beta_limit = q3
 
     if label == LABEL_R3:
-        norm_a, lim_a = _recipe(LABEL_R3A, beta_limit, alpha)
-        norm_b, lim_b = _recipe(LABEL_R3B, beta_limit, alpha)
+        norm_a, lim_a = RECORDS[LABEL_R3A].recipe(beta_limit, alpha)
+        norm_b, lim_b = RECORDS[LABEL_R3B].recipe(beta_limit, alpha)
         normalizer = (
             "unresolved random split, positive-value recipe: "
             f"[{norm_a}]; zero-value recipe: [{norm_b}]"
         )
         limit_object = f"positive branch {lim_a}; zero branch {lim_b}"
     elif label == LABEL_SMALL_SPLIT:
-        norm_a, lim_a = _recipe(LABEL_SMALL_N, beta_limit, alpha)
-        norm_b, lim_b = _recipe(LABEL_SMALL_SQRT, 0.0, alpha)
+        norm_a, lim_a = RECORDS[LABEL_SMALL_N].recipe(beta_limit, alpha)
+        norm_b, lim_b = RECORDS[LABEL_SMALL_SQRT].recipe(0.0, alpha)
         normalizer = (
             "unresolved random split, order-n recipe: "
             f"[{norm_a}]; order-sqrt(n) recipe: [{norm_b}]"
         )
         limit_object = f"order-n branch {lim_a}; diffusive branch {lim_b}"
     else:
-        normalizer, limit_object = _recipe(label, beta_limit, alpha)
+        normalizer, limit_object = RECORDS[label].recipe(beta_limit, alpha)
 
     return RegimeReport(
         label=label,

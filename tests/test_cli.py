@@ -130,3 +130,20 @@ def test_experiment_run(capsys, tmp_path):
     assert code == 0
     assert (tmp_path / "res" / "conditioned.csv").exists()
     assert (tmp_path / "res" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "patch", [{"sizes": 5}, {"alpha": "1"}, {"replicas": 1.5}, {"seed": True},
+              {"a_values": [1, "2"]}, {"kind": 3}],
+)
+def test_experiment_run_rejects_mistyped_config(capsys, tmp_path, patch):
+    raw = {
+        "schema": 1, "kind": "small_alpha", "alpha": 0.4, "gamma": 5.0,
+        "sizes": [16], "replicas": 2, "seed": 9,
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(raw, **patch)))
+    code = main(["experiment", "run", str(cfg), "--out", str(tmp_path / "res")])
+    assert code == 2
+    assert "wrong type" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()

@@ -21,7 +21,6 @@ from polymerlab.elpp import (
     brute_force,
     entropy,
     exactly,
-    heavy_site_max,
     lipschitz_entropy,
     prepare_geometry,
     select_top,
@@ -29,6 +28,7 @@ from polymerlab.elpp import (
     solve_field,
     zero_top,
 )
+from polymerlab.continuum import single_point_max
 from polymerlab.environment import TailParams, ordered_statistics, sample_field
 
 # frozen by hand: e(1/2) = (3/2 log(3/2) + 1/2 log(1/2)) / 2
@@ -327,6 +327,18 @@ def test_solve_field_matches_direct_points():
     assert solve_field(field, 0.8, ell=6, kappa=0.0).value >= via_field.value
 
 
+def heavy_site_rows(field, beta, first_row=1, half_width=None):
+    """(i, x, w) rows of the box sites with beta*w >= 1, in (i, x) order."""
+    h = field.h
+    cap = h if half_width is None else half_width
+    i, x = np.meshgrid(
+        np.arange(first_row, field.n + 1), np.arange(-cap, cap + 1), indexing="ij"
+    )
+    w = field.weights[first_row - 1 :, h - cap : h + cap + 1]
+    heavy = beta * w >= 1.0
+    return np.column_stack([i[heavy], x[heavy], w[heavy]]).astype(float)
+
+
 def test_heavy_site_max_oracle():
     field = sample_field(12, 6, TailParams(alpha=0.7), 95)
     beta = 0.9
@@ -339,15 +351,17 @@ def test_heavy_site_max_oracle():
                 score = w - x * x / (2.0 * beta * i)
                 if score > best:
                     best, site = score, (i, x)
-    got = heavy_site_max(field, beta)
+    rows = heavy_site_rows(field, beta)
+    got = single_point_max(rows, beta)
     assert got.value == pytest.approx(best, rel=1e-14)
-    assert got.site == site
+    assert tuple(int(v) for v in rows[got.index, :2]) == site
 
 
 def test_heavy_site_max_floor_and_width():
     field = sample_field(12, 6, TailParams(alpha=0.7), 95)
     beta = 0.9
-    got = heavy_site_max(field, beta, t_floor=0.5, half_width=3)
+    rows = heavy_site_rows(field, beta, first_row=6, half_width=3)
+    got = single_point_max(rows, beta)
     best = -math.inf
     for i in range(6, 13):
         for x in range(-3, 4):
@@ -355,13 +369,13 @@ def test_heavy_site_max_floor_and_width():
             if beta * w >= 1.0:
                 best = max(best, w - x * x / (2.0 * beta * i))
     assert got.value == pytest.approx(best, rel=1e-14)
-    assert got.site[0] >= 6 and abs(got.site[1]) <= 3
+    assert rows[got.index, 0] >= 6 and abs(rows[got.index, 1]) <= 3
 
 
 def test_heavy_site_max_empty_region():
     field = sample_field(8, 4, TailParams(alpha=1.5), 96)
-    got = heavy_site_max(field, beta=1e-9)
+    got = single_point_max(heavy_site_rows(field, 1e-9), beta=1e-9)
     assert got.value == -math.inf
-    assert got.site is None
+    assert got.index is None
     with pytest.raises(ValueError):
-        heavy_site_max(field, beta=0.0)
+        single_point_max(heavy_site_rows(field, 1.0), beta=0.0)

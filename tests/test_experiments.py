@@ -7,8 +7,15 @@ from itertools import product
 import numpy as np
 import pytest
 
-from polymerlab.continuum import chain_value, sample_ppp
+from polymerlab.continuum import (
+    chain_value,
+    lipschitz_chain_value,
+    sample_heat_kernel_sum,
+    sample_ppp,
+    single_point_max,
+)
 from polymerlab.environment import TailParams, quantile
+from polymerlab.regimes import fluctuation_scale
 from polymerlab.experiments import (
     KIND_FLUCTUATION,
     KIND_ORDERED,
@@ -242,6 +249,54 @@ def test_regime_log_window_flagging():
     high = run_experiment(make_config(beta_hat=1e4, **common))
     assert high.meta["label"] == "R3a"
     assert high.flagged == 0
+
+
+def _companion_seed(row):
+    return derive_seed(7, row[0], row[1], 1)
+
+
+def test_regime_single_point_pathway():
+    cfg = make_config(
+        alpha=1.2, gamma=1.25, law="logpower", b=0.35, sizes=(16,),
+        replicas=2, ell=10,
+    )
+    res = run_experiment(cfg)
+    assert res.meta["label"] == "R4"
+    assert res.meta["wrapper"] == "log(sqrt(n) * .)"
+    for row in res.tables["observable"].rows:
+        n, beta = row[0], row[3]
+        assert row[4] == max(1, round(fluctuation_scale(n, beta, cfg.tail()).h))
+        pts = sample_ppp(1.2, 1.0, top=10, seed=_companion_seed(row))
+        assert row[9] == single_point_max(pts, 1.0).value
+    assert res.invariant_failures == 0
+
+
+def test_regime_small_alpha_linear_pathway():
+    cfg = make_config(alpha=0.3, gamma=2.0, sizes=(16,), replicas=2)
+    res = run_experiment(cfg)
+    assert res.meta["label"] == "alpha-small-n-scale"
+    assert res.meta["wrapper"] == "identity"
+    for row in res.tables["observable"].rows:
+        n, beta = row[0], row[3]
+        assert row[4] == n
+        nu = beta * quantile(cfg.tail(), float(n) ** 2) / n
+        pts = sample_ppp(0.3, 1.0, top=12, seed=_companion_seed(row))
+        assert row[9] == lipschitz_chain_value(pts, nu)
+    assert res.invariant_failures == 0
+
+
+def test_regime_small_alpha_diffusive_pathway():
+    cfg = make_config(alpha=0.3, gamma=6.0, sizes=(16,), replicas=2)
+    res = run_experiment(cfg)
+    assert res.meta["label"] == "alpha-small-sqrt-scale"
+    assert res.meta["wrapper"] == "identity"
+    for row in res.tables["observable"].rows:
+        assert row[4] == min(row[0], math.ceil(8.0 * math.sqrt(row[0])))
+        direct = 2.0 * sample_heat_kernel_sum(
+            0.3, cfg.eps, half_width=8.0, seed=_companion_seed(row)
+        )
+        assert row[9] == direct
+    assert res.invariant_failures == 0
 
 
 def test_regime_boundary_alpha_rejected():

@@ -7,10 +7,10 @@ import pytest
 
 from polymerlab import regimes
 from polymerlab.environment import TailParams, quantile, truncated_mean_weight
+from polymerlab.polymer import centering_value
 from polymerlab.regimes import (
     ExplicitSchedule,
     PowerLawSchedule,
-    centering_constant,
     classify,
     fluctuation_exponent,
     fluctuation_scale,
@@ -218,6 +218,83 @@ def test_classify_half_boundary():
     assert report.limit_object == "undecided"
 
 
+_LINEAR = "prefactor 1/(beta_n * quantile(tail, n^2))"
+_BALANCED = "prefactor 1/(beta_n * quantile(tail, n * h_n))"
+_MEAN = "subtract n * beta_n * mean_weight(tail)"
+_TRUNC = "subtract n * beta_n * truncated_mean_weight(tail, 1/beta_n)"
+_DIFFUSIVE_NORM = (
+    "prefactor sqrt(n)/(beta_n * quantile(tail, n^{3/2})); centering "
+    "subtract n * beta_n * truncated_mean_weight(tail, quantile(n^{3/2})) "
+    "when alpha >= 1; wrapper identity"
+)
+_DIFFUSIVE_LIMIT = (
+    "2 * stable heat-kernel functional at coupling 0 (heat_kernel_sum limit)"
+)
+_R3A_NORM = f"{_BALANCED}; centering none; wrapper identity"
+_R3B_NORM = f"{_BALANCED}; centering {_TRUNC}; wrapper log"
+
+# (label, alpha, gamma, beta_hat, logpower b, seed, normalizer, limit object);
+# each centering rule is pinned on both sides of its alpha threshold
+PINNED_RECIPES = [
+    ("R1", 1.2, 0.5, 1.0, None, None,
+     f"{_LINEAR}; centering none; wrapper identity",
+     "lipschitz_chain_value at coupling inf"),
+    ("R2", 1.2, 1.0, 1.0, None, None,
+     f"{_BALANCED}; centering none; wrapper identity", "chain_value(nu=1)"),
+    ("R2", 1.6, 0.5, 1.0, None, None,
+     f"{_BALANCED}; centering {_MEAN}; wrapper identity", "chain_value(nu=1)"),
+    ("R3a", 1.2, 1.25, 1.0, 0.7, 5, _R3A_NORM,
+     "chain_value(nu=1, beta=1.24498) (floored penalized value)"),
+    ("R3b", 1.2, 1.25, 0.1, 0.7, 5, _R3B_NORM,
+     "chain_value(nu=1, beta=0.124498, cardinality=at_least(1))"),
+    ("R3", 1.2, 1.25, 1.0, 0.7, None,
+     "unresolved random split, positive-value recipe: "
+     f"[{_R3A_NORM}]; zero-value recipe: [{_R3B_NORM}]",
+     "positive branch chain_value(nu=1, beta=1.24498) (floored penalized "
+     "value); zero branch chain_value(nu=1, beta=1.24498, "
+     "cardinality=at_least(1))"),
+    ("R4", 1.2, 1.25, 1.0, 0.35, None,
+     f"{_BALANCED}; centering {_TRUNC}; wrapper log(sqrt(n) * .)",
+     "single_point_max at coupling 1"),
+    ("R4", 0.8, 1.875, 1.0, 0.2, None,
+     f"{_BALANCED}; centering none; wrapper log(sqrt(n) * .)",
+     "single_point_max at coupling 1"),
+    ("R5", 0.75, 3.0, 1.0, None, None, _DIFFUSIVE_NORM, _DIFFUSIVE_LIMIT),
+    ("R5", 1.2, 1.5, 1.0, None, None, _DIFFUSIVE_NORM, _DIFFUSIVE_LIMIT),
+    ("alpha-small-n-scale", 0.3, 2.0, 1.0, None, None,
+     f"{_LINEAR}; centering none; wrapper identity",
+     "lipschitz_chain_value at coupling inf"),
+    ("alpha-small-sqrt-scale", 0.3, 6.0, 1.0, None, None,
+     _DIFFUSIVE_NORM, _DIFFUSIVE_LIMIT),
+    ("alpha-small-transition", 0.3, 2.0 / 0.3 - 1.0, 1.0, None, None,
+     "unresolved random split, order-n recipe: "
+     f"[{_LINEAR}; centering none; wrapper identity]; order-sqrt(n) recipe: "
+     f"[{_DIFFUSIVE_NORM}]",
+     "order-n branch lipschitz_chain_value at coupling 1; diffusive branch "
+     f"{_DIFFUSIVE_LIMIT}"),
+    ("boundary", 0.5, 2.0, 1.0, None, None,
+     "undecided at alpha = 1/2: the scale comparison depends on the slowly "
+     "varying factor; probe ratio quantile(n^2)/(n * quantile(n^(3/2))) = 1 "
+     "at n_probe",
+     "undecided"),
+]
+
+
+@pytest.mark.parametrize(
+    "label,alpha,gamma,beta_hat,b,seed,normalizer,limit_object", PINNED_RECIPES
+)
+def test_classify_recipe_text_pinned(
+    label, alpha, gamma, beta_hat, b, seed, normalizer, limit_object
+):
+    # the text is embedded in every observable.csv row, so it is pinned
+    # whole rather than by substring
+    tail = TailParams(alpha) if b is None else TailParams(alpha, law="logpower", b=b)
+    report = classify(alpha, PowerLawSchedule(gamma, beta_hat), tail=tail, seed=seed)
+    assert report.label == label
+    assert report.normalizer == normalizer
+    assert report.limit_object == limit_object
+
+
 def test_classify_rejects_bad_alpha():
     with pytest.raises(ValueError):
         classify(2.0, PowerLawSchedule(1.0))
@@ -264,19 +341,19 @@ def test_report_carries_scale_and_probes():
 
 
 def test_centering_mean_pure_pareto():
-    assert centering_constant(TailParams(2.0), 1.0, "mean") == pytest.approx(2.0)
+    assert centering_value(TailParams(2.0), 1.0, "mean") == pytest.approx(2.0)
     with pytest.raises(ValueError):
-        centering_constant(TailParams(1.0), 1.0, "mean")
+        centering_value(TailParams(1.0), 1.0, "mean")
     with pytest.raises(ValueError):
-        centering_constant(TailParams(1.5), 1.0, "median")
+        centering_value(TailParams(1.5), 1.0, "median")
 
 
 def test_centering_truncated_below_edge_is_zero():
     # Pure Pareto with c=1 has support edge 1; 1/beta below it truncates
     # everything away.
-    assert centering_constant(TailParams(1.0), 2.0, "truncated_mean") == 0.0
-    with pytest.raises(ValueError):
-        centering_constant(TailParams(1.0), 0.0, "truncated_mean")
+    assert centering_value(TailParams(1.0), 2.0, "truncated_mean") == 0.0
+    # zero coupling collects nothing, so there is nothing to center
+    assert centering_value(TailParams(1.0), 0.0, "truncated_mean") == 0.0
 
 
 def test_centering_truncated_matches_monte_carlo():
@@ -285,7 +362,7 @@ def test_centering_truncated_matches_monte_carlo():
     tail = TailParams(0.9, law="logpower", b=1.2)
     beta = 0.25
     cutoff = 1.0 / beta
-    exact = centering_constant(tail, beta, "truncated_mean")
+    exact = centering_value(tail, beta, "truncated_mean") / beta
     # Inverse-transform sampling: w = survival^(-1)(u) clipped above the
     # cutoff, inverted by interpolation on a dense grid.
     rng = np.random.default_rng(2024)
@@ -304,7 +381,7 @@ def test_centering_truncated_closed_form_pareto():
     # E[w 1{w <= T}] for the unit Pareto with alpha=2: integrate
     # 2 u^-2 from 1 to T.
     tail = TailParams(2.0)
-    value = centering_constant(tail, 0.25, "truncated_mean")
+    value = centering_value(tail, 0.25, "truncated_mean") / 0.25
     expected = 2.0 * (1.0 - 1.0 / 4.0)
     assert value == pytest.approx(expected, rel=1e-12)
     assert value == pytest.approx(truncated_mean_weight(tail, 4.0), rel=1e-15)
