@@ -253,21 +253,17 @@ def _cmd_ppp(args) -> int:
     eps, top = args.eps, args.top
     if eps is None and top is None:
         top = DEFAULT_TOP
+    if args.op in ("tildeT", "hatT", "W") and args.beta is None:
+        raise ValueError(f"{args.op} needs --beta")
     points = sample_ppp(args.alpha, q, eps=eps, top=top, seed=args.seed)
 
     if args.op == "T":
         value = chain_value(points, args.nu)
     elif args.op == "tildeT":
-        if args.beta is None:
-            raise ValueError("tildeT needs --beta")
         value = chain_value(points, args.nu, beta=args.beta)
     elif args.op == "hatT":
-        if args.beta is None:
-            raise ValueError("hatT needs --beta")
         value = lipschitz_chain_value(points, args.beta)
     elif args.op == "W":
-        if args.beta is None:
-            raise ValueError("W needs --beta")
         value = single_point_max(points, args.beta).value
     else:  # W0
         value = heat_kernel_sum(points)

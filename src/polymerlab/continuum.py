@@ -6,8 +6,8 @@ w^(-alpha-1).  This module samples truncated realizations of that
 process and evaluates the limiting energy-entropy values on them:
 chain problems with an optional per-point log penalty, the Lipschitz
 variant, the best single-point score, and heat-kernel-weighted sums.
-It also estimates the random coupling threshold where the penalized
-chain value first becomes positive.
+It also finds the random coupling threshold where the penalized chain
+value first becomes positive, exactly, as a ratio optimum over chains.
 
 Two truncation modes produce the same law for the large weights:
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,10 +46,10 @@ NEG_INF = -np.inf
 #: Default number of retained top weights for truncated estimates.
 DEFAULT_TOP = 256
 
-#: Coupling bracket and iteration count for the threshold bisection.
+#: Coupling bracket of the threshold estimate; solve cap of its ratio iteration.
 BRACKET_LOW = 1e-4
 BRACKET_HIGH = 1e4
-BISECT_ITERS = 40
+RATIO_STEP_CAP = 64
 
 __all__ = [
     "DEFAULT_TOP",
@@ -216,44 +216,40 @@ def lipschitz_chain_value(points, beta: float) -> float:
     return result.value / beta
 
 
-def _tilde_value(geometry: ChainGeometry, beta: float) -> float:
-    # Penalized chain value with the empty-chain floor at zero.
-    kappa = 1.0 / (2.0 * beta)
-    return solve(geometry, 1.0, kappa=kappa).value
+def _threshold(geometry: ChainGeometry, flavor: str, start: float | None = None):
+    """Exact critical coupling of one point set, and the ratio behind it.
 
-
-def _hat_value(geometry: ChainGeometry, beta: float) -> float:
-    # Positive iff the Lipschitz value sup {pi - ent/beta} is positive.
-    return solve(geometry, beta, kappa=0.0).value
-
-
-def _bisect_threshold(value_at: Callable[[float], float]) -> float:
-    """Smallest beta in the bracket where value_at becomes positive.
-
-    ``value_at`` must be nondecreasing in beta; the evaluated pairs are
-    checked for that.  Returns nan when the value never turns positive
-    inside the bracket, and the lower end when it is already positive
-    there.
+    tilde: beta_c = 1/(2 rho*), rho* the max over chains of (weight -
+    entropy) / size; hat: beta_c is the min over chains of entropy /
+    weight.  Dinkelbach's iteration solves at the current ratio and moves
+    to the returned chain's ratio until the empty chain comes back or the
+    ratio stops improving.  ``start`` must be no better than the optimum.
+    beta_c is nan at or above BRACKET_HIGH and at least BRACKET_LOW.
     """
-    lo, hi = BRACKET_LOW, BRACKET_HIGH
-    seen = [(lo, value_at(lo)), (hi, value_at(hi))]
-    if seen[1][1] <= 0.0:
-        return math.nan
-    if seen[0][1] > 0.0:
-        return lo
-    for _ in range(BISECT_ITERS):
-        mid = math.sqrt(lo * hi)
-        val = value_at(mid)
-        seen.append((mid, val))
-        if val > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    seen.sort()
-    for (_, a), (_, b) in zip(seen, seen[1:]):
-        if b < a - 1e-9 * max(1.0, abs(a)):
-            raise AssertionError("chain value decreased in beta")
-    return math.sqrt(lo * hi)
+    rises = flavor == "tilde"
+    ratio = start if start is not None else (0.0 if rises else BRACKET_HIGH)
+    for _ in range(RATIO_STEP_CAP):
+        kappa, beta = (ratio, 1.0) if rises else (0.0, ratio)
+        found = solve(geometry, beta, kappa=kappa)
+        if not found.indices:
+            break
+        # the chain's terms from the geometry's own steps, as the DP adds them
+        idx = np.asarray(found.indices)
+        weight = float(geometry.points[idx, 2].sum())
+        ent = float(geometry.origin_step[idx[0]] + geometry.pair_step[idx[:-1], idx[1:]].sum())
+        new = (weight - ent) / idx.size if rises else ent / weight
+        gain = new - ratio if rises else ratio - new
+        if gain < -1e-9 * abs(ratio):
+            raise RuntimeError(f"positive-value chain at ratio {ratio!r} worsens the ratio")
+        if gain <= 0.0:
+            break
+        ratio = new
+    else:
+        raise RuntimeError(f"ratio iteration did not settle in {RATIO_STEP_CAP} solves")
+    beta = (0.5 / ratio if ratio > 0.0 else math.inf) if rises else ratio
+    if beta >= BRACKET_HIGH:
+        return math.nan, ratio
+    return max(beta, BRACKET_LOW), ratio
 
 
 @dataclass(frozen=True)
@@ -285,11 +281,11 @@ def _flavor_setup(flavor: str, alpha: float, q: float | None):
     if flavor == "tilde":
         if not 0.5 < alpha < 2.0:
             raise ValueError("tilde flavor needs alpha in (1/2, 2)")
-        return (q if q is not None else 8.0), ENTROPY_QUADRATIC, _tilde_value
+        return (q if q is not None else 8.0), ENTROPY_QUADRATIC
     if flavor == "hat":
         if not 0.0 < alpha < 0.5:
             raise ValueError("hat flavor needs alpha in (0, 1/2)")
-        return (q if q is not None else 1.0), ENTROPY_LIPSCHITZ, _hat_value
+        return (q if q is not None else 1.0), ENTROPY_LIPSCHITZ
     raise ValueError("flavor must be 'tilde' or 'hat'")
 
 
@@ -306,16 +302,18 @@ def critical_coupling(
     """Estimate the coupling where the chain value first turns positive.
 
     Per replica, a top-mode sample with 2*``top`` weights is drawn once;
-    the threshold is bisected on its ``top`` largest weights and again
-    on the full sample, so doubling the truncation is coupled point-set
-    inclusion and per-replica thresholds can only shrink.  Reports the
-    median over replicas with a percentile-bootstrap interval.
+    the exact threshold is found by the ratio iteration on its ``top``
+    largest weights and again on the full sample.  Doubling the
+    truncation is coupled point-set inclusion, and the full sample's
+    iteration starts from the primary ratio, so per-replica thresholds
+    can only shrink.  Reports the median over replicas with a
+    percentile-bootstrap interval.
     """
     if replicas < 1:
         raise ValueError("replicas must be positive")
     if top < 1:
         raise ValueError("top must be positive")
-    q, entropy_kind, value_of = _flavor_setup(flavor, alpha, q)
+    q, entropy_kind = _flavor_setup(flavor, alpha, q)
 
     root = np.random.SeedSequence(seed)
     sample_seeds = root.spawn(replicas + 1)
@@ -324,10 +322,8 @@ def critical_coupling(
     for r in range(replicas):
         full = sample_ppp(alpha, q, top=2 * top, seed=sample_seeds[r])
         kept = select_top(full, top)
-        geom_kept = prepare_geometry(kept, entropy_kind)
-        geom_full = prepare_geometry(full, entropy_kind)
-        primary[r] = _bisect_threshold(lambda b: value_of(geom_kept, b))
-        doubled[r] = _bisect_threshold(lambda b: value_of(geom_full, b))
+        primary[r], ratio = _threshold(prepare_geometry(kept, entropy_kind), flavor)
+        doubled[r], _ = _threshold(prepare_geometry(full, entropy_kind), flavor, ratio)
 
     finite = primary[np.isfinite(primary)]
     failures = replicas - finite.size

@@ -190,6 +190,15 @@ def quantile(tail: TailParams, x):
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
+def _survival_integral(tail: TailParams, upper: float) -> float:
+    """Integral of the survival from the support edge to ``upper``."""
+    body, _ = integrate.quad(
+        lambda u: _raw_survival(tail.alpha, tail.law, tail.c, tail.b, u),
+        tail.edge, upper, epsabs=1e-12, epsrel=1e-12, limit=200,
+    )
+    return body
+
+
 def mean_weight(tail: TailParams) -> float:
     """E[omega]; defined only for alpha > 1."""
     if tail.alpha <= 1.0:
@@ -197,15 +206,7 @@ def mean_weight(tail: TailParams) -> float:
     a = tail.edge
     if tail.law == LAW_CONSTANT:
         return tail.alpha / (tail.alpha - 1.0) * a
-    tail_int, _ = integrate.quad(
-        lambda u: _raw_survival(tail.alpha, tail.law, tail.c, tail.b, u),
-        a,
-        np.inf,
-        epsabs=1e-12,
-        epsrel=1e-12,
-        limit=200,
-    )
-    return a + tail_int
+    return a + _survival_integral(tail, np.inf)
 
 
 def truncated_mean_weight(tail: TailParams, cutoff: float) -> float:
@@ -220,14 +221,7 @@ def truncated_mean_weight(tail: TailParams, cutoff: float) -> float:
         else:
             body = c * (a ** (1.0 - al) - cutoff ** (1.0 - al)) / (al - 1.0)
     else:
-        body, _ = integrate.quad(
-            lambda u: _raw_survival(tail.alpha, tail.law, tail.c, tail.b, u),
-            a,
-            cutoff,
-            epsabs=1e-12,
-            epsrel=1e-12,
-            limit=200,
-        )
+        body = _survival_integral(tail, cutoff)
     return a + body - cutoff * survival(tail, cutoff)
 
 

@@ -26,11 +26,14 @@ import re
 import statistics
 import subprocess
 import time
+import warnings
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
+from scipy.integrate import IntegrationWarning
 from scipy.stats import ks_2samp
 
 from .continuum import (
@@ -159,8 +162,15 @@ class ExperimentConfig:
             raise ValueError("alpha must lie in (0, 2)")
         if self.beta_hat < 0.0:
             raise ValueError("beta_hat must be nonnegative")
-        sizes = tuple(int(n) for n in self.sizes)
-        object.__setattr__(self, "sizes", sizes)
+        for key, (scalar, is_list, _) in _CONFIG_TYPES.items():
+            value = getattr(self, key)
+            if scalar != "int" or value is None:
+                continue
+            items = value if is_list else [value]
+            if not all(isinstance(v, Integral) and not isinstance(v, bool) for v in items):
+                raise ValueError(f"{key} must be an integer")
+            object.__setattr__(self, key, tuple(map(int, value)) if is_list else int(value))
+        sizes = self.sizes
         if not sizes:
             raise ValueError("sizes must be nonempty")
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -177,17 +187,13 @@ class ExperimentConfig:
             raise ValueError("eps must be positive")
         if self.kernel_cutoff <= 0.0:
             raise ValueError("kernel_cutoff must be positive")
-        for name in ("a_values", "c_values"):
+        for name in ("a_values", "c_values", "c1_values"):
             vals = tuple(float(v) for v in getattr(self, name))
             object.__setattr__(self, name, vals)
             if not vals or any(v <= 0 for v in vals):
                 raise ValueError(f"{name} must be positive")
-            if any(b <= a for a, b in zip(vals, vals[1:])):
+            if name != "c1_values" and any(b <= a for a, b in zip(vals, vals[1:])):
                 raise ValueError(f"{name} must be strictly increasing")
-        c1 = tuple(float(v) for v in self.c1_values)
-        object.__setattr__(self, "c1_values", c1)
-        if not c1 or any(v <= 0 for v in c1):
-            raise ValueError("c1_values must be positive")
         if not 0.0 < self.band_fraction <= 1.0:
             raise ValueError("band_fraction must lie in (0, 1]")
         if self.half_width is not None and self.half_width < 1:
@@ -279,11 +285,45 @@ class ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def _map_tasks(worker, tasks, threads: int) -> list:
-    if threads <= 1 or len(tasks) <= 1:
-        return [worker(t) for t in tasks]
-    with multiprocessing.Pool(processes=threads) as pool:
-        return list(pool.imap_unordered(worker, tasks, chunksize=1))
+def _counted(job) -> dict:
+    """Run one replica; its scipy quadrature warnings are counted into
+    the bundle instead of shown, and other warnings are shown as usual."""
+    worker, task = job
+    count = 0
+    show = warnings.showwarning
+
+    def count_quadrature(message, category, *args, **kwargs):
+        nonlocal count
+        if issubclass(category, IntegrationWarning):
+            count += 1
+        else:
+            show(message, category, *args, **kwargs)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", IntegrationWarning)
+        warnings.showwarning = count_quadrature
+        bundle = worker(task)
+    bundle["quadrature_warnings"] = count
+    return bundle
+
+
+def _map_replicas(worker, config: ExperimentConfig, *extra) -> list:
+    """One bundle per (config, n, replica, *extra) task, on a pool of
+    config.threads processes when that is above 1."""
+    jobs = [
+        (worker, (config, n, r, *extra)) for n in config.sizes for r in range(config.replicas)
+    ]
+    if config.threads <= 1 or len(jobs) <= 1:
+        return [_counted(job) for job in jobs]
+    with multiprocessing.Pool(processes=config.threads) as pool:
+        return list(pool.imap_unordered(_counted, jobs, chunksize=1))
+
+
+def _meta(start: float, bundles: list, **fields) -> dict:
+    """A campaign's manifest meta: its own fields, the wall time and the
+    replicas' total quadrature warnings."""
+    total = sum(b["quadrature_warnings"] for b in bundles)
+    return {**fields, "wall_time_s": time.perf_counter() - start, "quadrature_warnings": total}
 
 
 def _sorted_rows(bundles: list, table: str, key_width: int) -> List[tuple]:
@@ -356,8 +396,7 @@ def run_fluctuation(config: ExperimentConfig) -> ExperimentResult:
         label = LABEL_ZERO
 
     start = time.perf_counter()
-    tasks = [(config, n, r) for n in config.sizes for r in range(config.replicas)]
-    bundles = _map_tasks(_fluctuation_replica, tasks, config.threads)
+    bundles = _map_replicas(_fluctuation_replica, config)
     tail_rows = _sorted_rows(bundles, "gibbs_tail", 4)
     failures = sum(b["failures"] for b in bundles)
 
@@ -386,7 +425,7 @@ def run_fluctuation(config: ExperimentConfig) -> ExperimentResult:
             decay_rows,
         ),
     }
-    meta = {"label": label, "wall_time_s": time.perf_counter() - start}
+    meta = _meta(start, bundles, label=label)
     return ExperimentResult(config, tables, failures, 0, meta)
 
 
@@ -536,12 +575,7 @@ def run_regime_convergence(config: ExperimentConfig) -> ExperimentResult:
             raise ValueError("random split left unresolved")  # unreachable
 
     start = time.perf_counter()
-    tasks = [
-        (config, n, r, label, beta_limit)
-        for n in config.sizes
-        for r in range(config.replicas)
-    ]
-    bundles = _map_tasks(_regime_replica, tasks, config.threads)
+    bundles = _map_replicas(_regime_replica, config, label, beta_limit)
     obs_rows = _sorted_rows(bundles, "observable", 3)
     coup_rows = _sorted_rows(bundles, "coupling", 3)
     failures = sum(b["failures"] for b in bundles)
@@ -584,14 +618,8 @@ def run_regime_convergence(config: ExperimentConfig) -> ExperimentResult:
             ("n", "observable", "ks_distance", "replicas"), ks_rows
         ),
     }
-    meta = {
-        "label": label,
-        "beta_limit": beta_limit,
-        "normalizer": normalizer,
-        "limit_object": limit_object,
-        "wrapper": wrapper,
-        "wall_time_s": time.perf_counter() - start,
-    }
+    meta = _meta(start, bundles, label=label, beta_limit=beta_limit,
+                 normalizer=normalizer, limit_object=limit_object, wrapper=wrapper)
     return ExperimentResult(config, tables, failures, flagged, meta)
 
 
@@ -650,8 +678,7 @@ def run_ordered_stats_coupling(config: ExperimentConfig) -> ExperimentResult:
             raise ValueError("ell exceeds the site count at the smallest size")
 
     start = time.perf_counter()
-    tasks = [(config, n, r) for n in config.sizes for r in range(config.replicas)]
-    bundles = _map_tasks(_ordered_replica, tasks, config.threads)
+    bundles = _map_replicas(_ordered_replica, config)
     rows = _sorted_rows(bundles, "order_stats", 4)
     failures = sum(b["failures"] for b in bundles)
 
@@ -682,7 +709,7 @@ def run_ordered_stats_coupling(config: ExperimentConfig) -> ExperimentResult:
             ("n", "rank", "ks_distance", "replicas"), ks_rows
         ),
     }
-    meta = {"wall_time_s": time.perf_counter() - start}
+    meta = _meta(start, bundles)
     return ExperimentResult(config, tables, failures, 0, meta)
 
 
@@ -779,8 +806,7 @@ def run_small_alpha(config: ExperimentConfig) -> ExperimentResult:
         label = LABEL_ZERO
 
     start = time.perf_counter()
-    tasks = [(config, n, r) for n in config.sizes for r in range(config.replicas)]
-    bundles = _map_tasks(_small_alpha_replica, tasks, config.threads)
+    bundles = _map_replicas(_small_alpha_replica, config)
     cond_rows = _sorted_rows(bundles, "conditioned", 3)
     band_rows = _sorted_rows(bundles, "bands", 4)
     failures = sum(b["failures"] for b in bundles)
@@ -810,7 +836,7 @@ def run_small_alpha(config: ExperimentConfig) -> ExperimentResult:
             ("n", "ks_distance", "conditioned_count", "replicas"), ks_rows
         ),
     }
-    meta = {"label": label, "wall_time_s": time.perf_counter() - start}
+    meta = _meta(start, bundles, label=label)
     return ExperimentResult(config, tables, failures, 0, meta)
 
 

@@ -193,14 +193,11 @@ class RegimeReport:
 # Limit of n**e * (log n)**l as a coarse symbol: inf, 0, or the finite
 # probe value when both orders vanish.
 def _symbolic_limit(exponent: float, log_order: float, probe_value: float) -> float:
-    if exponent > _EXPONENT_TOL:
-        return math.inf
-    if exponent < -_EXPONENT_TOL:
-        return 0.0
-    if log_order > _EXPONENT_TOL:
-        return math.inf
-    if log_order < -_EXPONENT_TOL:
-        return 0.0
+    for order in (exponent, log_order):
+        if order > _EXPONENT_TOL:
+            return math.inf
+        if order < -_EXPONENT_TOL:
+            return 0.0
     return probe_value
 
 
@@ -383,6 +380,13 @@ RECORDS = {
 }
 
 
+# random split -> (critical coupling flavor, label above it, label below it)
+_SPLITS = {
+    LABEL_R3: ("tilde", LABEL_R3A, LABEL_R3B),
+    LABEL_SMALL_SPLIT: ("hat", LABEL_SMALL_N, LABEL_SMALL_SQRT),
+}
+
+
 def classify(
     alpha: float,
     schedule,
@@ -442,44 +446,28 @@ def classify(
 
     if alpha < 0.5:
         if q1 == math.inf:
-            label = LABEL_SMALL_N
-            beta_limit = math.inf
+            label, beta_limit = LABEL_SMALL_N, math.inf
         elif q1 == 0.0:
-            label = LABEL_SMALL_SQRT
-            beta_limit = 0.0
+            label, beta_limit = LABEL_SMALL_SQRT, 0.0
         else:
-            beta_limit = q1
-            if seed is None:
-                label = LABEL_SMALL_SPLIT
-            else:
-                est = critical_coupling(
-                    alpha, flavor="hat", replicas=replicas, top=top, seed=seed
-                )
-                split_threshold = est.median
-                label = LABEL_SMALL_N if beta_limit > est.median else LABEL_SMALL_SQRT
+            label, beta_limit = LABEL_SMALL_SPLIT, q1
+    elif q1 > 0.0:
+        label, beta_limit = LABEL_R1, q1
+    elif q2 == math.inf:
+        label, beta_limit = LABEL_R2, 1.0
+    elif q2 > 0.0:
+        label, beta_limit = LABEL_R3, q2
+    elif q3 == math.inf:
+        label, beta_limit = LABEL_R4, 1.0
     else:
-        if q1 > 0.0:
-            label = LABEL_R1
-            beta_limit = q1
-        elif q2 == math.inf:
-            label = LABEL_R2
-            beta_limit = 1.0
-        elif q2 > 0.0:
-            beta_limit = q2
-            if seed is None:
-                label = LABEL_R3
-            else:
-                est = critical_coupling(
-                    alpha, flavor="tilde", replicas=replicas, top=top, seed=seed
-                )
-                split_threshold = est.median
-                label = LABEL_R3A if beta_limit > est.median else LABEL_R3B
-        elif q3 == math.inf:
-            label = LABEL_R4
-            beta_limit = 1.0
-        else:
-            label = LABEL_R5
-            beta_limit = q3
+        label, beta_limit = LABEL_R5, q3
+
+    if seed is not None and label in _SPLITS:
+        flavor, above, below = _SPLITS[label]
+        split_threshold = critical_coupling(
+            alpha, flavor=flavor, replicas=replicas, top=top, seed=seed
+        ).median
+        label = above if beta_limit > split_threshold else below
 
     if label == LABEL_R3:
         norm_a, lim_a = RECORDS[LABEL_R3A].recipe(beta_limit, alpha)

@@ -355,34 +355,130 @@ def enumerate_lipschitz_threshold(points):
     return best
 
 
-def test_bisection_matches_quadratic_enumeration():
+def exact_threshold(points, flavor):
+    kind = elpp.ENTROPY_QUADRATIC if flavor == "tilde" else elpp.ENTROPY_LIPSCHITZ
+    return continuum._threshold(elpp.prepare_geometry(points, kind), flavor)[0]
+
+
+def random_point_sets(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m = int(rng.integers(1, 9))
+        yield np.column_stack(
+            [
+                rng.uniform(0.05, 1.0, m),
+                rng.uniform(-1.0, 1.0, m),
+                rng.pareto(1.2, m) + 0.05,
+            ]
+        )
+
+
+def test_threshold_matches_quadratic_enumeration():
     pts = np.array([[0.3, 0.1, 0.4], [0.5, 0.4, 1.0], [0.8, -0.2, 0.6]])
-    geometry = elpp.prepare_geometry(pts, elpp.ENTROPY_QUADRATIC)
-    found = continuum._bisect_threshold(
-        lambda b: elpp.solve(geometry, 1.0, kappa=1.0 / (2.0 * b)).value
-    )
-    assert found == pytest.approx(enumerate_quadratic_threshold(pts), rel=1e-9)
+    sets = [pts] + list(random_point_sets(41, 40))
+    for points in sets:
+        expected = enumerate_quadratic_threshold(points)
+        found = exact_threshold(points, "tilde")
+        if expected >= continuum.BRACKET_HIGH:
+            assert math.isnan(found)
+        else:
+            assert found == pytest.approx(
+                max(expected, continuum.BRACKET_LOW), rel=1e-12
+            )
 
 
-def test_bisection_matches_lipschitz_enumeration():
+def test_threshold_matches_lipschitz_enumeration():
     pts = np.array([[0.5, 0.2, 2.0], [0.9, 0.1, 1.0]])
-    geometry = elpp.prepare_geometry(pts, elpp.ENTROPY_LIPSCHITZ)
-    found = continuum._bisect_threshold(
-        lambda b: elpp.solve(geometry, b, kappa=0.0).value
+    sets = [pts] + list(random_point_sets(43, 40))
+    for points in sets:
+        expected = enumerate_lipschitz_threshold(points)
+        found = exact_threshold(points, "hat")
+        if expected >= continuum.BRACKET_HIGH:
+            assert math.isnan(found)
+        else:
+            assert found == pytest.approx(
+                max(expected, continuum.BRACKET_LOW), rel=1e-12
+            )
+
+
+def test_threshold_bracket_ends():
+    # tilde: beta_c = 1 / (2 (w - x^2/(2t))) on one point
+    assert math.isnan(exact_threshold([[1.0, 0.0, 1e-5]], "tilde"))
+    assert math.isnan(exact_threshold([[1.0, 2.0, 1.0]], "tilde"))
+    assert exact_threshold([[1.0, 0.0, 1e5]], "tilde") == continuum.BRACKET_LOW
+    assert math.isnan(exact_threshold(np.empty((0, 3)), "tilde"))
+    # hat: beta_c = t e(x/t) / w on one point; zero slope costs nothing
+    assert math.isnan(exact_threshold([[1.0, 0.5, 1e-6]], "hat"))
+    assert math.isnan(exact_threshold([[0.5, 0.9, 10.0]], "hat"))
+    assert exact_threshold([[1.0, 0.0, 1.0]], "hat") == continuum.BRACKET_LOW
+    assert exact_threshold([[1.0, 1e-4, 1.0]], "hat") == continuum.BRACKET_LOW
+
+
+def test_threshold_inconsistent_chain_raises(monkeypatch):
+    pts = np.array([[0.5, 0.0, 3.0], [0.9, 0.0, 0.5]])
+    geometry = elpp.prepare_geometry(pts, elpp.ENTROPY_QUADRATIC)
+    # the heavy point first, then a positive-value chain of lower ratio
+    answers = iter([(0,), (1,)])
+
+    def inconsistent(geom, beta, kappa=0.0, **kwargs):
+        indices = next(answers)
+        return elpp.ChainSolution(1.0, indices, tuple(map(tuple, pts[list(indices)])))
+
+    monkeypatch.setattr(continuum, "solve", inconsistent)
+    with pytest.raises(RuntimeError):
+        continuum._threshold(geometry, "tilde")
+
+
+def test_threshold_step_cap_raises(monkeypatch):
+    pts = np.array([[0.5, 0.0, 3.0], [0.9, 0.0, 0.5]])
+    geometry = elpp.prepare_geometry(pts, elpp.ENTROPY_QUADRATIC)
+    monkeypatch.setattr(continuum, "RATIO_STEP_CAP", 1)
+    with pytest.raises(RuntimeError):
+        continuum._threshold(geometry, "tilde")
+
+
+@pytest.mark.parametrize(
+    "flavor, alpha, kind",
+    [("tilde", 1.2, elpp.ENTROPY_QUADRATIC), ("hat", 0.3, elpp.ENTROPY_LIPSCHITZ)],
+)
+def test_threshold_brackets_sign_change(flavor, alpha, kind):
+    replicas, top, seed = 6, 32, 101
+    est = critical_coupling(
+        alpha, flavor=flavor, replicas=replicas, top=top, seed=seed, bootstrap=20
     )
-    assert found == pytest.approx(enumerate_lipschitz_threshold(pts), rel=1e-9)
+    assert np.all(np.isfinite(est.samples))
+    assert np.all(est.doubled_samples <= est.samples)
+
+    def value(points, beta):
+        if flavor == "tilde":
+            return elpp.solve(points, 1.0, kappa=1.0 / (2.0 * beta)).value
+        return elpp.solve(points, beta, kappa=0.0, entropy_kind=kind).value
+
+    seeds = np.random.SeedSequence(seed).spawn(replicas + 1)
+    for r in range(replicas):
+        full = sample_ppp(alpha, est.q, top=2 * top, seed=seeds[r])
+        kept = elpp.select_top(full, top)
+        for points, beta in ((kept, est.samples[r]), (full, est.doubled_samples[r])):
+            if beta > continuum.BRACKET_LOW:
+                assert value(points, beta * (1.0 - 1e-6)) <= 0.0
+            assert value(points, beta * (1.0 + 1e-6)) > 0.0
 
 
-def test_bisection_bracket_failures():
-    assert math.isnan(continuum._bisect_threshold(lambda b: -1.0))
-    assert continuum._bisect_threshold(lambda b: 1.0) == continuum.BRACKET_LOW
-    def dipping(b):
-        if b < 1.0:
-            return -1.0
-        return 5.0 if b < 10.0 else 2.0
+@pytest.mark.parametrize("flavor, alpha", [("tilde", 1.2), ("hat", 0.3)])
+def test_critical_coupling_solve_count(monkeypatch, flavor, alpha):
+    # bisection needed 42 solves per threshold; the ratio iteration a few
+    calls = []
+    inner = continuum.solve
 
-    with pytest.raises(AssertionError):
-        continuum._bisect_threshold(dipping)
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(continuum, "solve", counted)
+    replicas = 4
+    critical_coupling(alpha, flavor=flavor, replicas=replicas, top=64, seed=3,
+                      bootstrap=20)
+    assert len(calls) / (2 * replicas) <= 8
 
 
 def test_critical_coupling_tilde():
@@ -395,7 +491,7 @@ def test_critical_coupling_tilde():
     # Doubling the truncation adds points, so per-replica thresholds
     # can only shrink.
     both = np.isfinite(est.samples) & np.isfinite(est.doubled_samples)
-    assert np.all(est.doubled_samples[both] <= est.samples[both] + 1e-9)
+    assert np.all(est.doubled_samples[both] <= est.samples[both])
     assert est.relative_shift >= 0.0
 
 

@@ -1,5 +1,7 @@
 """Tests for the campaign runner: configs, the four kinds, emission."""
 
+import dataclasses
+import hashlib
 import json
 import math
 from itertools import product
@@ -93,6 +95,19 @@ def test_config_rejects_bad_input(tmp_path):
         load(sizes=[8192])
     with pytest.raises(ValueError, match="kind"):
         load(kind="nope")
+
+
+def test_config_rejects_non_integer_counts():
+    for key, value in [("replicas", 1.5), ("replicas", True), ("seed", 7.0),
+                       ("ell", 12.5), ("threads", False), ("half_width", 3.5),
+                       ("sizes", (16.7,)), ("sizes", (16, 32.0))]:
+        with pytest.raises(ValueError, match="integer"):
+            make_config(**{key: value})
+    # numpy integers are integers; they are stored as Python ints
+    cfg = make_config(sizes=(np.int64(16),), replicas=np.int32(2), seed=np.uint64(7))
+    assert cfg.sizes == (16,) and cfg.replicas == 2 and cfg.seed == 7
+    assert type(cfg.sizes[0]) is type(cfg.replicas) is type(cfg.seed) is int
+    assert run_experiment(cfg).invariant_failures == 0
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +448,30 @@ def test_write_outputs_layout(tmp_path):
     assert manifest["invariant_failures"] == 0
     assert manifest["meta"]["wall_time_s"] > 0.0
     assert manifest["tables"]["observable"] == 2
+
+
+def test_quadrature_warnings_counted_in_manifest(tmp_path, recwarn):
+    # the small-alpha diffusive campaign's chaos terms meet a slowly
+    # convergent quadrature on every replica
+    cfg = make_config(alpha=0.3, gamma=6.0, sizes=(24, 48), replicas=4, seed=77)
+    write_outputs(run_experiment(cfg), tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["meta"]["quadrature_warnings"] > 0
+    assert not [w for w in recwarn if "integral" in str(w.message)]
+    # the count stays out of the CSVs: their bytes are those of the
+    # campaign before the warnings were counted
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in tmp_path.glob("*.csv")
+    }
+    assert digests == {
+        "coupling.csv":
+            "7e786823a334905e8aae7ca723f29480ba14ea38191d79b00f735274c6cfc562",
+        "ks_summary.csv":
+            "c6b90ec9e4b535e29313f7ec1d08b2f2051e7fbaab653e16ed369f6915c31b37",
+        "observable.csv":
+            "a39c713b006675d8d24630eb4632abcac3336ee58919e1b918febbc46b280aa4",
+    }
 
 
 def test_run_from_file_exit_code(tmp_path):
