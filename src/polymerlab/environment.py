@@ -230,15 +230,20 @@ def truncated_mean_weight(tail: TailParams, cutoff: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _row_uniforms(seed: int, i: int, h: int) -> np.ndarray:
-    """Uniform draws for columns -h..h of row i, independent of h."""
-    gen = Generator(Philox(key=(seed << 64) | i))
+def _uniforms(seed: int, n: int, h: int) -> np.ndarray:
+    """Uniform draws for columns -h..h of rows 1..n, independent of h: one
+    Philox generator, advanced to column -h and re-keyed for each row."""
     start = _COL_OFFSET - h
-    gen.bit_generator.advance(start // 4)
-    rem = start % 4
-    if rem:
-        gen.random(rem)
-    return gen.random(2 * h + 1)
+    bits = Philox(key=seed << 64)
+    bits.advance(start // 4)
+    state, gen = bits.state, Generator(bits)
+    u = np.empty((n, 2 * h + 1))
+    for i in range(1, n + 1):
+        state["state"]["key"] = np.array([i, seed], dtype=np.uint64)  # (seed << 64) | i
+        bits.state = state
+        gen.random(start % 4)
+        gen.random(out=u[i - 1])
+    return u
 
 
 def sample_field(n: int, h: int, tail: TailParams, seed: int) -> DisorderField:
@@ -252,10 +257,7 @@ def sample_field(n: int, h: int, tail: TailParams, seed: int) -> DisorderField:
         raise ValueError("need n >= 1 and h >= 0")
     if not 0 <= seed < (1 << 64):
         raise ValueError("seed must fit in 64 bits")
-    u = np.empty((n, 2 * h + 1))
-    for i in range(1, n + 1):
-        u[i - 1] = _row_uniforms(seed, i, h)
-    w = _quantile_from_survival(tail, 1.0 - u)
+    w = _quantile_from_survival(tail, 1.0 - _uniforms(seed, n, h))
     w.flags.writeable = False
     return DisorderField(n=n, h=h, tail=tail, seed=seed, weights=w)
 
@@ -265,6 +267,13 @@ def reachable_mask(n: int, h: int) -> np.ndarray:
     i = np.arange(1, n + 1)[:, None]
     x = np.arange(-h, h + 1)[None, :]
     return ((i + x) % 2 == 0) & (np.abs(x) <= i)
+
+
+def reachable_count(n: int, h: int) -> int:
+    """Number of True sites of reachable_mask(n, h), in closed form: i + 1
+    sites at steps i <= h, then h or h + 1 by the parity of i - h."""
+    k, rest = min(n, h), max(0, n - h)
+    return k * (k + 3) // 2 + rest * h + rest // 2
 
 
 def ordered_statistics(

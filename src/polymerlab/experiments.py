@@ -47,10 +47,10 @@ from .environment import (
     TailParams,
     ordered_statistics,
     quantile,
-    reachable_mask,
+    reachable_count,
     sample_field,
 )
-from .polymer import FREE, chaos_terms, gibbs_band_probability, log_partition
+from .polymer import FREE, chaos_terms, gibbs_band_probabilities, log_partition
 from .regimes import (
     DIFFUSIVE,
     LABEL_BOUNDARY,
@@ -357,15 +357,13 @@ def _fluctuation_replica(task) -> dict:
     h_n = fluctuation_scale(n, beta, tail).h
     seed = derive_seed(config.seed, n, replica, _FIELD_SLOT)
     field = sample_field(n, n, tail, seed)
+    los = [math.ceil(a * h_n) for a in config.a_values]
+    found = iter(gibbs_band_probabilities(field, beta, [(lo, n + 1) for lo in los if lo <= n]))
+    probs = [next(found) if lo <= n else 0.0 for lo in los]
     rows = []
     failures = 0
     prev = math.inf
-    for a in config.a_values:
-        lo = math.ceil(a * h_n)
-        if lo > n:
-            prob = 0.0
-        else:
-            prob = gibbs_band_probability(field, beta, lo, n + 1)
+    for a, prob in zip(config.a_values, probs):
         if prob > prev * (1.0 + MONOTONE_TOL) + 1e-15:
             failures += 1
         prev = prob
@@ -462,7 +460,7 @@ def _coupled_pair(record: RegimeRecord, field, beta: float, h: int, ell: int,
     on the same rescaled points.  Exact up to rounding: the costs scale
     covariantly under (i, x, w) -> (i/n, x/h, w/m(nh))."""
     n = field.n
-    count = int(reachable_mask(n, field.h).sum())
+    count = reachable_count(n, field.h)
     stats = ordered_statistics(field, min(ell, count), reachable_only=True)
     lattice = np.column_stack(
         [stats.rows.astype(float), stats.cols.astype(float), stats.weights]
@@ -737,7 +735,7 @@ def _small_alpha_replica(task) -> dict:
     # cover a sizable share of the box (small n).
     beta_run = beta * m_lin / n
     if beta_run > 0.0:
-        count = int(reachable_mask(n, field.h).sum())
+        count = reachable_count(n, field.h)
         stats = ordered_statistics(
             field, min(HAT_PROXY_TOP, count), reachable_only=True
         )
@@ -756,15 +754,16 @@ def _small_alpha_replica(task) -> dict:
 
     failures = 0
     band_hi = math.ceil(config.band_fraction * n)
+    los = [math.ceil(c * math.sqrt(n)) for c in config.c_values]
+    found = iter(gibbs_band_probabilities(
+        field, beta,
+        [(lo, n + 1) for lo in los if lo <= n] + [(lo, band_hi) for lo in los if lo < band_hi],
+    ))
+    tails = [next(found) if lo <= n else 0.0 for lo in los]
+    bands = [next(found) if lo < band_hi else 0.0 for lo in los]
     band_rows = []
     prev_tail = math.inf
-    for c in config.c_values:
-        lo = math.ceil(c * math.sqrt(n))
-        tail_p = 0.0 if lo > n else gibbs_band_probability(field, beta, lo, n + 1)
-        band_p = (
-            gibbs_band_probability(field, beta, lo, band_hi)
-            if lo < band_hi else 0.0
-        )
+    for c, tail_p, band_p in zip(config.c_values, tails, bands):
         if band_p > tail_p * (1.0 + MONOTONE_TOL) + 1e-15:
             failures += 1
         if tail_p > prev_tail * (1.0 + MONOTONE_TOL) + 1e-15:

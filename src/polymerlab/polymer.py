@@ -14,13 +14,21 @@ unreachable and carry no mass.  All partition sums are computed in log
 domain (elementwise logaddexp), so a weight with beta*omega up to 1e6
 cannot overflow.  A returned -inf means the admissible path set is
 empty, never an underflow.
+
+Every pass runs on one step kernel, ``_transfer``: step i keeps only
+the i+1 sites of its parity inside the light cone |x| <= min(i, width)
+in preallocated buffers, and the windows of gibbs_band_probabilities
+advance together with the free pass.  Each final log-sum is taken
+over the pass's full-width row, so the results are bit for bit those
+of a full-width recursion.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import integrate
@@ -153,7 +161,10 @@ def walk_kernel(i: int, x: int) -> float:
     )
 
 
-_KERNEL_GRID_CACHE: dict = {}
+# (n, half_width) -> grid, least recently used first; a full-band grid at
+# n 4096 alone is 268 MB, so only the last few are kept
+_KERNEL_GRID_CACHE: "OrderedDict[Tuple[int, int], np.ndarray]" = OrderedDict()
+_KERNEL_GRID_CACHE_SIZE = 4
 
 
 def kernel_grid(n: int, half_width: int) -> np.ndarray:
@@ -161,6 +172,7 @@ def kernel_grid(n: int, half_width: int) -> np.ndarray:
     key = (n, half_width)
     hit = _KERNEL_GRID_CACHE.get(key)
     if hit is not None:
+        _KERNEL_GRID_CACHE.move_to_end(key)
         return hit
     i = np.arange(1, n + 1)[:, None]
     x = np.arange(-half_width, half_width + 1)[None, :]
@@ -171,6 +183,8 @@ def kernel_grid(n: int, half_width: int) -> np.ndarray:
     grid = np.where(valid, np.exp(logp), 0.0)
     grid.flags.writeable = False
     _KERNEL_GRID_CACHE[key] = grid
+    if len(_KERNEL_GRID_CACHE) > _KERNEL_GRID_CACHE_SIZE:
+        _KERNEL_GRID_CACHE.popitem(last=False)
     return grid
 
 
@@ -179,76 +193,89 @@ def kernel_grid(n: int, half_width: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _spread(v: np.ndarray) -> np.ndarray:
-    """One walk step in log domain: log((e^v[x-1] + e^v[x+1]) / 2) per site."""
-    left = np.full(v.size, NEG_INF)
-    left[1:] = v[:-1]
-    right = np.full(v.size, NEG_INF)
-    right[:-1] = v[1:]
-    return np.logaddexp(left, right) + LOG_HALF
+def _reach(i: int, half_width: int) -> int:
+    """Step i occupies x = -r, -r+2, ..., r: its parity inside |x| <= min(i, half_width)."""
+    return min(i, half_width - (i - half_width) % 2)
 
 
-def _transfer_free(
-    weights: np.ndarray,
-    h: int,
-    n: int,
-    beta: float,
-    filt: WeightFilter,
-    center: float,
-    half_width: int,
-    store: bool = False,
-):
-    """Single-layer log-domain pass; returns (log Z, states or None)."""
-    wdt = 2 * half_width + 1
-    cur = np.full(wdt, NEG_INF)
-    cur[half_width] = 0.0
-    states = np.empty((n, wdt)) if store else None
-    lo = max(-h, -half_width)
-    hi = min(h, half_width)
-    for i in range(1, n + 1):
-        cur = _spread(cur)
-        if lo <= hi:
-            g = filt.apply(beta * weights[i - 1, lo + h : hi + h + 1])
-            cur[lo + half_width : hi + half_width + 1] += g
-        cur -= center
-        if store:
-            states[i - 1] = cur
-    return float(logsumexp(cur)), states
+def _scatter(row: np.ndarray, sites: np.ndarray, r: int):
+    """Lay the sites -r, -r+2, ..., r into ``row``, centred at x = 0; sites
+    beyond the row's half width are dropped."""
+    half = (row.size - 1) // 2
+    cut = max(0, (r - half + 1) // 2)
+    row[half - r + 2 * cut : half + r - 2 * cut + 1 : 2] = sites[cut : r + 1 - cut]
 
 
-def _transfer_window(
-    weights: np.ndarray,
-    h: int,
-    n: int,
-    beta: float,
-    filt: WeightFilter,
-    center: float,
-    h1: int,
-    h2: int,
-) -> float:
-    """Two-layer pass for max_i |S_i| in [h1, h2); exact, no subtraction."""
-    half_width = min(n, h2 - 1)
-    if half_width < 0:
-        return NEG_INF
-    wdt = 2 * half_width + 1
-    xs = np.arange(-half_width, half_width + 1)
-    flag_site = np.abs(xs) >= h1
-    nf = np.full(wdt, NEG_INF)
-    fl = np.full(wdt, NEG_INF)
-    nf[half_width] = 0.0
-    lo = max(-h, -half_width)
-    hi = min(h, half_width)
-    for i in range(1, n + 1):
-        a = _spread(nf)
-        b = _spread(fl)
-        g = np.zeros(wdt)
-        if lo <= hi:
-            g[lo + half_width : hi + half_width + 1] = filt.apply(
-                beta * weights[i - 1, lo + h : hi + h + 1]
-            )
-        fl = np.where(flag_site, np.logaddexp(a, b), b) + g - center
-        nf = np.where(flag_site, NEG_INF, a) + g - center
-    return float(logsumexp(fl))
+def _logsumexp(sites: np.ndarray, r: int, half_width: int) -> float:
+    """log-sum of a pass's last sites, taken over its full -inf row of
+    width 2*half_width+1 so that the summation order is the full row's."""
+    row = np.full(2 * half_width + 1, NEG_INF)
+    _scatter(row, sites, r)
+    return float(logsumexp(row))
+
+
+def _transfer(weights, h, beta, filt, center, half_width, windows=(), store=None,
+              backward=False):
+    """The log-domain transfer pass that every pass of this module runs on.
+
+    Step i keeps only its sites x = -r, -r+2, ..., r (r = _reach(i,
+    half_width)) in two -inf padded buffers.  A step is log((e^v[x-1] +
+    e^v[x+1]) / 2), + beta*f(omega) on the field box, - center.  Forward
+    passes start at S_0 = 0; the backward pass (log B_i of the marginals)
+    starts from 0 at step n and adds step i+1's energy before the step.
+    Each (h1, hw) of ``windows`` is a two-layer pass for max_i |S_i| in
+    [h1, hw]: layer 1 holds the paths that reached |x| >= h1, and sites
+    past hw are -inf after every step; all windows advance together.
+    ``store`` gets each step's sites in row i-1 (backward: log B_i).
+    Returns the last reach and sites, shape (1, r+1) or (2, K, r+1).
+    """
+    n = weights.shape[0]
+    lead = (2, len(windows)) if windows else (1,)
+    cur, nxt = np.full((2,) + lead + (half_width + 3,), NEG_INF)
+    bounds = np.array(windows, dtype=np.int64).reshape(-1, 2)
+    ruler = np.abs(np.arange(-half_width, half_width + 1))
+    flag, dead = ruler >= bounds[:, :1], ruler > bounds[:, 1:]
+    r = _reach(n if backward else 0, half_width)
+    cur[0, ..., 1 : r + 2] = 0.0
+    gbuf = np.empty(min(h, half_width) + 1)
+
+    def add_energy(v, i, r):
+        cut = max(0, (r - h + 1) // 2)  # sites left of the field box
+        g = gbuf[: r + 1 - 2 * cut]
+        np.multiply(weights[i - 1, h - r + 2 * cut : h + r - 2 * cut + 1 : 2], beta, out=g)
+        v[..., 1 + cut : r + 2 - cut] += filt.apply(g)
+
+    for i in range(n - 1, 0, -1) if backward else range(1, n + 1):
+        if backward:
+            add_energy(cur, i + 1, r)
+        r_next = _reach(i, half_width)
+        s, r = (r - r_next + 1) // 2, r_next
+        m = r + 1
+        np.logaddexp(cur[..., s : s + m], cur[..., s + 1 : s + m + 1], out=nxt[..., 1 : m + 1])
+        nxt[..., m + 1] = NEG_INF
+        cur, nxt = nxt, cur
+        v = cur[..., 1 : m + 1]
+        v += LOG_HALF
+        if windows:
+            cols = slice(half_width - r, half_width + r + 1, 2)
+            np.logaddexp(v[0], v[1], out=v[1], where=flag[:, cols])
+            np.copyto(v[0], NEG_INF, where=flag[:, cols])
+            np.copyto(v, NEG_INF, where=dead[:, cols])
+        if not backward:
+            add_energy(cur, i, r)
+            if center:
+                v -= center
+        if store is not None:
+            _scatter(store[i - 1], v[0], r)
+    return r, cur[..., 1 : r + 2]
+
+
+def _window_log_partitions(field: DisorderField, beta: float, filt: WeightFilter,
+                           center: float, windows) -> List[float]:
+    """log Z restricted to max_i |S_i| in [h1, hw] for each (h1, hw), in one pass."""
+    half_width = max(hw for _, hw in windows)
+    r, sites = _transfer(field.weights, field.h, beta, filt, center, half_width, windows)
+    return [_logsumexp(fl, r, hw) for fl, (_, hw) in zip(sites[1], windows)]
 
 
 def log_partition(
@@ -263,38 +290,52 @@ def log_partition(
     if beta < 0.0 and constraint.weight_filter.kind != FILTER_ATMOST_ONE:
         raise ValueError("beta < 0 only allowed with the atmost1 filter")
     n, h = field.n, field.h
+    filt = constraint.weight_filter
     center = centering_value(field.tail, beta, constraint.centering)
     cap = n if constraint.band is None else min(constraint.band, n)
     if constraint.band_window is not None:
         h1, h2 = constraint.band_window
-        logz = _transfer_window(
-            field.weights, h, n, beta, constraint.weight_filter, center, h1, min(h2 - 1, cap) + 1
-        )
-        return logz
-    logz, _ = _transfer_free(
-        field.weights, h, n, beta, constraint.weight_filter, center, cap
+        return _window_log_partitions(field, beta, filt, center, [(h1, min(h2 - 1, cap))])[0]
+    r, sites = _transfer(field.weights, h, beta, filt, center, cap)
+    return _logsumexp(sites[0], r, cap)
+
+
+def gibbs_band_probabilities(
+    field: DisorderField, beta: float, windows: Sequence[Tuple[int, int]]
+) -> List[float]:
+    """P under the Gibbs measure that max_i |S_i| lies in [h_low, h_high),
+    for each window, all in one pass.  The pass also advances the window
+    [0, n+1), whose flagged layer is the FREE pass bit for bit, because
+    logaddexp(v, -inf) == v exactly."""
+    n = field.n
+    if any(not 0 <= lo < hi <= n + 1 for lo, hi in windows):
+        raise ValueError("need 0 <= h_low < h_high <= n+1")
+    if beta < 0.0:
+        raise ValueError("beta < 0 only allowed with the atmost1 filter")
+    log_free, *log_wins = _window_log_partitions(
+        field, beta, WeightFilter(), 0.0, [(0, n)] + [(lo, min(hi - 1, n)) for lo, hi in windows]
     )
-    return logz
+    return [0.0 if lw == NEG_INF else float(min(1.0, math.exp(lw - log_free)))
+            for lw in log_wins]
 
 
 def gibbs_band_probability(
     field: DisorderField, beta: float, h_low: int, h_high: int
 ) -> float:
     """P under the Gibbs measure that max_i |S_i| lies in [h_low, h_high)."""
-    if not 0 <= h_low < h_high <= field.n + 1:
-        raise ValueError("need 0 <= h_low < h_high <= n+1")
-    log_free = log_partition(field, beta, FREE)
-    log_win = log_partition(
-        field, beta, PathConstraint(band_window=(h_low, h_high))
-    )
-    if log_win == NEG_INF:
-        return 0.0
-    return float(min(1.0, math.exp(log_win - log_free)))
+    return gibbs_band_probabilities(field, beta, [(h_low, h_high)])[0]
 
 
 # ---------------------------------------------------------------------------
 # Gibbs path sampling and marginals
 # ---------------------------------------------------------------------------
+
+
+def _forward_states(field: DisorderField, beta: float) -> np.ndarray:
+    """(n, 2n+1) rows of the unfiltered, uncentered forward pass; -inf off the cone."""
+    states = np.full((field.n, 2 * field.n + 1), NEG_INF)
+    _transfer(field.weights, field.h, beta, WeightFilter(), 0.0, field.n, store=states)
+    return states
 
 
 def sample_gibbs_path(
@@ -305,10 +346,8 @@ def sample_gibbs_path(
     Backward sampling from the stored forward transfer states (PCG64
     stream seeded by `seed`; independent of the field's own stream).
     """
-    n, h = field.n, field.h
-    _, states = _transfer_free(
-        field.weights, h, n, beta, WeightFilter(), 0.0, n, store=True
-    )
+    n = field.n
+    states = _forward_states(field, beta)
     rng = np.random.default_rng(seed)
     paths = np.empty((count, n), dtype=np.int64)
     final = states[n - 1]
@@ -339,22 +378,15 @@ def sample_gibbs_path(
 def gibbs_site_marginals(field: DisorderField, beta: float) -> np.ndarray:
     """P(S_i = x) under the Gibbs measure, shape (n, 2n+1), by
     forward-backward products."""
-    n, h = field.n, field.h
-    _, states = _transfer_free(
-        field.weights, h, n, beta, WeightFilter(), 0.0, n, store=True
-    )
-    wdt = 2 * n + 1
+    n = field.n
+    states = _forward_states(field, beta)
     logz = logsumexp(states[n - 1])
-    back = np.zeros(wdt)  # log B_n = 0
-    marg = np.empty((n, wdt))
-    marg[n - 1] = np.exp(states[n - 1] - logz)
-    lo_col, hi_col = max(-h, -n), min(h, n)
-    for i in range(n - 1, 0, -1):
-        g = np.zeros(wdt)
-        g[lo_col + n : hi_col + n + 1] = beta * field.weights[i, lo_col + h : hi_col + h + 1]
-        # the walk step is symmetric, so the backward step is the forward one
-        back = _spread(g + back)
-        marg[i - 1] = np.exp(states[i - 1] + back - logz)
+    marg = np.full_like(states, NEG_INF)  # log B_i, then the marginals
+    marg[n - 1] = 0.0  # log B_n = 0
+    _transfer(field.weights, field.h, beta, WeightFilter(), 0.0, n, store=marg, backward=True)
+    marg += states
+    marg -= logz
+    np.exp(marg, out=marg)
     return marg
 
 
@@ -451,7 +483,8 @@ def chaos_terms(
     else:
         w_n = math.expm1(lam) * gap
     v_centered = float(np.sum(np.expm1(beta * box - lam) * grid))
-    logz_trunc, _ = _transfer_free(trunc, h, n, beta, WeightFilter(), 0.0, band)
+    r, sites = _transfer(trunc, h, beta, WeightFilter(), 0.0, band)
+    logz_trunc = _logsumexp(sites[0], r, band)
     shift = logz_trunc - n * lam
     z_shifted = math.exp(shift) if shift < 700.0 else math.inf
     r_n = z_shifted - 1.0 - v_centered

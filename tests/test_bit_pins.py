@@ -1,0 +1,149 @@
+"""Bit pins: the exact float bytes of the transfer passes and the CSV
+bytes of two small campaigns.
+
+The digests were taken before the transfer passes were folded into one
+light-cone kernel, so any change of summation order or of the per-step
+arithmetic shows here as a changed digest, not as a tolerance miss.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from polymerlab.environment import TailParams, sample_field
+from polymerlab.experiments import (
+    KIND_FLUCTUATION,
+    KIND_SMALL_ALPHA,
+    ExperimentConfig,
+    run_experiment,
+    write_outputs,
+)
+from polymerlab.polymer import (
+    CENTER_TRUNCATED,
+    FREE,
+    PathConstraint,
+    chaos_terms,
+    filter_above,
+    filter_atmost_one,
+    filter_between,
+    gibbs_band_probability,
+    gibbs_site_marginals,
+    log_partition,
+    sample_gibbs_path,
+)
+
+N = 40
+BOXES = (0, 20, 60)
+BETAS = (0.05, 0.7, 3e4)
+CONSTRAINTS = (
+    FREE,
+    PathConstraint(band=0),
+    PathConstraint(band=7),
+    PathConstraint(band=25),
+    PathConstraint(band=7, centering=CENTER_TRUNCATED),
+    PathConstraint(weight_filter=filter_above(1.0)),
+    PathConstraint(weight_filter=filter_between(0.5, 20.0)),
+    PathConstraint(weight_filter=filter_atmost_one()),
+    PathConstraint(band_window=(0, 1)),
+    PathConstraint(band_window=(3, 9)),
+    PathConstraint(band_window=(5, 41)),
+    PathConstraint(band_window=(0, 41), centering=CENTER_TRUNCATED),
+    PathConstraint(band=12, band_window=(4, 30)),
+)
+WINDOWS = ((0, 41), (0, 1), (1, 2), (3, 9), (6, 41), (12, 30), (40, 41))
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=float).tobytes()).hexdigest()
+
+
+def _fields():
+    tail = TailParams(alpha=0.9)
+    return [sample_field(N, h, tail, seed=2024 + h) for h in BOXES]
+
+
+def pass_digests() -> dict:
+    """sha256 of the float bytes of every pass kind over the pinned grid."""
+    fields = _fields()
+    grid = [(f, b) for f in fields for b in BETAS]
+    chaos = []
+    for f, b in grid:
+        if f.h > 0:  # the cutoff keeps beta * weight below expm1's overflow
+            chaos += list(chaos_terms(f, b, band=f.h // 2, cutoff=min(50.0, 700.0 / b)))
+    return {
+        "log_partition": _digest(
+            [log_partition(f, b, c) for f, b in grid for c in CONSTRAINTS]
+        ),
+        "marginals": _digest(np.stack([gibbs_site_marginals(f, b) for f, b in grid])),
+        "paths": _digest(
+            np.stack([sample_gibbs_path(f, b, seed=9, count=3) for f, b in grid])
+        ),
+        "chaos_terms": _digest(chaos),
+        "band_probability": _digest(
+            [gibbs_band_probability(f, b, lo, hi) for f, b in grid for lo, hi in WINDOWS]
+        ),
+    }
+
+
+PASS_DIGESTS = {
+    "log_partition":
+        "8a066de44a77030781d2859374660acfe71731b8b39e1425013a1273d2536587",
+    "marginals":
+        "034366444579cc96a1449354a272e3d274d7e78e0b43d5b9d1fc9807809ce81c",
+    "paths":
+        "7a18b9de03b05ebbdf4b1bd00000e96f0bdf309dc6812cdf0a140a91a85f9da6",
+    "chaos_terms":
+        "f7bb72a0c4245bfbfe0b14f9081a4ca9a7c9ad203766e7ba21c7e8f703cbe28d",
+    "band_probability":
+        "e79bfef170e3ee3e1a6c26ed0441a48199dfa9a23770e21816d67847380a89ee",
+}
+
+
+@pytest.fixture(scope="module")
+def digests():
+    return pass_digests()
+
+
+@pytest.mark.parametrize("name", sorted(PASS_DIGESTS))
+def test_pass_bits_pinned(name, digests):
+    assert digests[name] == PASS_DIGESTS[name]
+
+
+CAMPAIGNS = {
+    # the small-alpha diffusive campaign of the CHANGES.md digest table
+    "small_alpha": (
+        dict(kind=KIND_SMALL_ALPHA, alpha=0.3, gamma=6.0),
+        {
+            "bands.csv":
+                "16be38b235eab033774fe88887ee9553796d760e676dac8535452470b800bbc8",
+            "conditioned.csv":
+                "5a02a186fdef088e9293c6be5340f7f3553f91704560cdc9c09c551c47d65319",
+            "ks_summary.csv":
+                "fc78ce59b518e4aae6b2f6b2d87aac5ffd0de538c733aff28e54568c1defa5c6",
+        },
+    ),
+    # A = 8 puts the tail band past the walk range at both sizes
+    "fluctuation": (
+        dict(kind=KIND_FLUCTUATION, alpha=1.0, gamma=1.25, beta_hat=0.22,
+             a_values=(0.5, 1.0, 2.0, 8.0)),
+        {
+            "decay.csv":
+                "9b02d09db1243c4dc604fd64a23b492da460cf2636df3d4c123549f8ce737370",
+            "gibbs_tail.csv":
+                "23f59af7093bf74d4f687cbf5cd7a6ff77b11856b0e59f22285a38c117ce7bc7",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAMPAIGNS))
+def test_campaign_csv_bytes_pinned(name, tmp_path):
+    kwargs, want = CAMPAIGNS[name]
+    cfg = ExperimentConfig(sizes=(24, 48), replicas=4, seed=77, ell=12, **kwargs)
+    write_outputs(run_experiment(cfg), tmp_path)
+    got = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(tmp_path.glob("*.csv"))
+    }
+    assert got == want

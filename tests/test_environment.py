@@ -151,6 +151,32 @@ def test_single_draw_matches_documented_stream():
     assert f.weight_at(1, 0) == expected
 
 
+def test_field_rows_match_documented_stream():
+    # every row rebuilt from its own generator, keyed and advanced as the
+    # module docstring lays out; h mod 4 covers every offset within a
+    # Philox block, and the seeds use the top bit of the key's high word
+    alpha = 0.9
+    for seed in (0, 3, (1 << 63) + 5, (1 << 64) - 1):
+        for h in (0, 1, 2, 3, 4, 7):
+            rows = []
+            for i in range(1, 6):
+                gen = Generator(Philox(key=(seed << 64) | i))
+                start = (1 << 32) - h
+                gen.bit_generator.advance(start // 4)
+                gen.random(start % 4)
+                rows.append(gen.random(2 * h + 1))
+            expected = (1.0 / (1.0 - np.stack(rows))) ** (1.0 / alpha)
+            got = env.sample_field(5, h, pareto(alpha), seed).weights
+            assert np.array_equal(got, expected), (seed, h)
+
+
+def test_reachable_count_matches_mask():
+    for n in range(1, 25):
+        for h in (0, 1, 2, 5, n - 1, n, n + 1, n + 6):
+            if h >= 0:
+                assert env.reachable_count(n, h) == int(env.reachable_mask(n, h).sum())
+
+
 def test_field_support_bound():
     for tail in (pareto(0.8), logpow(0.6, b=1.0)):
         f = env.sample_field(40, 12, tail, seed=7)

@@ -12,6 +12,7 @@ import pytest
 from scipy import integrate
 from scipy.special import logsumexp
 
+from polymerlab import polymer
 from polymerlab.environment import (
     TailParams,
     ordered_statistics,
@@ -33,6 +34,7 @@ from polymerlab.polymer import (
     filter_above,
     filter_atmost_one,
     filter_between,
+    gibbs_band_probabilities,
     gibbs_band_probability,
     gibbs_site_marginals,
     heavy_site_decomposition,
@@ -252,6 +254,48 @@ def test_band_probability_matches_enumeration():
             - enum_log_partition(field, 1.4)
         )
         assert gibbs_band_probability(field, 1.4, a, b) == pytest.approx(want, rel=1e-11)
+
+
+def test_band_probabilities_equal_separate_passes_bitwise():
+    # the batched pass against one FREE and one window pass per window,
+    # each at its own width; mixed upper ends need the per-window reset
+    windows = [
+        (0, 31), (0, 1), (4, 31), (4, 9), (11, 31), (2, 12), (30, 31), (7, 8),
+    ]
+    for h in (0, 6, 30, 45):  # band > h for every window reaching past h
+        field = sample_field(30, h, PARETO_08, 58 + h)
+        for beta in (0.05, 1.1, 3e4):
+            log_free = log_partition(field, beta)
+            # the whole range admits every path: the FREE pass, bit for bit
+            assert log_partition(field, beta, PathConstraint(band_window=(0, 31))) == log_free
+            want = []
+            for a, b in windows:
+                log_win = log_partition(field, beta, PathConstraint(band_window=(a, b)))
+                want.append(0.0 if log_win == -np.inf else min(1.0, math.exp(log_win - log_free)))
+            assert gibbs_band_probabilities(field, beta, windows) == want
+            assert [gibbs_band_probability(field, beta, a, b) for a, b in windows] == want
+    field = sample_field(30, 6, PARETO_08, 58)
+    assert gibbs_band_probabilities(field, 0.5, []) == []
+    for bad in ((31, 32), (3, 3), (0, 32)):  # lo > n, empty, past n + 1
+        with pytest.raises(ValueError):
+            gibbs_band_probabilities(field, 0.5, [(0, 31), bad])
+        with pytest.raises(ValueError):
+            gibbs_band_probability(field, 0.5, *bad)
+    with pytest.raises(ValueError):
+        gibbs_band_probabilities(field, -0.5, [(0, 31)])
+
+
+def test_kernel_grid_cache_is_bounded():
+    bound = polymer._KERNEL_GRID_CACHE_SIZE
+    grids = [kernel_grid(9, w) for w in range(bound + 3)]
+    assert len(polymer._KERNEL_GRID_CACHE) == bound
+    hit = kernel_grid(9, bound + 2)
+    assert hit is grids[-1]
+    assert not hit.flags.writeable
+    # the least recently used entry went first
+    assert (9, 0) not in polymer._KERNEL_GRID_CACHE
+    assert np.array_equal(kernel_grid(9, 0), grids[0])
+    assert len(polymer._KERNEL_GRID_CACHE) == bound
 
 
 # ---------------------------------------------------------------------------
