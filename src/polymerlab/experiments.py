@@ -11,6 +11,15 @@ emission, so the CSVs are byte-identical for a fixed config whatever
 the thread count.  Wall-clock and git metadata go to a separate JSON
 manifest, keeping the CSVs reproducible.
 
+``run_experiment`` is the one campaign runner.  Each kind is a spec in
+``_KINDS``: a set-up step (the kind's config checks and label, giving
+the replicas' extra task arguments and the manifest fields), the
+replica function, the replica tables with their columns and sort-key
+widths, and a summary function that reads those tables by column name
+and returns the decay or KS table.  The runner maps the replicas,
+sorts each table, counts failures and flags, adds the summary and
+writes the manifest meta.
+
 Exact transfer passes are O(n^2) per replica with the full-width
 field box, hence the hard size cap at 4096.
 """
@@ -28,9 +37,9 @@ import subprocess
 import time
 import warnings
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy.integrate import IntegrationWarning
@@ -82,10 +91,6 @@ __all__ = [
     "derive_seed",
     "load_config",
     "run_experiment",
-    "run_fluctuation",
-    "run_regime_convergence",
-    "run_ordered_stats_coupling",
-    "run_small_alpha",
     "write_outputs",
     "run_from_file",
 ]
@@ -132,6 +137,9 @@ class ExperimentConfig:
     ``beta_hat = 0`` is allowed and short-circuits every coupling to
     zero (the plain random-walk model); any positive value follows the
     power-law schedule beta_n = beta_hat * n**(-gamma).
+
+    Every field is checked against its annotation and normalised (ints
+    to ``int``, lists to tuples, float-list items to ``float``).
     """
 
     kind: str
@@ -156,20 +164,14 @@ class ExperimentConfig:
     out: Optional[str] = None
 
     def __post_init__(self):
+        for key in _CONFIG_TYPES:
+            object.__setattr__(self, key, _typed(key, getattr(self, key)))
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if not 0.0 < self.alpha < 2.0:
             raise ValueError("alpha must lie in (0, 2)")
         if self.beta_hat < 0.0:
             raise ValueError("beta_hat must be nonnegative")
-        for key, (scalar, is_list, _) in _CONFIG_TYPES.items():
-            value = getattr(self, key)
-            if scalar != "int" or value is None:
-                continue
-            items = value if is_list else [value]
-            if not all(isinstance(v, Integral) and not isinstance(v, bool) for v in items):
-                raise ValueError(f"{key} must be an integer")
-            object.__setattr__(self, key, tuple(map(int, value)) if is_list else int(value))
         sizes = self.sizes
         if not sizes:
             raise ValueError("sizes must be nonempty")
@@ -188,8 +190,7 @@ class ExperimentConfig:
         if self.kernel_cutoff <= 0.0:
             raise ValueError("kernel_cutoff must be positive")
         for name in ("a_values", "c_values", "c1_values"):
-            vals = tuple(float(v) for v in getattr(self, name))
-            object.__setattr__(self, name, vals)
+            vals = getattr(self, name)
             if not vals or any(v <= 0 for v in vals):
                 raise ValueError(f"{name} must be positive")
             if name != "c1_values" and any(b <= a for a, b in zip(vals, vals[1:])):
@@ -215,8 +216,8 @@ class ExperimentConfig:
         return self.schedule().at(n)
 
 
-# JSON value type per config key, read off the field annotation:
-# (scalar type, list of them, null allowed)
+# Value type per config key, read off the field annotation:
+# (scalar type, list of them, None allowed)
 _CONFIG_TYPES = {
     f.name: (
         re.search(r"int|float|str", f.type).group(),
@@ -225,19 +226,27 @@ _CONFIG_TYPES = {
     )
     for f in dataclasses.fields(ExperimentConfig)
 }
-_JSON_SCALARS = {"int": int, "float": (int, float), "str": str}
+_SCALARS = {"int": (Integral, "integer"), "float": (Real, "number"), "str": (str, "string")}
 
 
-def _json_value_ok(value, key: str) -> bool:
+def _typed(key: str, value):
+    """``value`` checked against the key's annotated type and normalised."""
     scalar, is_list, nullable = _CONFIG_TYPES[key]
-    if value is None:
-        return nullable
-    if is_list != isinstance(value, list):
-        return False
-    return all(
-        isinstance(v, _JSON_SCALARS[scalar]) and not isinstance(v, bool)
-        for v in (value if is_list else [value])
-    )
+    if value is None and nullable:
+        return None
+    allowed, noun = _SCALARS[scalar]
+    is_seq = isinstance(value, (list, tuple))
+    items = value if is_seq else [value]
+    if is_list != is_seq or not all(
+        isinstance(v, allowed) and not isinstance(v, bool) for v in items
+    ):
+        want = noun + " list" * is_list + " or null" * nullable
+        raise ValueError(f"config key {key!r} has the wrong type: {value!r} (expected {want})")
+    if scalar == "int":
+        items = [int(v) for v in items]
+    elif is_list:
+        items = [float(v) for v in items]
+    return tuple(items) if is_list else items[0]
 
 
 def load_config(path) -> ExperimentConfig:
@@ -251,17 +260,19 @@ def load_config(path) -> ExperimentConfig:
     unknown = set(raw) - set(_CONFIG_TYPES)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in raw.items():
-        if not _json_value_ok(value, key):
-            raise ValueError(f"config key {key!r} has the wrong type: {value!r}")
-        if isinstance(value, list):
-            raw[key] = tuple(value)
     return ExperimentConfig(**raw)
 
 
 class Table(NamedTuple):
     columns: Tuple[str, ...]
     rows: List[tuple]
+
+    def column(self, name: str, **where) -> list:
+        """Column ``name`` of the rows whose columns equal ``where``'s values."""
+        at = self.columns.index
+        keep = [(at(key), value) for key, value in where.items()]
+        col = at(name)
+        return [row[col] for row in self.rows if all(row[i] == v for i, v in keep)]
 
 
 @dataclass(frozen=True)
@@ -319,19 +330,6 @@ def _map_replicas(worker, config: ExperimentConfig, *extra) -> list:
         return list(pool.imap_unordered(_counted, jobs, chunksize=1))
 
 
-def _meta(start: float, bundles: list, **fields) -> dict:
-    """A campaign's manifest meta: its own fields, the wall time and the
-    replicas' total quadrature warnings."""
-    total = sum(b["quadrature_warnings"] for b in bundles)
-    return {**fields, "wall_time_s": time.perf_counter() - start, "quadrature_warnings": total}
-
-
-def _sorted_rows(bundles: list, table: str, key_width: int) -> List[tuple]:
-    rows = [row for b in bundles for row in b[table]]
-    rows.sort(key=lambda r: r[:key_width])
-    return rows
-
-
 def _git_describe() -> str:
     try:
         done = subprocess.run(
@@ -345,12 +343,46 @@ def _git_describe() -> str:
     return done.stdout.strip() or "unknown"
 
 
+def _label(config: ExperimentConfig) -> str:
+    """The schedule's class, or the zero-coupling label at beta_hat 0."""
+    if config.beta_hat == 0.0:
+        return LABEL_ZERO
+    return classify(config.alpha, config.schedule(), tail=config.tail()).label
+
+
+def _ks(sample, reference) -> float:
+    """Two-sample KS distance; nan below two samples."""
+    if len(sample) < 2:
+        return math.nan
+    return float(ks_2samp(sample, reference).statistic)
+
+
+def _top_lattice(field, ell: int) -> np.ndarray:
+    """(i, x, w) rows of the field's top-ell walk-reachable weights."""
+    count = reachable_count(field.n, field.h)
+    stats = ordered_statistics(field, min(ell, count), reachable_only=True)
+    return np.column_stack([stats.rows, stats.cols, stats.weights])
+
+
 # ---------------------------------------------------------------------------
 # Fluctuation decay
 # ---------------------------------------------------------------------------
 
 
+def _fluctuation_setup(config: ExperimentConfig):
+    if not 0.5 < config.alpha < 2.0:
+        raise ValueError("fluctuation campaigns need alpha in (1/2, 2)")
+    label = _label(config)
+    if label not in (LABEL_ZERO, LABEL_R2, LABEL_R3, LABEL_R3A, LABEL_R3B, LABEL_R4):
+        raise ValueError(
+            f"schedule classifies as {label}; the scale balance needs "
+            "the intermediate strip"
+        )
+    return (), {"label": label}
+
+
 def _fluctuation_replica(task) -> dict:
+    """Exact Gibbs tail P(max |S_i| >= A h_n) swept over A."""
     config, n, replica = task
     tail = config.tail()
     beta = config.beta_at(n)
@@ -358,7 +390,7 @@ def _fluctuation_replica(task) -> dict:
     seed = derive_seed(config.seed, n, replica, _FIELD_SLOT)
     field = sample_field(n, n, tail, seed)
     los = [math.ceil(a * h_n) for a in config.a_values]
-    found = iter(gibbs_band_probabilities(field, beta, [(lo, n + 1) for lo in los if lo <= n]))
+    found = iter(gibbs_band_probabilities(field, beta, [(lo, n + 1) for lo in los if lo <= n]).probs)
     probs = [next(found) if lo <= n else 0.0 for lo in los]
     rows = []
     failures = 0
@@ -371,60 +403,27 @@ def _fluctuation_replica(task) -> dict:
     return {"gibbs_tail": rows, "failures": failures}
 
 
-def run_fluctuation(config: ExperimentConfig) -> ExperimentResult:
-    """Exact Gibbs tail P(max |S_i| >= A h_n) swept over A, with the
-    per-(n, A, c1) fraction of replicas above n exp(-c1 A^2 h_n^2 / n).
-
-    The walk-deviation constants are not pinned down, so thresholds
-    are swept over c1_values rather than fixed.
-    """
-    if config.kind != KIND_FLUCTUATION:
-        raise ValueError("config.kind mismatch")
-    if not 0.5 < config.alpha < 2.0:
-        raise ValueError("fluctuation campaigns need alpha in (1/2, 2)")
+def _decay(config: ExperimentConfig, tables: Dict[str, Table], fields) -> Tuple[str, Table]:
+    """Per (n, A, c1), the fraction of replicas whose tail lies above
+    n exp(-c1 A^2 h_n^2 / n).  The walk-deviation constants are not
+    pinned down, so thresholds are swept over c1_values rather than
+    fixed."""
     tail = config.tail()
-    if config.beta_hat > 0.0:
-        label = classify(config.alpha, config.schedule(), tail=tail).label
-        if label not in (LABEL_R2, LABEL_R3, LABEL_R3A, LABEL_R3B, LABEL_R4):
-            raise ValueError(
-                f"schedule classifies as {label}; the scale balance needs "
-                "the intermediate strip"
-            )
-    else:
-        label = LABEL_ZERO
-
-    start = time.perf_counter()
-    bundles = _map_replicas(_fluctuation_replica, config)
-    tail_rows = _sorted_rows(bundles, "gibbs_tail", 4)
-    failures = sum(b["failures"] for b in bundles)
-
-    decay_rows = []
+    rows = []
     for n in config.sizes:
-        beta = config.beta_at(n)
-        h_n = fluctuation_scale(n, beta, tail).h
+        h_n = fluctuation_scale(n, config.beta_at(n), tail).h
         for a in config.a_values:
-            probs = [r[5] for r in tail_rows if r[0] == n and r[3] == a]
+            probs = tables["gibbs_tail"].column("tail_prob", n=n, a=a)
             med = statistics.median(probs)
             for c1 in config.c1_values:
                 thr = n * math.exp(-c1 * a * a * h_n * h_n / n)
                 frac = sum(p > thr for p in probs) / len(probs)
-                decay_rows.append(
-                    (n, float(a), float(c1), float(thr), float(frac),
-                     float(med), len(probs))
+                rows.append(
+                    (n, float(a), float(c1), float(thr), float(frac), float(med), len(probs))
                 )
-
-    tables = {
-        "gibbs_tail": Table(
-            ("n", "replica", "seed", "a", "h_n", "tail_prob"), tail_rows
-        ),
-        "decay": Table(
-            ("n", "a", "c1", "threshold", "exceed_fraction",
-             "median_tail_prob", "replicas"),
-            decay_rows,
-        ),
-    }
-    meta = _meta(start, bundles, label=label)
-    return ExperimentResult(config, tables, failures, 0, meta)
+    return "decay", Table(
+        ("n", "a", "c1", "threshold", "exceed_fraction", "median_tail_prob", "replicas"), rows
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +434,27 @@ def run_fluctuation(config: ExperimentConfig) -> ExperimentResult:
 def _record(label: str) -> RegimeRecord:
     # the zero-coupling control runs on the diffusive record
     return RECORDS[LABEL_R5 if label == LABEL_ZERO else label]
+
+
+def _regime_setup(config: ExperimentConfig):
+    """Random splits in the classification are resolved with a seed
+    derived from the config seed."""
+    if config.beta_hat == 0.0:
+        label, beta_limit = LABEL_ZERO, 0.0
+        normalizer = "zero coupling: every rescaled observable is 0 exactly"
+        limit_object = "2 * heat-kernel functional (diagnostic companion)"
+    else:
+        report = classify(config.alpha, config.schedule(), tail=config.tail(),
+                          seed=derive_seed(config.seed, _CLASSIFY_KEY))
+        label, beta_limit = report.label, report.beta_limit
+        normalizer, limit_object = report.normalizer, report.limit_object
+        if label == LABEL_BOUNDARY:
+            raise ValueError("alpha = 1/2 classification is undecided")
+        if label in (LABEL_R3, LABEL_SMALL_SPLIT):
+            raise ValueError("random split left unresolved")  # unreachable
+    fields = dict(label=label, beta_limit=beta_limit, normalizer=normalizer,
+                  limit_object=limit_object, wrapper=_record(label).wrapper)
+    return (label, beta_limit, normalizer), fields
 
 
 def _companion_sample(record: RegimeRecord, config: ExperimentConfig,
@@ -460,32 +480,27 @@ def _coupled_pair(record: RegimeRecord, field, beta: float, h: int, ell: int,
     on the same rescaled points.  Exact up to rounding: the costs scale
     covariantly under (i, x, w) -> (i/n, x/h, w/m(nh))."""
     n = field.n
-    count = reachable_count(n, field.h)
-    stats = ordered_statistics(field, min(ell, count), reachable_only=True)
-    lattice = np.column_stack(
-        [stats.rows.astype(float), stats.cols.astype(float), stats.weights]
-    )
+    lattice = _top_lattice(field, ell)
     if record.pathway is LINEAR:
         m_scale = quantile(tail, float(n) ** 2)
-        rescaled = np.column_stack(
-            [lattice[:, 0] / n, lattice[:, 1] / n, lattice[:, 2] / m_scale]
-        )
         nu = beta * m_scale / n
         discrete = solve(lattice, beta, 0.0, ENTROPY_LIPSCHITZ).value / n
-        cont = solve(rescaled, nu, 0.0, ENTROPY_LIPSCHITZ).value
+        cont = solve(lattice / (n, n, m_scale), nu, 0.0, ENTROPY_LIPSCHITZ).value
         return discrete, cont, nu
     m_scale = quantile(tail, float(n) * h)
-    rescaled = np.column_stack(
-        [lattice[:, 0] / n, lattice[:, 1] / h, lattice[:, 2] / m_scale]
-    )
     nu = beta * m_scale * n / (h * h)
     discrete = solve(lattice, beta).value * n / (h * h)
-    cont = solve(rescaled, nu).value
+    cont = solve(lattice / (n, h, m_scale), nu).value
     return discrete, cont, nu
 
 
 def _regime_replica(task) -> dict:
-    config, n, replica, label, beta_limit = task
+    """Rescaled exact free energy, an independent truncated sample of
+    the matching limit object, and the exact discrete to continuum
+    coupling identity on the top-ell weights.  A replica of the
+    zero-value branch whose own companion sample sits above its
+    critical coupling is flagged, never dropped."""
+    config, n, replica, label, beta_limit, normalizer = task
     record = _record(label)
     pathway = record.pathway
     tail = config.tail()
@@ -520,6 +535,7 @@ def _regime_replica(task) -> dict:
     obs_row = (
         n, replica, seed, float(beta), h, float(logz), float(center),
         float(rescaled), float(rescaled_vn), float(companion), flagged,
+        label, record.wrapper, normalizer,
     )
     coup_row = (n, replica, seed, float(nu), float(discrete), float(cont),
                 float(diff))
@@ -531,94 +547,28 @@ def _regime_replica(task) -> dict:
     }
 
 
-def run_regime_convergence(config: ExperimentConfig) -> ExperimentResult:
-    """Rescaled exact free energy per class, an independent truncated
-    sample of the matching limit object, and the exact discrete to
-    continuum coupling identity on the top-ell weights per replica.
+def _regime_ks(config: ExperimentConfig, tables: Dict[str, Table], fields) -> Tuple[str, Table]:
+    """KS distance of the rescaled statistic to its companion, per size.
 
-    On the diffusive branch the distance summary carries two rows per
-    size: the exact free-energy statistic against the doubled
-    heat-kernel companion, and the first chaos term against the same
-    companion.  The chaos term keeps its weight cutoff, which thins
-    its upper tail at finite n; the free-energy statistic has no
-    cutoff.
-
-    Random splits in the classification are resolved with a seed
-    derived from the config seed.  A replica of the zero-value branch
-    whose own companion sample sits above its critical coupling is
-    flagged, never dropped.
+    On the diffusive branch the summary carries two rows per size: the
+    exact free-energy statistic against the doubled heat-kernel
+    companion, and the first chaos term against the same companion.
+    The chaos term keeps its weight cutoff, which thins its upper tail
+    at finite n, so it is reported beside the cutoff-free exact free
+    energy, never instead of it.
     """
-    if config.kind != KIND_REGIME:
-        raise ValueError("config.kind mismatch")
-    tail = config.tail()
-    if config.beta_hat == 0.0:
-        label = LABEL_ZERO
-        beta_limit = 0.0
-        normalizer = "zero coupling: every rescaled observable is 0 exactly"
-        limit_object = "2 * heat-kernel functional (diagnostic companion)"
-    else:
-        report = classify(
-            config.alpha,
-            config.schedule(),
-            tail=tail,
-            seed=derive_seed(config.seed, _CLASSIFY_KEY),
-        )
-        label = report.label
-        beta_limit = report.beta_limit
-        normalizer = report.normalizer
-        limit_object = report.limit_object
-        if label == LABEL_BOUNDARY:
-            raise ValueError("alpha = 1/2 classification is undecided")
-        if label in (LABEL_R3, LABEL_SMALL_SPLIT):
-            raise ValueError("random split left unresolved")  # unreachable
-
-    start = time.perf_counter()
-    bundles = _map_replicas(_regime_replica, config, label, beta_limit)
-    obs_rows = _sorted_rows(bundles, "observable", 3)
-    coup_rows = _sorted_rows(bundles, "coupling", 3)
-    failures = sum(b["failures"] for b in bundles)
-    flagged = sum(b["flagged"] for b in bundles)
-
-    record = _record(label)
-    wrapper = record.wrapper
-    obs_rows = [r + (label, wrapper, normalizer) for r in obs_rows]
-
-    ks_rows = []
-    # the chaos term keeps its weight cutoff, so its shape is reported
-    # beside the cutoff-free exact free energy, never instead of it
-    targets = [("rescaled", 7)]
-    if record.pathway is DIFFUSIVE:
-        targets.append(("rescaled_vn", 8))
+    observable = tables["observable"]
+    targets = ["rescaled"]
+    if _record(fields["label"]).pathway is DIFFUSIVE:
+        targets.append("rescaled_vn")
+    rows = []
     for n in config.sizes:
-        sub = [r for r in obs_rows if r[0] == n]
-        companions = [r[9] for r in sub]
-        usable = len(sub) >= 2 and all(math.isfinite(c) for c in companions)
-        for name, col in targets:
-            if usable:
-                ks = float(ks_2samp([r[col] for r in sub], companions).statistic)
-            else:
-                ks = math.nan
-            ks_rows.append((n, name, ks, len(sub)))
-
-    tables = {
-        "observable": Table(
-            ("n", "replica", "seed", "beta_n", "h_field", "log_z",
-             "centering", "rescaled", "rescaled_vn", "companion", "flagged",
-             "label", "wrapper", "normalizer"),
-            obs_rows,
-        ),
-        "coupling": Table(
-            ("n", "replica", "seed", "nu_effective", "discrete_value",
-             "continuum_value", "abs_diff"),
-            coup_rows,
-        ),
-        "ks_summary": Table(
-            ("n", "observable", "ks_distance", "replicas"), ks_rows
-        ),
-    }
-    meta = _meta(start, bundles, label=label, beta_limit=beta_limit,
-                 normalizer=normalizer, limit_object=limit_object, wrapper=wrapper)
-    return ExperimentResult(config, tables, failures, flagged, meta)
+        companions = observable.column("companion", n=n)
+        usable = all(math.isfinite(c) for c in companions)
+        for name in targets:
+            ks = _ks(observable.column(name, n=n), companions) if usable else math.nan
+            rows.append((n, name, ks, len(companions)))
+    return "ks_summary", Table(("n", "observable", "ks_distance", "replicas"), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +576,21 @@ def run_regime_convergence(config: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
+def _ordered_setup(config: ExperimentConfig):
+    if config.ell > ORDERED_ELL_CAP:
+        raise ValueError(f"ordered-statistics ell is capped at {ORDERED_ELL_CAP}")
+    for n in config.sizes:
+        h = config.half_width or math.ceil(math.sqrt(n))
+        if config.ell > n * (2 * h + 1):
+            raise ValueError("ell exceeds the site count at the smallest size")
+    return (), {}
+
+
 def _ordered_replica(task) -> dict:
+    """Top-ell field weights rescaled to continuum units (w / m(2nh),
+    i/n, x/h) beside a direct point-process sample.  All box sites
+    enter the ranking here (no walk-reachability cut), which is what
+    the 2nh site count in the weight scale assumes."""
     config, n, replica = task
     tail = config.tail()
     h = config.half_width or math.ceil(math.sqrt(n))
@@ -634,81 +598,32 @@ def _ordered_replica(task) -> dict:
     field = sample_field(n, h, tail, seed)
     stats = ordered_statistics(field, config.ell, reachable_only=False)
     scale = quantile(tail, 2.0 * n * h)
-    rows = []
-    failures = 0
-    for r in range(config.ell):
-        rows.append(
-            (n, replica, "field", r + 1, seed,
-             float(stats.weights[r] / scale),
-             float(stats.rows[r] / n), float(stats.cols[r] / h))
-        )
-        if r and stats.weights[r] > stats.weights[r - 1]:
-            failures += 1
     ppp = sample_ppp(
         config.alpha, 1.0, top=config.ell,
         seed=derive_seed(config.seed, n, replica, _PPP_SLOT),
     )
-    for r in range(config.ell):
-        rows.append(
-            (n, replica, "ppp", r + 1, seed,
-             float(ppp[r, 2]), float(ppp[r, 0]), float(ppp[r, 1]))
-        )
-        if r and ppp[r, 2] > ppp[r - 1, 2]:
-            failures += 1
+    rows = []
+    failures = 0
+    for source, raw, (w, t, x) in (
+        ("field", stats.weights, (stats.weights / scale, stats.rows / n, stats.cols / h)),
+        ("ppp", ppp[:, 2], (ppp[:, 2], ppp[:, 0], ppp[:, 1])),
+    ):
+        failures += int(np.count_nonzero(raw[1:] > raw[:-1]))
+        rows += [(n, replica, source, r + 1, seed, float(w[r]), float(t[r]), float(x[r]))
+                 for r in range(config.ell)]
     return {"order_stats": rows, "failures": failures}
 
 
-def run_ordered_stats_coupling(config: ExperimentConfig) -> ExperimentResult:
-    """Joint law of the top-ell field weights, rescaled to continuum
-    units (w / m(2nh), i/n, x/h), against the direct point-process
-    construction; per-rank two-sample KS distances are reported.
-
-    All box sites enter the ranking here (no walk-reachability cut),
-    which is what the 2nh site count in the weight scale assumes.
-    """
-    if config.kind != KIND_ORDERED:
-        raise ValueError("config.kind mismatch")
-    if config.ell > ORDERED_ELL_CAP:
-        raise ValueError(f"ordered-statistics ell is capped at {ORDERED_ELL_CAP}")
-    for n in config.sizes:
-        h = config.half_width or math.ceil(math.sqrt(n))
-        if config.ell > n * (2 * h + 1):
-            raise ValueError("ell exceeds the site count at the smallest size")
-
-    start = time.perf_counter()
-    bundles = _map_replicas(_ordered_replica, config)
-    rows = _sorted_rows(bundles, "order_stats", 4)
-    failures = sum(b["failures"] for b in bundles)
-
-    ks_rows = []
+def _marginal_ks(config: ExperimentConfig, tables: Dict[str, Table], fields) -> Tuple[str, Table]:
+    """Per-rank two-sample KS distance between field and point process."""
+    order_stats = tables["order_stats"]
+    rows = []
     for n in config.sizes:
         for r in range(1, config.ell + 1):
-            from_field = [
-                row[5] for row in rows
-                if row[0] == n and row[2] == "field" and row[3] == r
-            ]
-            from_ppp = [
-                row[5] for row in rows
-                if row[0] == n and row[2] == "ppp" and row[3] == r
-            ]
-            if len(from_field) >= 2:
-                ks = float(ks_2samp(from_field, from_ppp).statistic)
-            else:
-                ks = math.nan
-            ks_rows.append((n, r, ks, len(from_field)))
-
-    tables = {
-        "order_stats": Table(
-            ("n", "replica", "source", "rank", "seed", "weight_over_scale",
-             "t_frac", "x_frac"),
-            rows,
-        ),
-        "marginal_ks": Table(
-            ("n", "rank", "ks_distance", "replicas"), ks_rows
-        ),
-    }
-    meta = _meta(start, bundles)
-    return ExperimentResult(config, tables, failures, 0, meta)
+            from_field = order_stats.column("weight_over_scale", n=n, source="field", rank=r)
+            from_ppp = order_stats.column("weight_over_scale", n=n, source="ppp", rank=r)
+            rows.append((n, r, _ks(from_field, from_ppp), len(from_field)))
+    return "marginal_ks", Table(("n", "rank", "ks_distance", "replicas"), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -716,13 +631,38 @@ def run_ordered_stats_coupling(config: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
+def _small_alpha_setup(config: ExperimentConfig):
+    if not 0.0 < config.alpha < 0.5:
+        raise ValueError("small-alpha campaigns need alpha in (0, 1/2)")
+    label = _label(config)
+    if label == LABEL_SMALL_N:
+        raise ValueError(
+            "linear-scale coupling diverges; this campaign needs the "
+            "transition line or below"
+        )
+    return (), {"label": label}
+
+
 def _small_alpha_replica(task) -> dict:
+    """Conditional diffusive-scale law for tail index below 1/2.
+
+    A truncated Lipschitz-value proxy decides whether the linear-scale
+    mechanism is dormant; on those replicas the rescaled free energy is
+    paired with an independent doubled heat-kernel sample.  The exact
+    Gibbs tail beyond C sqrt(n) and the occupancy of the intermediate
+    band [C sqrt(n), band_fraction * n) are swept over c_values.
+    """
     config, n, replica = task
     tail = config.tail()
     beta = config.beta_at(n)
     seed = derive_seed(config.seed, n, replica, _FIELD_SLOT)
     field = sample_field(n, n, tail, seed)
-    logz = log_partition(field, beta, FREE)
+    band_hi = math.ceil(config.band_fraction * n)
+    los = [math.ceil(c * math.sqrt(n)) for c in config.c_values]
+    logz, probs = gibbs_band_probabilities(
+        field, beta,
+        [(lo, n + 1) for lo in los if lo <= n] + [(lo, band_hi) for lo in los if lo < band_hi],
+    )
     m_lin = quantile(tail, float(n) ** 2)
     m_diff = quantile(tail, float(n) ** 1.5)
     rescaled = 0.0 if beta == 0.0 else math.sqrt(n) * logz / (beta * m_diff)
@@ -735,13 +675,7 @@ def _small_alpha_replica(task) -> dict:
     # cover a sizable share of the box (small n).
     beta_run = beta * m_lin / n
     if beta_run > 0.0:
-        count = reachable_count(n, field.h)
-        stats = ordered_statistics(
-            field, min(HAT_PROXY_TOP, count), reachable_only=True
-        )
-        pts = np.column_stack(
-            [stats.rows / n, stats.cols / n, stats.weights / m_lin]
-        )
+        pts = _top_lattice(field, HAT_PROXY_TOP) / (n, n, m_lin)
         proxy = lipschitz_chain_value(pts, beta_run)
     else:
         proxy = 0.0
@@ -753,12 +687,7 @@ def _small_alpha_replica(task) -> dict:
     )
 
     failures = 0
-    band_hi = math.ceil(config.band_fraction * n)
-    los = [math.ceil(c * math.sqrt(n)) for c in config.c_values]
-    found = iter(gibbs_band_probabilities(
-        field, beta,
-        [(lo, n + 1) for lo in los if lo <= n] + [(lo, band_hi) for lo in los if lo < band_hi],
-    ))
+    found = iter(probs)
     tails = [next(found) if lo <= n else 0.0 for lo in los]
     bands = [next(found) if lo < band_hi else 0.0 for lo in los]
     band_rows = []
@@ -780,79 +709,80 @@ def _small_alpha_replica(task) -> dict:
     return {"conditioned": [cond_row], "bands": band_rows, "failures": failures}
 
 
-def run_small_alpha(config: ExperimentConfig) -> ExperimentResult:
-    """Conditional diffusive-scale law for tail index below 1/2.
-
-    Per replica: a truncated Lipschitz-value proxy decides whether the
-    linear-scale mechanism is dormant; on those replicas the rescaled
-    free energy is paired with an independent doubled heat-kernel
-    sample.  The exact Gibbs tail beyond C sqrt(n) and the occupancy of
-    the intermediate band [C sqrt(n), band_fraction * n) are swept
-    over c_values.
-    """
-    if config.kind != KIND_SMALL_ALPHA:
-        raise ValueError("config.kind mismatch")
-    if not 0.0 < config.alpha < 0.5:
-        raise ValueError("small-alpha campaigns need alpha in (0, 1/2)")
-    if config.beta_hat > 0.0:
-        label = classify(config.alpha, config.schedule(), tail=config.tail()).label
-        if label == LABEL_SMALL_N:
-            raise ValueError(
-                "linear-scale coupling diverges; this campaign needs the "
-                "transition line or below"
-            )
-    else:
-        label = LABEL_ZERO
-
-    start = time.perf_counter()
-    bundles = _map_replicas(_small_alpha_replica, config)
-    cond_rows = _sorted_rows(bundles, "conditioned", 3)
-    band_rows = _sorted_rows(bundles, "bands", 4)
-    failures = sum(b["failures"] for b in bundles)
-
-    ks_rows = []
+def _conditioned_ks(config: ExperimentConfig, tables: Dict[str, Table],
+                    fields) -> Tuple[str, Table]:
+    """KS distance of the conditioned replicas' rescaled free energy to
+    the companions of all replicas, per size."""
+    conditioned = tables["conditioned"]
+    rows = []
     for n in config.sizes:
-        sub = [r for r in cond_rows if r[0] == n]
-        kept = [r[7] for r in sub if r[5] == 1]
-        companions = [r[8] for r in sub]
-        if len(kept) >= 2:
-            ks = float(ks_2samp(kept, companions).statistic)
-        else:
-            ks = math.nan
-        ks_rows.append((n, ks, len(kept), len(sub)))
-
-    tables = {
-        "conditioned": Table(
-            ("n", "replica", "seed", "beta_n", "hat_proxy", "conditioned",
-             "log_z", "rescaled", "companion"),
-            cond_rows,
-        ),
-        "bands": Table(
-            ("n", "replica", "seed", "c", "tail_prob", "band_prob"),
-            band_rows,
-        ),
-        "ks_summary": Table(
-            ("n", "ks_distance", "conditioned_count", "replicas"), ks_rows
-        ),
-    }
-    meta = _meta(start, bundles, label=label)
-    return ExperimentResult(config, tables, failures, 0, meta)
+        kept = conditioned.column("rescaled", n=n, conditioned=1)
+        companions = conditioned.column("companion", n=n)
+        rows.append((n, _ks(kept, companions), len(kept), len(companions)))
+    return "ks_summary", Table(("n", "ks_distance", "conditioned_count", "replicas"), rows)
 
 
 # ---------------------------------------------------------------------------
-# Dispatch and emission
+# The runner
 # ---------------------------------------------------------------------------
 
-_RUNNERS = {
-    KIND_FLUCTUATION: run_fluctuation,
-    KIND_REGIME: run_regime_convergence,
-    KIND_ORDERED: run_ordered_stats_coupling,
-    KIND_SMALL_ALPHA: run_small_alpha,
+
+class _Kind(NamedTuple):
+    """What one experiment kind gives run_experiment."""
+
+    setup: Callable  # config -> (extra task arguments, manifest fields); raises on a bad config
+    replica: Callable  # (config, n, replica, *extra) -> rows per table, failures[, flagged]
+    tables: Dict[str, Tuple[Tuple[str, ...], int]]  # replica table -> (columns, sort-key width)
+    summary: Callable  # (config, tables, manifest fields) -> (name, summary table)
+
+
+_KINDS = {
+    KIND_FLUCTUATION: _Kind(_fluctuation_setup, _fluctuation_replica, {
+        "gibbs_tail": (("n", "replica", "seed", "a", "h_n", "tail_prob"), 4),
+    }, _decay),
+    KIND_REGIME: _Kind(_regime_setup, _regime_replica, {
+        "observable": (("n", "replica", "seed", "beta_n", "h_field", "log_z", "centering",
+                        "rescaled", "rescaled_vn", "companion", "flagged", "label",
+                        "wrapper", "normalizer"), 3),
+        "coupling": (("n", "replica", "seed", "nu_effective", "discrete_value",
+                      "continuum_value", "abs_diff"), 3),
+    }, _regime_ks),
+    KIND_ORDERED: _Kind(_ordered_setup, _ordered_replica, {
+        "order_stats": (("n", "replica", "source", "rank", "seed", "weight_over_scale",
+                         "t_frac", "x_frac"), 4),
+    }, _marginal_ks),
+    KIND_SMALL_ALPHA: _Kind(_small_alpha_setup, _small_alpha_replica, {
+        "conditioned": (("n", "replica", "seed", "beta_n", "hat_proxy", "conditioned",
+                         "log_z", "rescaled", "companion"), 3),
+        "bands": (("n", "replica", "seed", "c", "tail_prob", "band_prob"), 4),
+    }, _conditioned_ks),
 }
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    return _RUNNERS[config.kind](config)
+    """Run the campaign of ``config.kind``: its replica tables, each
+    sorted by its key columns, then its summary table; the manifest
+    meta holds the kind's fields, the wall time and the replicas'
+    total quadrature warnings."""
+    kind = _KINDS[config.kind]
+    extra, fields = kind.setup(config)
+    start = time.perf_counter()
+    bundles = _map_replicas(kind.replica, config, *extra)
+    tables = {}
+    for name, (columns, key_width) in kind.tables.items():
+        rows = [row for b in bundles for row in b[name]]
+        rows.sort(key=lambda r: r[:key_width])
+        tables[name] = Table(columns, rows)
+    name, summary = kind.summary(config, tables, fields)
+    tables[name] = summary
+    meta = {
+        **fields,
+        "wall_time_s": time.perf_counter() - start,
+        "quadrature_warnings": sum(b["quadrature_warnings"] for b in bundles),
+    }
+    failures = sum(b["failures"] for b in bundles)
+    flagged = sum(b.get("flagged", 0) for b in bundles)
+    return ExperimentResult(config, tables, failures, flagged, meta)
 
 
 def write_outputs(result: ExperimentResult, out_dir) -> List[Path]:

@@ -300,13 +300,18 @@ def log_partition(
     return _logsumexp(sites[0], r, cap)
 
 
+class BandProbabilities(NamedTuple):
+    log_z: float  # the FREE log partition, bit for bit
+    probs: List[float]
+
+
 def gibbs_band_probabilities(
     field: DisorderField, beta: float, windows: Sequence[Tuple[int, int]]
-) -> List[float]:
+) -> BandProbabilities:
     """P under the Gibbs measure that max_i |S_i| lies in [h_low, h_high),
-    for each window, all in one pass.  The pass also advances the window
-    [0, n+1), whose flagged layer is the FREE pass bit for bit, because
-    logaddexp(v, -inf) == v exactly."""
+    for each window, all in one pass, with the FREE log Z.  The pass also
+    advances the window [0, n+1), whose flagged layer is the FREE pass
+    bit for bit, because logaddexp(v, -inf) == v exactly."""
     n = field.n
     if any(not 0 <= lo < hi <= n + 1 for lo, hi in windows):
         raise ValueError("need 0 <= h_low < h_high <= n+1")
@@ -315,15 +320,16 @@ def gibbs_band_probabilities(
     log_free, *log_wins = _window_log_partitions(
         field, beta, WeightFilter(), 0.0, [(0, n)] + [(lo, min(hi - 1, n)) for lo, hi in windows]
     )
-    return [0.0 if lw == NEG_INF else float(min(1.0, math.exp(lw - log_free)))
-            for lw in log_wins]
+    return BandProbabilities(log_free, [
+        0.0 if lw == NEG_INF else float(min(1.0, math.exp(lw - log_free))) for lw in log_wins
+    ])
 
 
 def gibbs_band_probability(
     field: DisorderField, beta: float, h_low: int, h_high: int
 ) -> float:
     """P under the Gibbs measure that max_i |S_i| lies in [h_low, h_high)."""
-    return gibbs_band_probabilities(field, beta, [(h_low, h_high)])[0]
+    return gibbs_band_probabilities(field, beta, [(h_low, h_high)]).probs[0]
 
 
 # ---------------------------------------------------------------------------

@@ -103,11 +103,42 @@ def test_config_rejects_non_integer_counts():
                        ("sizes", (16.7,)), ("sizes", (16, 32.0))]:
         with pytest.raises(ValueError, match="integer"):
             make_config(**{key: value})
-    # numpy integers are integers; they are stored as Python ints
-    cfg = make_config(sizes=(np.int64(16),), replicas=np.int32(2), seed=np.uint64(7))
+    # numpy integers are integers; they are stored as Python ints, lists
+    # as tuples and float-list items as floats
+    cfg = make_config(sizes=[np.int64(16)], replicas=np.int32(2), seed=np.uint64(7),
+                      a_values=[1, 2.5])
     assert cfg.sizes == (16,) and cfg.replicas == 2 and cfg.seed == 7
     assert type(cfg.sizes[0]) is type(cfg.replicas) is type(cfg.seed) is int
+    assert cfg.a_values == (1.0, 2.5) and type(cfg.a_values[0]) is float
     assert run_experiment(cfg).invariant_failures == 0
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("alpha", "1"), ("eps", "1e-3"), ("beta_hat", None), ("sizes", 5),
+     ("a_values", (1, "2")), ("law", 3), ("out", 5), ("kind", 3)],
+)
+def test_config_rejects_mistyped_values(key, value):
+    # the same annotation-derived check as load_config's, for configs built in Python
+    with pytest.raises(ValueError, match="wrong type"):
+        make_config(**{key: value})
+
+
+TINY = {
+    KIND_REGIME: dict(alpha=1.2, gamma=1.0),
+    KIND_FLUCTUATION: dict(alpha=1.0, gamma=1.25, beta_hat=0.3),
+    KIND_ORDERED: dict(alpha=1.0, gamma=0.0, ell=3, half_width=4),
+    KIND_SMALL_ALPHA: dict(alpha=0.4, gamma=5.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TINY))
+def test_every_row_has_one_field_per_column(kind):
+    res = run_experiment(make_config(kind=kind, sizes=(16,), replicas=2, **TINY[kind]))
+    assert res.tables
+    for name, table in res.tables.items():
+        assert table.rows, name
+        assert {len(row) for row in table.rows} == {len(table.columns)}, name
 
 
 # ---------------------------------------------------------------------------

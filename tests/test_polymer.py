@@ -272,10 +272,12 @@ def test_band_probabilities_equal_separate_passes_bitwise():
             for a, b in windows:
                 log_win = log_partition(field, beta, PathConstraint(band_window=(a, b)))
                 want.append(0.0 if log_win == -np.inf else min(1.0, math.exp(log_win - log_free)))
-            assert gibbs_band_probabilities(field, beta, windows) == want
+            log_z, probs = gibbs_band_probabilities(field, beta, windows)
+            assert probs == want
+            assert log_z == log_free  # the batch's FREE log Z, bit for bit
             assert [gibbs_band_probability(field, beta, a, b) for a, b in windows] == want
     field = sample_field(30, 6, PARETO_08, 58)
-    assert gibbs_band_probabilities(field, 0.5, []) == []
+    assert gibbs_band_probabilities(field, 0.5, []) == (log_partition(field, 0.5), [])
     for bad in ((31, 32), (3, 3), (0, 32)):  # lo > n, empty, past n + 1
         with pytest.raises(ValueError):
             gibbs_band_probabilities(field, 0.5, [(0, 31), bad])

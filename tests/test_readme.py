@@ -1,5 +1,5 @@
-"""The README's kinds, config example, command lines and quick start run
-as written, at tiny sizes."""
+"""The README's kinds and their tables, config example, command lines and
+quick start run as written, at tiny sizes."""
 
 import dataclasses
 import json
@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from polymerlab.cli import main
-from polymerlab.experiments import KINDS, load_config, run_experiment
+from polymerlab.experiments import KINDS, ExperimentConfig, load_config, run_experiment
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -32,6 +32,22 @@ def test_readme_kinds_are_known():
     kinds = re.findall(r"`([^`]+)`", listed)
     assert kinds
     assert set(kinds) <= set(KINDS)
+
+
+@pytest.mark.parametrize("kind, overrides", [
+    ("regime_convergence", dict(alpha=1.2, gamma=1.0)),
+    ("fluctuation", dict(alpha=1.0, gamma=1.25, beta_hat=0.3)),
+    ("ordered_stats_coupling", dict(alpha=1.0, gamma=0.0, ell=3, half_width=4)),
+    ("small_alpha", dict(alpha=0.4, gamma=5.0)),
+])
+def test_readme_names_the_tables_of_each_kind(kind, overrides):
+    listed = {
+        name: re.findall(r"`(\w+)\.csv`", tables)
+        for name, tables in re.findall(r"`(\w+)`:\s+((?:`\w+\.csv`,?\s*)+)", README)
+    }
+    assert sorted(listed) == sorted(KINDS)
+    config = ExperimentConfig(kind=kind, sizes=(16,), replicas=2, seed=1, **overrides)
+    assert list(run_experiment(config).tables) == listed[kind]
 
 
 def test_readme_config_loads_and_runs(tmp_path):
