@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import time
 from dataclasses import asdict
@@ -40,15 +39,16 @@ from .elpp import (
     ENTROPY_QUADRATIC,
     at_least,
     exactly,
+    site_price,
     solve,
 )
 from .environment import (
     LAW_CONSTANT,
     LAW_LOGPOWER,
     TailParams,
-    ordered_statistics,
     quantile,
     sample_field,
+    top_sites,
 )
 from .experiments import run_from_file
 from .polymer import (
@@ -193,13 +193,8 @@ def _cmd_elpp(args) -> int:
             int(spec[0]), int(spec[1]), float(spec[2]), int(spec[3]),
             int(spec[4]),
         )
-        field = sample_field(n, h, TailParams(alpha), seed)
-        stats = ordered_statistics(field, ell, reachable_only=True)
-        points = np.column_stack(
-            [stats.rows.astype(float), stats.cols.astype(float), stats.weights]
-        )
-        # site-marking price in lattice units unless overridden
-        kappa = args.kappa if args.kappa is not None else 0.5 * math.log(n)
+        points = top_sites(sample_field(n, h, TailParams(alpha), seed), ell)
+        kappa = args.kappa if args.kappa is not None else site_price(n)
         source = {"n": n, "h": h, "alpha": alpha, "seed": seed, "ell": ell}
 
     solution = solve(

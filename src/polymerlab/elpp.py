@@ -35,7 +35,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy.special import xlogy
 
-from .environment import DisorderField
+from .environment import DisorderField, top_sites
 
 ENTROPY_QUADRATIC = "quadratic"
 ENTROPY_LIPSCHITZ = "lipschitz"
@@ -44,6 +44,8 @@ _MAX_POINTS = 50_000
 _MAX_GEOMETRY_POINTS = 4096
 _MAX_BRUTE_LOOP = 14
 _MAX_BRUTE_TABLE = 22
+# |dx| <= dt up to rounding: a slope-1 leg between rescaled points
+_SLOPE_SLACK = 1.0 + 1e-12
 
 NEG_INF = -math.inf
 
@@ -67,7 +69,7 @@ def _step_cost(kind: str, dt, dx) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             cost = np.where(dt > 0.0, dx * dx / (2.0 * dt), math.inf)
     elif kind == ENTROPY_LIPSCHITZ:
-        ok = (dt > 0.0) & (np.abs(dx) <= dt)
+        ok = (dt > 0.0) & (np.abs(dx) <= dt * _SLOPE_SLACK)
         with np.errstate(divide="ignore", invalid="ignore"):
             s = np.where(ok, np.clip(np.divide(dx, np.where(ok, dt, 1.0)), -1.0, 1.0), 0.0)
             cost = np.where(ok, dt * _rate(s), math.inf)
@@ -425,18 +427,14 @@ def select_top(points, ell: int) -> np.ndarray:
     return pts[np.sort(rank)]
 
 
-def zero_top(points, ell: int) -> np.ndarray:
-    """Same geometry with the ell heaviest weights replaced by zero."""
-    pts = _as_sorted_points(points).copy()
-    if ell > 0:
-        rank = np.lexsort((pts[:, 1], pts[:, 0], -pts[:, 2]))[: min(ell, len(pts))]
-        pts[rank, 2] = 0.0
-    return pts
-
-
 # ---------------------------------------------------------------------------
 # Field-driven problems
 # ---------------------------------------------------------------------------
+
+
+def site_price(n: int) -> float:
+    """log(n)/2, the entropy price of marking one site of an n-step field."""
+    return 0.5 * math.log(n)
 
 
 def solve_field(
@@ -446,17 +444,13 @@ def solve_field(
     kappa: Optional[float] = None,
     entropy_kind: str = ENTROPY_QUADRATIC,
     cardinality: Cardinality = ANY,
-    reachable_only: bool = True,
 ) -> ChainSolution:
-    """Chain problem over the field's ell heaviest sites, lattice units.
-
-    kappa defaults to log(n)/2, the entropy price of marking one site.
-    """
-    from .environment import ordered_statistics
-
+    """Chain problem over the field's ell heaviest walk-reachable sites
+    (``environment.top_sites``), in lattice units; kappa defaults to
+    site_price(n)."""
     if kappa is None:
-        kappa = 0.5 * math.log(field.n)
-    stats = ordered_statistics(field, ell, reachable_only=reachable_only)
-    points = [(float(i), float(xp), float(wv)) for wv, (i, xp) in stats.entries]
-    return solve(points, beta, kappa=kappa, entropy_kind=entropy_kind, cardinality=cardinality)
-
+        kappa = site_price(field.n)
+    return solve(
+        top_sites(field, ell), beta, kappa=kappa, entropy_kind=entropy_kind,
+        cardinality=cardinality,
+    )

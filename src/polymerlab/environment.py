@@ -13,12 +13,16 @@ Philox's advance(d) skips exactly 4*d float64 draws, so any column range
 can be generated without producing the columns before it, and the weight
 at (i, x) depends on (seed, i, x) alone.  Fields on nested boxes
 therefore agree on shared sites.
+
+Top weights: top_sites ranks the sites a walk from the origin can visit,
+ordered_statistics the whole box; both return (i, x, w) rows by weight
+descending, ties by the smaller (i, x).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Optional
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -117,29 +121,6 @@ class DisorderField:
 
     def weight_at(self, i: int, x: int) -> float:
         return float(self.weights[i - 1, x + self.h])
-
-
-@dataclass(frozen=True)
-class OrderedStats:
-    """Top weights of a field, decreasing, with their positions.
-
-    Ties in weight are broken by lexicographic (i, x) position order so the
-    selection is deterministic.
-    """
-
-    weights: np.ndarray
-    rows: np.ndarray  # time coordinates i, aligned with weights
-    cols: np.ndarray  # space coordinates x
-
-    @property
-    def entries(self) -> List[Tuple[float, Tuple[int, int]]]:
-        return [
-            (float(w), (int(i), int(x)))
-            for w, i, x in zip(self.weights, self.rows, self.cols)
-        ]
-
-    def __len__(self) -> int:
-        return int(self.weights.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -276,78 +257,52 @@ def reachable_count(n: int, h: int) -> int:
     return k * (k + 3) // 2 + rest * h + rest // 2
 
 
-def ordered_statistics(
-    field: DisorderField, ell: int, reachable_only: bool = False
-) -> OrderedStats:
-    """Top-ell weights with positions, decreasing; partial selection.
 
-    reachable_only restricts the ranking to sites a walk can visit (right
-    parity, |x| <= i); used when the statistics feed a path solver.
-    """
-    w = field.weights
-    n, width = w.shape
-    if reachable_only:
-        mask = reachable_mask(field.n, field.h)
-        flat_idx = np.flatnonzero(mask.ravel())
-        flat_w = w.ravel()[flat_idx]
-    else:
-        flat_idx = None
-        flat_w = w.ravel()
-    total = flat_w.shape[0]
+
+# ---------------------------------------------------------------------------
+# Top sites
+# ---------------------------------------------------------------------------
+
+
+def _top(values: np.ndarray, ell: int) -> np.ndarray:
+    """Positions of the ell largest values, by value descending and ties
+    by the smaller position; a partial selection."""
+    total = values.shape[0]
     if not 1 <= ell <= total:
         raise ValueError(f"ell must be in [1, {total}], got {ell}")
+    cand = np.arange(total)
     if ell < total:
-        part = np.argpartition(flat_w, total - ell)[total - ell :]
-        wmin = flat_w[part].min()
-        cand = np.flatnonzero(flat_w >= wmin)  # all ties at the boundary
-    else:
-        cand = np.arange(total)
-    if flat_idx is not None:
-        orig = flat_idx[cand]
-    else:
-        orig = cand
-    rows = orig // width + 1
-    cols = orig % width - field.h
-    order = np.lexsort((cols, rows, -flat_w[cand]))[:ell]
-    sel = cand[order]
-    out_w = flat_w[sel].copy()
-    out_r = rows[order].astype(np.int64)
-    out_c = cols[order].astype(np.int64)
-    for a in (out_w, out_r, out_c):
-        a.flags.writeable = False
-    return OrderedStats(weights=out_w, rows=out_r, cols=out_c)
+        wmin = values[np.argpartition(values, total - ell)[total - ell :]].min()
+        cand = np.flatnonzero(values >= wmin)  # all ties at the boundary
+    return cand[np.argsort(-values[cand], kind="stable")[:ell]]
 
 
-# ---------------------------------------------------------------------------
-# Dump / load (binary, bit-exact round trip)
-# ---------------------------------------------------------------------------
+def ordered_statistics(field: DisorderField, ell: int) -> np.ndarray:
+    """(i, x, w) rows of the top-ell weights of the whole box, by weight
+    descending, ties by the smaller (i, x): the box's flat index order."""
+    flat = field.weights.ravel()
+    k = _top(flat, ell)
+    width = field.weights.shape[1]
+    return np.column_stack((k // width + 1, k % width - field.h, flat[k]))
 
 
-def save_field(field_: DisorderField, path: str):
-    """Write a field to an .npz archive; round-trips bit-exactly."""
-    np.savez(
-        path,
-        n=field_.n,
-        h=field_.h,
-        seed=field_.seed,
-        alpha=field_.tail.alpha,
-        law=field_.tail.law,
-        c=field_.tail.c,
-        b=field_.tail.b,
-        weights=field_.weights,
-    )
+def top_sites(field: DisorderField, ell: int, band: Optional[int] = None) -> np.ndarray:
+    """(i, x, w) rows of the top-ell walk-reachable sites with |x| <= band.
 
-
-def load_field(path: str) -> DisorderField:
-    with np.load(path, allow_pickle=False) as z:
-        tail = TailParams(
-            alpha=float(z["alpha"]),
-            law=str(z["law"]),
-            c=float(z["c"]),
-            b=float(z["b"]),
-        )
-        w = z["weights"].copy()
-        w.flags.writeable = False
-        return DisorderField(
-            n=int(z["n"]), h=int(z["h"]), tail=tail, seed=int(z["seed"]), weights=w
-        )
+    Step i's sites x = -r, -r+2, ..., r (r = min(i, band) at i's parity)
+    are read row after row into one compact array, whose index orders
+    sites by (i, x) as the box's flat index does; no box mask is built.
+    """
+    h = field.h
+    cap = h if band is None else min(band, h)
+    if cap < 0:
+        raise ValueError("band must be nonnegative")
+    i = np.arange(1, field.n + 1)
+    reach = np.minimum(i, cap - (i - cap) % 2)  # -1: no site of i's parity
+    start = np.concatenate(([0], np.cumsum(reach + 1)))
+    values = np.empty(start[-1])
+    for row, (a, r) in enumerate(zip(start.tolist(), reach.tolist())):
+        values[a : a + r + 1] = field.weights[row, h - r : h + r + 1 : 2]
+    k = _top(values, ell)
+    row = np.searchsorted(start, k, side="right") - 1
+    return np.column_stack((row + 1, 2 * (k - start[row]) - reach[row], values[k]))

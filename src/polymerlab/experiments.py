@@ -58,6 +58,7 @@ from .environment import (
     quantile,
     reachable_count,
     sample_field,
+    top_sites,
 )
 from .polymer import FREE, chaos_terms, gibbs_band_probabilities, log_partition
 from .regimes import (
@@ -139,7 +140,7 @@ class ExperimentConfig:
     power-law schedule beta_n = beta_hat * n**(-gamma).
 
     Every field is checked against its annotation and normalised (ints
-    to ``int``, lists to tuples, float-list items to ``float``).
+    to ``int``, floats to ``float``, lists to tuples).
     """
 
     kind: str
@@ -244,7 +245,7 @@ def _typed(key: str, value):
         raise ValueError(f"config key {key!r} has the wrong type: {value!r} (expected {want})")
     if scalar == "int":
         items = [int(v) for v in items]
-    elif is_list:
+    elif scalar == "float":
         items = [float(v) for v in items]
     return tuple(items) if is_list else items[0]
 
@@ -358,10 +359,8 @@ def _ks(sample, reference) -> float:
 
 
 def _top_lattice(field, ell: int) -> np.ndarray:
-    """(i, x, w) rows of the field's top-ell walk-reachable weights."""
-    count = reachable_count(field.n, field.h)
-    stats = ordered_statistics(field, min(ell, count), reachable_only=True)
-    return np.column_stack([stats.rows, stats.cols, stats.weights])
+    """``top_sites`` rows of the field, ell clipped at the reachable count."""
+    return top_sites(field, min(ell, reachable_count(field.n, field.h)))
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +595,7 @@ def _ordered_replica(task) -> dict:
     h = config.half_width or math.ceil(math.sqrt(n))
     seed = derive_seed(config.seed, n, replica, _FIELD_SLOT)
     field = sample_field(n, h, tail, seed)
-    stats = ordered_statistics(field, config.ell, reachable_only=False)
+    top = ordered_statistics(field, config.ell)
     scale = quantile(tail, 2.0 * n * h)
     ppp = sample_ppp(
         config.alpha, 1.0, top=config.ell,
@@ -605,7 +604,7 @@ def _ordered_replica(task) -> dict:
     rows = []
     failures = 0
     for source, raw, (w, t, x) in (
-        ("field", stats.weights, (stats.weights / scale, stats.rows / n, stats.cols / h)),
+        ("field", top[:, 2], (top[:, 2] / scale, top[:, 0] / n, top[:, 1] / h)),
         ("ppp", ppp[:, 2], (ppp[:, 2], ppp[:, 0], ppp[:, 1])),
     ):
         failures += int(np.count_nonzero(raw[1:] > raw[:-1]))

@@ -38,7 +38,10 @@ from .environment import (
     DisorderField,
     TailParams,
     mean_weight,
+    reachable_count,
+    reachable_mask,
     survival,
+    top_sites,
     truncated_mean_weight,
     quantile,
 )
@@ -174,9 +177,9 @@ def kernel_grid(n: int, half_width: int) -> np.ndarray:
     if hit is not None:
         _KERNEL_GRID_CACHE.move_to_end(key)
         return hit
+    valid = reachable_mask(n, half_width)
     i = np.arange(1, n + 1)[:, None]
     x = np.arange(-half_width, half_width + 1)[None, :]
-    valid = (np.abs(x) <= i) & ((i + x) % 2 == 0)
     k = np.clip((i + x) // 2, 0, None)
     logp = gammaln(i + 1) - gammaln(k + 1) - gammaln(np.clip(i - k, 0, None) + 1)
     logp = logp + i * LOG_HALF
@@ -533,23 +536,14 @@ def heavy_site_decomposition(
     """
     if ell > _MAX_HEAVY_SITES:
         raise ValueError(f"ell > {_MAX_HEAVY_SITES} refused: cost grows as 2^ell * ell")
-    n, h = field.n, field.h
-    cap = h if band is None else min(band, h)
-    i_grid = np.arange(1, n + 1)[:, None]
-    x_grid = np.arange(-h, h + 1)[None, :]
-    reach = (
-        (np.abs(x_grid) <= np.minimum(i_grid, cap))
-        & ((i_grid + x_grid) % 2 == 0)
-        & (beta * field.weights > 1.0)
-    )
-    ii, xx = np.nonzero(reach)
-    ws = field.weights[ii, xx]
-    capped = ws.size > ell
-    if capped:
-        order = np.lexsort((xx, ii, -ws))[:ell]
-        ii, xx, ws = ii[order], xx[order], ws[order]
-    sites = sorted(zip(ii + 1, xx - h, ws), key=lambda s: (s[0], s[1]))
-    k = len(sites)
+    # heavy sites lead the ranking, so the top ell + 1 hold all that count
+    count = reachable_count(field.n, field.h if band is None else min(band, field.h))
+    heavy = top_sites(field, min(ell + 1, count), band) if count else np.empty((0, 3))
+    heavy = heavy[beta * heavy[:, 2] > 1.0]
+    capped = len(heavy) > ell
+    heavy = heavy[:ell]
+    heavy = heavy[np.lexsort((heavy[:, 1], heavy[:, 0]))]
+    k = len(heavy)
     if k == 0:
         return HeavySiteDecomposition(
             u=np.array([1.0]), u_minus=np.array([0.0]), sites=[], capped=False
@@ -558,9 +552,7 @@ def heavy_site_decomposition(
     # P(S contains every site of the mask), built incrementally in
     # time order: each block of masks sharing the same top bit extends a
     # previously computed mask by one kernel factor.
-    times = np.array([s[0] for s in sites])
-    places = np.array([s[1] for s in sites])
-    weights = np.array([s[2] for s in sites])
+    times, places, weights = heavy.T
     pair = np.zeros((k, k))
     from_origin = np.array(
         [walk_kernel(int(t), int(x)) for t, x in zip(times, places)]
@@ -601,6 +593,6 @@ def heavy_site_decomposition(
             popcnt, weights=np.expm1(beta * energy) * exact, minlength=k + 1
         )
     return HeavySiteDecomposition(
-        u=u, u_minus=u_minus, sites=[(int(t), int(x), float(w)) for t, x, w in sites],
-        capped=bool(capped),
+        u=u, u_minus=u_minus, sites=[(int(t), int(x), w) for t, x, w in heavy.tolist()],
+        capped=capped,
     )

@@ -6,7 +6,7 @@ import pytest
 
 from polymerlab.cli import main
 from polymerlab.continuum import chain_value, sample_ppp
-from polymerlab.elpp import at_least, solve_field
+from polymerlab.elpp import at_least, site_price, solve_field
 from polymerlab.environment import TailParams, sample_field
 from polymerlab.polymer import FREE, PathConstraint, log_partition
 
@@ -73,6 +73,7 @@ def test_elpp_from_field_matches_solver(capsys):
     want = solve_field(field, 0.6, 12, cardinality=at_least(1))
     assert rec["value"] == pytest.approx(want.value, rel=1e-12)
     assert rec["params"]["points"] == 12
+    assert rec["params"]["kappa"] == site_price(40)
 
 
 def test_elpp_needs_one_source(capsys):

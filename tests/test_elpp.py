@@ -26,10 +26,9 @@ from polymerlab.elpp import (
     select_top,
     solve,
     solve_field,
-    zero_top,
 )
 from polymerlab.continuum import single_point_max
-from polymerlab.environment import TailParams, ordered_statistics, sample_field
+from polymerlab.environment import TailParams, sample_field, top_sites
 
 # frozen by hand: e(1/2) = (3/2 log(3/2) + 1/2 log(1/2)) / 2
 HALF_RATE_AT_HALF = 0.0654060
@@ -285,12 +284,28 @@ def test_unreachable_lipschitz_points():
     assert solve(pts, 1.0, entropy_kind=ENTROPY_LIPSCHITZ, cardinality=at_least(1)).value == -math.inf
 
 
+def test_lipschitz_slope_one_leg_survives_rescaling():
+    # |dx| = dt = 2 on the lattice; divided by 48, dx rounds to
+    # 0.04166666666666667 and dt to 0.04166666666666663, and the leg
+    # must still be a slope-1 move, priced log 2 * dt
+    lattice = np.array([(17.0, -3.0, 5.0), (19.0, -1.0, 5.0)])
+    rescaled = lattice / (48, 48, 1)
+    assert abs(rescaled[1, 1] - rescaled[0, 1]) > rescaled[1, 0] - rescaled[0, 0]
+    want = solve(lattice, 1.0, 0.0, ENTROPY_LIPSCHITZ)
+    assert want.indices == (0, 1)
+    got = solve(rescaled, 1.0 / 48, 0.0, ENTROPY_LIPSCHITZ)
+    assert got.indices == (0, 1)
+    assert got.value == pytest.approx(want.value / 48, rel=1e-12)
+    oracle = brute_force(rescaled, 1.0 / 48, 0.0, ENTROPY_LIPSCHITZ)
+    assert oracle.indices == (0, 1) and oracle.value == pytest.approx(got.value, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Point-set restrictions
 # ---------------------------------------------------------------------------
 
 
-def test_select_top_and_zero_top():
+def test_select_top():
     pts = [
         (0.2, 0.0, 5.0),
         (0.4, 1.0, 9.0),
@@ -302,11 +317,6 @@ def test_select_top_and_zero_top():
     # rank ties on weight break toward the earlier (t, x)
     assert top2[:, 2].tolist() == [9.0, 9.0]
     assert top2[0, 0] == 0.4 and top2[1, 0] == 0.6
-    rest = zero_top(pts, 2)
-    assert rest.shape == (4, 3)
-    assert sorted(rest[:, 2].tolist()) == [0.0, 0.0, 1.0, 5.0]
-    # geometry is untouched
-    assert set(map(tuple, rest[:, :2])) == set((t, x) for t, x, _ in pts)
     assert select_top(pts, 10).shape == (4, 3)
 
 
@@ -317,9 +327,7 @@ def test_select_top_and_zero_top():
 
 def test_solve_field_matches_direct_points():
     field = sample_field(16, 8, TailParams(alpha=0.9), 91)
-    stats = ordered_statistics(field, 6, reachable_only=True)
-    pts = [(float(i), float(x), float(w)) for w, (i, x) in stats.entries]
-    direct = solve(pts, 0.8, kappa=0.5 * math.log(16))
+    direct = solve(top_sites(field, 6), 0.8, kappa=0.5 * math.log(16))
     via_field = solve_field(field, 0.8, ell=6)
     assert via_field.value == direct.value
     assert via_field.indices == direct.indices

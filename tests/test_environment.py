@@ -229,9 +229,9 @@ def test_ordered_statistics_full_sort_oracle():
     f = env.sample_field(25, 7, pareto(1.2), seed=99)
     st = env.ordered_statistics(f, 5)
     full = np.sort(f.weights.ravel())[::-1]
-    assert np.array_equal(st.weights, full[:5])
-    for w, (i, x) in st.entries:
-        assert f.weight_at(i, x) == w
+    assert np.array_equal(st[:, 2], full[:5])
+    for i, x, w in st:
+        assert f.weight_at(int(i), int(x)) == w
 
 
 def test_ordered_statistics_prefix_property():
@@ -239,17 +239,15 @@ def test_ordered_statistics_prefix_property():
     prev = env.ordered_statistics(f, 1)
     for ell in range(2, 12):
         cur = env.ordered_statistics(f, ell)
-        assert np.array_equal(cur.weights[: ell - 1], prev.weights)
-        assert np.array_equal(cur.rows[: ell - 1], prev.rows)
-        assert np.array_equal(cur.cols[: ell - 1], prev.cols)
+        assert np.array_equal(cur[: ell - 1], prev)
         prev = cur
 
 
 def test_ordered_statistics_full_box():
     f = env.sample_field(6, 3, pareto(1.0), seed=8)
     st = env.ordered_statistics(f, f.weights.size)
-    assert np.array_equal(st.weights, np.sort(f.weights.ravel())[::-1])
-    assert len(st) == f.weights.size
+    assert np.array_equal(st[:, 2], np.sort(f.weights.ravel())[::-1])
+    assert st.shape == (f.weights.size, 3)
 
 
 def test_ordered_statistics_tie_rule():
@@ -259,10 +257,10 @@ def test_ordered_statistics_tie_rule():
     f = env.DisorderField(n=2, h=1, tail=tail, seed=0, weights=w)
     st = env.ordered_statistics(f, 3)
     # five sites tie at 5.0; lexicographic (i, x) picks row 1 first
-    assert st.entries == [(5.0, (1, -1)), (5.0, (1, 0)), (5.0, (1, 1))]
+    assert st.tolist() == [[1, -1, 5.0], [1, 0, 5.0], [1, 1, 5.0]]
 
 
-def test_ordered_statistics_reachable_only():
+def test_top_sites_skips_unreachable():
     tail = pareto(1.0)
     w = np.zeros((2, 5)) + 1.0
     w[0, 0] = 9.0  # (i=1, x=-2): |x| > i, unreachable
@@ -270,9 +268,8 @@ def test_ordered_statistics_reachable_only():
     w[1, 2] = 7.0  # (i=2, x=0): reachable
     w[0, 2] = 6.5  # (i=1, x=0): wrong parity
     f = env.DisorderField(n=2, h=2, tail=tail, seed=0, weights=w)
-    st = env.ordered_statistics(f, 2, reachable_only=True)
-    assert st.entries[0] == (8.0, (1, -1))
-    assert st.entries[1] == (7.0, (2, 0))
+    st = env.top_sites(f, 2)
+    assert st.tolist() == [[1, -1, 8.0], [2, 0, 7.0]]
 
 
 def test_ordered_statistics_domain():
@@ -281,6 +278,71 @@ def test_ordered_statistics_domain():
         env.ordered_statistics(f, 0)
     with pytest.raises(ValueError):
         env.ordered_statistics(f, 10)
+
+
+def mask_top_sites(field, ell, band=None):
+    """Oracle: the reachable-mask selection top_sites replaced.  The sites
+    of reachable_mask inside |x| <= band are ranked by (-w, i, x) with one
+    lexsort over the candidates at or above the ell-th weight."""
+    n, h = field.n, field.h
+    cap = h if band is None else min(band, h)
+    mask = env.reachable_mask(n, h) & (np.abs(np.arange(-h, h + 1)) <= cap)
+    flat_idx = np.flatnonzero(mask.ravel())
+    flat_w = field.weights.ravel()[flat_idx]
+    total = flat_w.shape[0]
+    if not 1 <= ell <= total:
+        raise ValueError(f"ell must be in [1, {total}], got {ell}")
+    if ell < total:
+        part = np.argpartition(flat_w, total - ell)[total - ell :]
+        cand = np.flatnonzero(flat_w >= flat_w[part].min())
+    else:
+        cand = np.arange(total)
+    rows = flat_idx[cand] // (2 * h + 1) + 1
+    cols = flat_idx[cand] % (2 * h + 1) - h
+    order = np.lexsort((cols, rows, -flat_w[cand]))[:ell]
+    return np.column_stack((rows[order], cols[order], flat_w[cand][order]))
+
+
+def test_top_sites_equals_mask_selection_bitwise():
+    checked = 0
+    for n in range(1, 18):
+        for h in sorted({0, 1, 2, n - 1, n, n + 2}):
+            if h < 0:
+                continue
+            sampled = env.sample_field(n, h, pareto(0.9), seed=17 * n + h)
+            ties = env.DisorderField(
+                n=n, h=h, tail=pareto(1.0), seed=0, weights=np.full((n, 2 * h + 1), 3.0)
+            )
+            for band in (None, 0, 1, h + 3):
+                count = env.reachable_count(n, h if band is None else min(band, h))
+                for ell in sorted({1, 2, count}):
+                    if not 1 <= ell <= count:
+                        continue
+                    for f in (sampled, ties):
+                        got = env.top_sites(f, ell, band)
+                        want = mask_top_sites(f, ell, band)
+                        assert got.dtype == want.dtype == np.float64
+                        assert got.shape == (ell, 3)
+                        assert got.tobytes() == want.tobytes(), (n, h, band, ell)
+                        checked += 1
+    assert checked > 600
+
+
+def test_top_sites_domain():
+    f = env.sample_field(3, 1, pareto(1.0), seed=2)
+    count = env.reachable_count(3, 1)
+    with pytest.raises(ValueError, match="ell must be in"):
+        env.top_sites(f, 0)
+    with pytest.raises(ValueError, match="ell must be in"):
+        env.top_sites(f, count + 1)
+    assert env.top_sites(f, count).shape == (count, 3)
+    # one step, no room to move: the only site x = 0 has the wrong parity
+    empty = env.sample_field(1, 0, pareto(1.0), seed=2)
+    assert env.reachable_count(1, 0) == 0
+    with pytest.raises(ValueError, match=r"\[1, 0\]"):
+        env.top_sites(empty, 1)
+    with pytest.raises(ValueError, match="band"):
+        env.top_sites(f, 1, band=-1)
 
 
 def test_extreme_value_shape_smoke():
@@ -296,19 +358,3 @@ def test_extreme_value_shape_smoke():
         m1[r] = f.weights.max() / norm
     ks = stats.kstest(m1, lambda u: np.exp(-np.clip(u, 1e-12, None) ** -1.0))
     assert ks.statistic < 0.10
-
-
-# ---------------------------------------------------------------------------
-# Dump / load
-# ---------------------------------------------------------------------------
-
-
-def test_save_load_roundtrip(tmp_path):
-    f = env.sample_field(12, 4, logpow(0.9, b=1.5), seed=77)
-    p = str(tmp_path / "field.npz")
-    env.save_field(f, p)
-    g = env.load_field(p)
-    assert g.n == f.n and g.h == f.h and g.seed == f.seed
-    assert g.tail == f.tail
-    assert np.array_equal(g.weights, f.weights)
-    assert g.weights.dtype == np.float64

@@ -252,6 +252,19 @@ def test_regime_linear_scale_pathway():
     assert res.invariant_failures == 0
 
 
+@pytest.mark.parametrize(
+    "alpha, gamma, label", [(1.2, 0.5, "R1"), (0.3, 2.0, "alpha-small-n-scale")]
+)
+def test_regime_linear_pathway_slope_one_legs(alpha, gamma, label):
+    # at n 48 the lattice chains use slope-1 legs whose rescaled |dx|
+    # rounds above dt; both solvers must still price them, so the coupled
+    # pair agrees on every replica
+    cfg = make_config(alpha=alpha, gamma=gamma, sizes=(24, 48), replicas=4, seed=77)
+    res = run_experiment(cfg)
+    assert res.meta["label"] == label
+    assert res.invariant_failures == 0
+
+
 def test_regime_zero_coupling_observable_zero():
     cfg = make_config(beta_hat=0.0, sizes=(16,), replicas=3)
     res = run_experiment(cfg)
@@ -479,6 +492,18 @@ def test_write_outputs_layout(tmp_path):
     assert manifest["invariant_failures"] == 0
     assert manifest["meta"]["wall_time_s"] > 0.0
     assert manifest["tables"]["observable"] == 2
+
+
+def test_numpy_float_config_writes_its_manifest(tmp_path):
+    # scalar float keys are stored as Python floats, so the manifest's
+    # JSON echo takes numpy scalars, and integer-valued floats echo as 1.0
+    cfg = make_config(sizes=(16,), replicas=2, alpha=np.float32(1.2), gamma=1)
+    write_outputs(run_experiment(cfg), tmp_path)
+    assert type(cfg.alpha) is type(cfg.gamma) is float
+    assert cfg.alpha == float(np.float32(1.2)) and cfg.gamma == 1.0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["config"]["alpha"] == float(np.float32(1.2))
+    assert '"gamma": 1.0,' in (tmp_path / "manifest.json").read_text()
 
 
 def test_quadrature_warnings_counted_in_manifest(tmp_path, recwarn):

@@ -4,7 +4,8 @@ Invariants are explicit raises, never ``assert``: ``python -O`` strips
 assert statements, so a check written as one silently disappears under
 optimization.  The log-domain walk step has one definition, the
 transfer kernel in ``polymer``, so a second copy cannot drift from it;
-likewise ``experiments.run_experiment`` is the one campaign runner.
+likewise ``experiments.run_experiment`` is the one campaign runner and
+``environment.top_sites`` the one ranking of walk-reachable sites.
 Every top-level import is used, so a fold leaves no names behind.
 """
 
@@ -76,6 +77,24 @@ def test_one_campaign_runner():
     }
     for path in SOURCES:
         assert not _defined_names(ast.parse(path.read_text())) & removed, path.name
+
+
+def test_one_top_sites_selector():
+    # environment.top_sites is the one ranking of walk-reachable sites:
+    # no function takes a reachability switch, and the record type, the
+    # field dump and the zeroing helper it made redundant stay deleted
+    removed = {"OrderedStats", "save_field", "load_field", "zero_top"}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        assert not _defined_names(tree) & removed, path.name
+        params = [
+            f"{node.name}({arg.arg})"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for arg in node.args.args + node.args.posonlyargs + node.args.kwonlyargs
+            if arg.arg == "reachable_only"
+        ]
+        assert params == [], path.name
 
 
 def _exported(tree):

@@ -14,10 +14,11 @@ from scipy.special import logsumexp
 
 from polymerlab import polymer
 from polymerlab.environment import (
+    DisorderField,
     TailParams,
-    ordered_statistics,
     quantile,
     sample_field,
+    top_sites,
     truncated_mean_weight,
 )
 from polymerlab.polymer import (
@@ -505,8 +506,8 @@ def test_heavy_sites_none():
 
 def test_heavy_sites_single_site_oracle():
     field = sample_field(6, 6, PARETO_12, 81)
-    stats = ordered_statistics(field, 2, reachable_only=True)
-    (w1, (i1, x1)), (w2, _) = stats.entries
+    (i1, x1, w1), (_, _, w2) = top_sites(field, 2).tolist()
+    i1, x1 = int(i1), int(x1)
     beta = 2.0 / (w1 + w2)  # exactly one site has beta*w > 1
     dec = heavy_site_decomposition(field, beta)
     assert len(dec.sites) == 1
@@ -520,9 +521,7 @@ def test_heavy_sites_single_site_oracle():
 @pytest.mark.parametrize("k_heavy,seed", [(2, 82), (4, 83), (6, 84)])
 def test_heavy_sites_sum_identities(k_heavy, seed):
     field = sample_field(9, 9, PARETO_08, seed)
-    stats = ordered_statistics(field, k_heavy + 1, reachable_only=True)
-    w_k = stats.weights[k_heavy - 1]
-    w_next = stats.weights[k_heavy]
+    w_k, w_next = top_sites(field, k_heavy + 1)[k_heavy - 1 :, 2]
     assert w_k > w_next  # distinct weights, the coupling below is safe
     beta = 2.0 / (w_k + w_next)
     dec = heavy_site_decomposition(field, beta)
@@ -551,3 +550,42 @@ def test_heavy_sites_ell_limit():
     field = sample_field(6, 6, PARETO_12, 86)
     with pytest.raises(ValueError):
         heavy_site_decomposition(field, 1.0, ell=21)
+
+
+def mask_heavy_sites(field, beta, band, ell):
+    """Oracle: the selection heavy_site_decomposition made with a reach
+    mask over the whole box and one lexsort of the heavy sites."""
+    n, h = field.n, field.h
+    cap = h if band is None else min(band, h)
+    i_grid = np.arange(1, n + 1)[:, None]
+    x_grid = np.arange(-h, h + 1)[None, :]
+    reach = (
+        (np.abs(x_grid) <= np.minimum(i_grid, cap))
+        & ((i_grid + x_grid) % 2 == 0)
+        & (beta * field.weights > 1.0)
+    )
+    ii, xx = np.nonzero(reach)
+    ws = field.weights[ii, xx]
+    capped = ws.size > ell
+    order = np.lexsort((xx, ii, -ws))[:ell]
+    sites = sorted(
+        (int(i) + 1, int(x) - h, float(w)) for i, x, w in zip(ii[order], xx[order], ws[order])
+    )
+    return sites, capped and bool(sites)
+
+
+def test_heavy_sites_match_mask_selection():
+    for n in range(1, 10):
+        for h in sorted({0, 2, n}):
+            sampled = sample_field(n, h, PARETO_08, 600 + 10 * n + h)
+            ties = DisorderField(
+                n=n, h=h, tail=PARETO_08, seed=0, weights=np.full((n, 2 * h + 1), 4.0)
+            )
+            for field in (sampled, ties):
+                for beta in (0.0, 0.3, 1.0, 5.0):
+                    for band in (None, 0, 1, h + 2):
+                        for ell in (0, 1, 3, 6):
+                            dec = heavy_site_decomposition(field, beta, band, ell)
+                            assert (dec.sites, dec.capped) == mask_heavy_sites(
+                                field, beta, band, ell
+                            ), (n, h, beta, band, ell)
