@@ -37,8 +37,8 @@ from .elpp import (
     Cardinality,
     ChainGeometry,
     prepare_geometry,
-    select_top,
     solve,
+    top_geometry,
 )
 
 NEG_INF = -np.inf
@@ -236,7 +236,7 @@ def _threshold(geometry: ChainGeometry, flavor: str, start: float | None = None)
         # the chain's terms from the geometry's own steps, as the DP adds them
         idx = np.asarray(found.indices)
         weight = float(geometry.points[idx, 2].sum())
-        ent = float(geometry.origin_step[idx[0]] + geometry.pair_step[idx[:-1], idx[1:]].sum())
+        ent = float(geometry.origin_step[idx[0]] + geometry.into_step[idx[1:], idx[:-1]].sum())
         new = (weight - ent) / idx.size if rises else ent / weight
         gain = new - ratio if rises else ratio - new
         if gain < -1e-9 * abs(ratio):
@@ -301,9 +301,10 @@ def critical_coupling(
 ) -> CriticalCouplingEstimate:
     """Estimate the coupling where the chain value first turns positive.
 
-    Per replica, a top-mode sample with 2*``top`` weights is drawn once;
-    the exact threshold is found by the ratio iteration on its ``top``
-    largest weights and again on the full sample.  Doubling the
+    Per replica, a top-mode sample with 2*``top`` weights is drawn once
+    and its chain geometry built once; the exact threshold is found by
+    the ratio iteration on its ``top`` largest weights (their geometry
+    cut out of the full one) and again on the full sample.  Doubling the
     truncation is coupled point-set inclusion, and the full sample's
     iteration starts from the primary ratio, so per-replica thresholds
     can only shrink.  Reports the median over replicas with a
@@ -320,10 +321,11 @@ def critical_coupling(
     primary = np.empty(replicas)
     doubled = np.empty(replicas)
     for r in range(replicas):
-        full = sample_ppp(alpha, q, top=2 * top, seed=sample_seeds[r])
-        kept = select_top(full, top)
-        primary[r], ratio = _threshold(prepare_geometry(kept, entropy_kind), flavor)
-        doubled[r], _ = _threshold(prepare_geometry(full, entropy_kind), flavor, ratio)
+        full = prepare_geometry(
+            sample_ppp(alpha, q, top=2 * top, seed=sample_seeds[r]), entropy_kind
+        )
+        primary[r], ratio = _threshold(top_geometry(full, top), flavor)
+        doubled[r], _ = _threshold(full, flavor, ratio)
 
     finite = primary[np.isfinite(primary)]
     failures = replicas - finite.size

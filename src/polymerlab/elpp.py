@@ -147,12 +147,17 @@ class ChainSolution:
 
 @dataclass(frozen=True)
 class ChainGeometry:
-    """Precomputed entropy steps for repeated solves on one point set."""
+    """Precomputed entropy steps for repeated solves on one point set,
+    legs stored by end point so solve reads row j up to j contiguously."""
 
     entropy_kind: str
     points: np.ndarray  # time-sorted (m, 3)
     origin_step: np.ndarray  # (m,)
-    pair_step: np.ndarray  # (m, m), valid above the diagonal
+    into_step: np.ndarray  # (m, m), [j, i] the leg i -> j; read below the diagonal
+
+    def __post_init__(self):
+        for arr in (self.points, self.origin_step, self.into_step):
+            arr.flags.writeable = False
 
 
 def _as_sorted_points(points) -> np.ndarray:
@@ -176,19 +181,34 @@ def _as_sorted_points(points) -> np.ndarray:
 
 def prepare_geometry(points, entropy_kind: str = ENTROPY_QUADRATIC) -> ChainGeometry:
     """Precompute all entropy steps; worth it when solving the same point
-    set at many couplings."""
+    set at many couplings, or at several truncations (``top_geometry``
+    cuts the heaviest points' geometry out of this one)."""
     pts = _as_sorted_points(points)
     m = len(pts)
     if m > _MAX_GEOMETRY_POINTS:
         raise ValueError(f"geometry matrix capped at {_MAX_GEOMETRY_POINTS} points")
     t, x = pts[:, 0], pts[:, 1]
     origin = _step_cost(entropy_kind, t, x)
-    pair = _step_cost(entropy_kind, t[None, :] - t[:, None], x[None, :] - x[:, None])
-    origin.flags.writeable = False
-    pair.flags.writeable = False
-    pts.flags.writeable = False
+    dt, dx = np.subtract.outer(t, t), np.subtract.outer(x, x)  # [j, i]: leg i -> j
+    if entropy_kind == ENTROPY_QUADRATIC:
+        # _step_cost in place; points are distinct, so only i = j stands still
+        into = np.square(dx, out=dx)
+        np.multiply(dt, 2.0, out=dt)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(into, dt, out=into)
+        into[dt <= 0.0] = math.inf
+        np.fill_diagonal(into, 0.0)
+    else:
+        into = _step_cost(entropy_kind, dt, dx)
+    return ChainGeometry(entropy_kind, pts, origin, into)
+
+
+def top_geometry(geo: ChainGeometry, ell: int) -> ChainGeometry:
+    """``prepare_geometry(select_top(geo.points, ell))``, cut out of geo."""
+    rows = _top_rows(geo.points, ell)
     return ChainGeometry(
-        entropy_kind=entropy_kind, points=pts, origin_step=origin, pair_step=pair
+        geo.entropy_kind, geo.points[rows], geo.origin_step[rows],
+        geo.into_step[np.ix_(rows, rows)],
     )
 
 
@@ -265,7 +285,7 @@ def solve(
 
     for j in range(m):
         if geo is not None:
-            step = geo.pair_step[:j, j]
+            step = geo.into_step[j, :j]
         else:
             step = _step_cost(kind, t[j] - t[:j], x[j] - x[:j])
         for c in range(1, layers + 1):
@@ -283,10 +303,15 @@ def solve(
                 if j == 0:
                     continue
                 cand = val[row, :j] - step
-                top = float(cand.max())
-                if top < best or top == NEG_INF:
+                k = int(cand.argmax())  # the first maximum, nan first of all
+                top = float(cand[k])
+                if not top >= best or top == NEG_INF:
                     continue
-                for i in np.flatnonzero(cand == top):
+                ties = (k,)
+                if np.count_nonzero(cand[k + 1 :] == top):
+                    # every equal candidate; max() fixes the sign of a +-0 tie
+                    ties, top = np.flatnonzero(cand == top), float(cand.max())
+                for i in ties:
                     p = prefixes[row][i] + (int(i),)
                     if top > best or best_prefix is None or _prefix_less(p, best_prefix):
                         best = top
@@ -418,13 +443,15 @@ def brute_force(
 # ---------------------------------------------------------------------------
 
 
+def _top_rows(pts: np.ndarray, ell: int) -> np.ndarray:
+    """Rows of the ell heaviest points (ties by smaller (t, x)), in time order."""
+    return np.sort(np.lexsort((pts[:, 1], pts[:, 0], -pts[:, 2]))[:ell])
+
+
 def select_top(points, ell: int) -> np.ndarray:
     """The ell heaviest points (ties by smaller (t, x)), time-sorted."""
     pts = _as_sorted_points(points)
-    if ell >= len(pts):
-        return pts
-    rank = np.lexsort((pts[:, 1], pts[:, 0], -pts[:, 2]))[:ell]
-    return pts[np.sort(rank)]
+    return pts[_top_rows(pts, ell)]
 
 
 # ---------------------------------------------------------------------------

@@ -546,7 +546,7 @@ def heavy_site_decomposition(
     k = len(heavy)
     if k == 0:
         return HeavySiteDecomposition(
-            u=np.array([1.0]), u_minus=np.array([0.0]), sites=[], capped=False
+            u=np.array([1.0]), u_minus=np.array([0.0]), sites=[], capped=capped
         )
 
     # P(S contains every site of the mask), built incrementally in

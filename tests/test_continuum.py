@@ -466,7 +466,8 @@ def test_threshold_brackets_sign_change(flavor, alpha, kind):
 
 @pytest.mark.parametrize("flavor, alpha", [("tilde", 1.2), ("hat", 0.3)])
 def test_critical_coupling_solve_count(monkeypatch, flavor, alpha):
-    # bisection needed 42 solves per threshold; the ratio iteration a few
+    # each threshold is a ratio iteration of a few solves (2.2 on average
+    # in the beta_c benchmark), far below a bisection's 42
     calls = []
     inner = continuum.solve
 
@@ -479,6 +480,29 @@ def test_critical_coupling_solve_count(monkeypatch, flavor, alpha):
     critical_coupling(alpha, flavor=flavor, replicas=replicas, top=64, seed=3,
                       bootstrap=20)
     assert len(calls) / (2 * replicas) <= 8
+
+
+@pytest.mark.parametrize("flavor, alpha", [("tilde", 1.2), ("hat", 0.3)])
+def test_critical_coupling_one_geometry_per_replica(monkeypatch, flavor, alpha):
+    built = []
+    inner = continuum.prepare_geometry
+
+    def counted(points, *args, **kwargs):
+        built.append(len(points))
+        return inner(points, *args, **kwargs)
+
+    monkeypatch.setattr(continuum, "prepare_geometry", counted)
+    critical_coupling(alpha, flavor=flavor, replicas=3, top=16, seed=5, bootstrap=20)
+    assert built == [32, 32, 32]  # the full sample; the primary is cut from it
+
+
+def test_critical_coupling_geometry_cap_before_any_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve ran before the geometry cap was checked")
+
+    monkeypatch.setattr(continuum, "solve", no_solve)
+    with pytest.raises(ValueError, match="capped"):
+        critical_coupling(1.2, top=2049, replicas=1)
 
 
 def test_critical_coupling_tilde():

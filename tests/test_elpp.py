@@ -22,10 +22,12 @@ from polymerlab.elpp import (
     entropy,
     exactly,
     lipschitz_entropy,
+    _step_cost,
     prepare_geometry,
     select_top,
     solve,
     solve_field,
+    top_geometry,
 )
 from polymerlab.continuum import single_point_max
 from polymerlab.environment import TailParams, sample_field, top_sites
@@ -152,6 +154,67 @@ def test_solve_with_geometry_matches_plain():
         assert a.indices == b.indices
     with pytest.raises(ValueError):
         solve(geo, 1.0, entropy_kind=ENTROPY_LIPSCHITZ)
+
+
+def legs_oracle(kind, pts):
+    """[i, j] the leg i -> j, every pair through _step_cost at once."""
+    t, x = pts[:, 0], pts[:, 1]
+    return _step_cost(kind, t[None, :] - t[:, None], x[None, :] - x[:, None])
+
+
+def legs_test_points(rng, m):
+    """Time-sorted rows with equal times, points at t <= 0 and unit-slope
+    legs, so every branch of the leg cost shows up."""
+    t = rng.choice([-0.5, 0.0, 0.25, 0.5, 1.0], m)
+    t += rng.integers(0, 2, m) * rng.uniform(0.0, 1.0, m)
+    x = rng.normal(0.0, 0.5, m)
+    pts = np.column_stack([t, x, rng.exponential(1.0, m)])
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    for i in range(1, m):
+        dt = pts[i, 0] - pts[i - 1, 0]
+        if dt > 0.0 and rng.random() < 0.3:  # a slope +-1 leg from the previous point
+            pts[i, 1] = pts[i - 1, 1] + rng.choice([-1.0, 1.0]) * dt
+    return pts
+
+
+@pytest.mark.parametrize("kind", [ENTROPY_QUADRATIC, ENTROPY_LIPSCHITZ])
+def test_into_step_is_transposed_pair_legs(kind):
+    rng = np.random.default_rng(37)
+    for m in range(1, 41):
+        pts = legs_test_points(rng, m)
+        geo = prepare_geometry(pts, kind)
+        want = legs_oracle(kind, geo.points)
+        assert geo.into_step.tobytes() == np.ascontiguousarray(want.T).tobytes(), m
+        assert not geo.into_step.flags.writeable
+
+
+@pytest.mark.parametrize("kind", [ENTROPY_QUADRATIC, ENTROPY_LIPSCHITZ])
+def test_top_geometry_equals_rebuilt_selection(kind):
+    rng = np.random.default_rng(41)
+    for m in (1, 2, 7, 30):
+        pts = legs_test_points(rng, m)
+        pts[:, 2] = rng.integers(1, 4, m)  # many tied weights
+        geo = prepare_geometry(pts, kind)
+        for ell in sorted({1, max(m - 1, 1), m, m + 3}):
+            cut = top_geometry(geo, ell)
+            built = prepare_geometry(select_top(pts, ell), kind)
+            assert cut.entropy_kind == built.entropy_kind
+            for name in ("points", "origin_step", "into_step"):
+                a, b = getattr(cut, name), getattr(built, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (m, ell, name)
+            assert not cut.into_step.flags.writeable
+
+
+def test_tie_scan_prefers_later_predecessor_with_smaller_prefix():
+    # into point 2, chain (0, 1, 2) ties chain (0, 2) at value 3; the
+    # later predecessor 1 carries the prefix (0, 1), smaller than (0,)
+    pts = np.array([[1.0, 0.0, 2.0], [2.0, -1.0, 2.0], [3.0, 0.0, 3.0]])
+    for target in (pts, prepare_geometry(pts)):
+        got = solve(target, 1.0, kappa=1.0)
+        assert got.value == 3.0 and got.indices == (0, 1, 2)
+    for method in ("loop", "table"):
+        want = brute_force(pts, 1.0, kappa=1.0, method=method)
+        assert (want.value, want.indices) == (3.0, (0, 1, 2))
 
 
 def test_solution_certificate():

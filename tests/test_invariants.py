@@ -6,6 +6,8 @@ optimization.  The log-domain walk step has one definition, the
 transfer kernel in ``polymer``, so a second copy cannot drift from it;
 likewise ``experiments.run_experiment`` is the one campaign runner and
 ``environment.top_sites`` the one ranking of walk-reachable sites.
+Chain legs are stored by their end point (``into_step``), and the old
+transposed name ``pair_step`` stays gone.
 Every top-level import is used, so a fold leaves no names behind.
 """
 
@@ -95,6 +97,20 @@ def test_one_top_sites_selector():
             if arg.arg == "reachable_only"
         ]
         assert params == [], path.name
+
+
+def test_chain_legs_stored_by_end_point():
+    # ChainGeometry.into_step[j, i] is the leg i -> j; the transposed
+    # pair_step layout stays gone, so no reader mixes up the orientation
+    named = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Name) and node.id == "pair_step")
+        or (isinstance(node, ast.Attribute) and node.attr == "pair_step")
+        or (isinstance(node, ast.keyword) and node.arg == "pair_step")
+    ]
+    assert named == []
 
 
 def _exported(tree):

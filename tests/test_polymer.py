@@ -546,6 +546,15 @@ def test_heavy_sites_cap():
     assert sorted(w for _, _, w in capped.sites) == pytest.approx(top)
 
 
+def test_heavy_sites_capped_at_ell_zero():
+    # an empty selection still reports the heavy sites it left out
+    field = sample_field(9, 9, PARETO_08, 85)
+    dec = heavy_site_decomposition(field, beta=5.0, ell=0)
+    assert dec.sites == [] and dec.capped
+    assert heavy_site_decomposition(field, beta=5.0, ell=1).capped
+    assert not heavy_site_decomposition(field, beta=1e-9, ell=0).capped
+
+
 def test_heavy_sites_ell_limit():
     field = sample_field(6, 6, PARETO_12, 86)
     with pytest.raises(ValueError):
@@ -571,7 +580,7 @@ def mask_heavy_sites(field, beta, band, ell):
     sites = sorted(
         (int(i) + 1, int(x) - h, float(w)) for i, x, w in zip(ii[order], xx[order], ws[order])
     )
-    return sites, capped and bool(sites)
+    return sites, capped
 
 
 def test_heavy_sites_match_mask_selection():
