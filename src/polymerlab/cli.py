@@ -81,32 +81,25 @@ def _add_law_flags(parser: argparse.ArgumentParser):
     )
 
 
-def _parse_filter(text: str) -> WeightFilter:
-    """Filter spec: all | atmost1 | above:T | between:LO:HI."""
-    head, _, rest = text.partition(":")
-    if head == "all" and not rest:
-        return WeightFilter()
-    if head == "atmost1" and not rest:
-        return filter_atmost_one()
-    if head == "above" and rest:
-        return filter_above(float(rest))
-    if head == "between" and rest:
-        lo, _, hi = rest.partition(":")
-        if hi:
-            return filter_between(float(lo), float(hi))
-    raise ValueError(f"bad filter spec {text!r}")
+# spec grammars: (noun, field type, head -> (constructor, field count))
+_FILTER_SPECS = ("filter", float, {
+    "all": (WeightFilter, 0), "atmost1": (filter_atmost_one, 0),
+    "above": (filter_above, 1), "between": (filter_between, 2),
+})
+_CARDINALITY_SPECS = ("cardinality", int, {
+    "any": (lambda: ANY, 0), "exactly": (exactly, 1), "atleast": (at_least, 1),
+})
 
 
-def _parse_cardinality(text: str):
-    """Cardinality spec: any | exactly:K | atleast:R."""
+def _parse_spec(text: str, grammar):
+    """A ``head[:field...]`` spec: the head names a constructor of the
+    grammar, which takes exactly its count of typed fields."""
+    noun, kind, heads = grammar
     head, _, rest = text.partition(":")
-    if head == "any" and not rest:
-        return ANY
-    if head == "exactly" and rest:
-        return exactly(int(rest))
-    if head == "atleast" and rest:
-        return at_least(int(rest))
-    raise ValueError(f"bad cardinality spec {text!r}")
+    fields = rest.split(":") if rest else []
+    if head not in heads or len(fields) != heads[head][1]:
+        raise ValueError(f"bad {noun} spec {text!r}")
+    return heads[head][0](*map(kind, fields))
 
 
 def _emit(record: dict) -> int:
@@ -128,7 +121,7 @@ def _cmd_polymer(args) -> int:
     constraint = PathConstraint(
         band=args.band,
         band_window=window,
-        weight_filter=_parse_filter(args.filter),
+        weight_filter=_parse_spec(args.filter, _FILTER_SPECS),
         centering=args.centering,
     )
 
@@ -199,7 +192,7 @@ def _cmd_elpp(args) -> int:
 
     solution = solve(
         points, args.beta, kappa=kappa, entropy_kind=args.entropy,
-        cardinality=_parse_cardinality(args.cardinality),
+        cardinality=_parse_spec(args.cardinality, _CARDINALITY_SPECS),
     )
     return _emit({
         "value": solution.value,

@@ -105,8 +105,6 @@ def sample_ppp(
     if eps is not None:
         if eps <= 0.0:
             raise ValueError("eps must be positive")
-        if math.isinf(eps):
-            return np.empty((0, 3))
         count = int(rng.poisson(q * eps ** (-alpha)))
         # Pareto above the floor: P(w > u) = (eps/u)^alpha for u >= eps.
         weights = eps * rng.random(count) ** (-1.0 / alpha)
@@ -128,8 +126,6 @@ def sample_ppp(
 def heat_kernel_sum(points) -> float:
     """Sum of w * (2 pi t)^(-1/2) * exp(-x^2 / (2t)) over the points."""
     arr = _as_points(points)
-    if arr.shape[0] == 0:
-        return 0.0
     t, x, w = arr[:, 0], arr[:, 1], arr[:, 2]
     density = np.exp(-(x * x) / (2.0 * t)) / np.sqrt(2.0 * math.pi * t)
     return float(np.sum(w * density))

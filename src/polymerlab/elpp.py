@@ -160,6 +160,11 @@ class ChainGeometry:
             arr.flags.writeable = False
 
 
+def _solution(pts: np.ndarray, value: float, indices: Tuple[int, ...] = ()) -> ChainSolution:
+    """The chain of the time-sorted rows ``indices`` of pts, at ``value``."""
+    return ChainSolution(value, tuple(indices), tuple(tuple(map(float, pts[i])) for i in indices))
+
+
 def _as_sorted_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
@@ -258,32 +263,19 @@ def solve(
     t, x, w = pts[:, 0], pts[:, 1], pts[:, 2]
     gain = beta * w - kappa
 
-    if cardinality.kind == "exactly":
-        want = cardinality.count
-        if want == 0:
-            return ChainSolution(0.0, (), ())
-        if want > m:
-            return ChainSolution(NEG_INF, (), ())
-        layers, saturate, include_empty = want, False, False
-    elif cardinality.kind == "atleast":
-        want = cardinality.count
-        if want == 0:
-            layers, saturate, include_empty = 1, True, True
-        else:
-            if want > m:
-                return ChainSolution(NEG_INF, (), ())
-            layers, saturate, include_empty = want, True, False
-    else:
-        layers, saturate, include_empty = 1, True, True
-
-    if m == 0:
-        return ChainSolution(0.0, (), ()) if include_empty else ChainSolution(NEG_INF, (), ())
+    # layer c holds the chains of c points, and with saturate the last
+    # layer also the longer ones; exactly(0) has no layer, only the empty chain
+    want = 0 if cardinality.kind == "any" else cardinality.count
+    saturate = cardinality.kind != "exactly"
+    if want > m:
+        return _solution(pts, NEG_INF)
+    layers = max(want, 1) if saturate else want
 
     origin_step = geo.origin_step if geo is not None else _step_cost(kind, t, x)
     val = np.full((layers + 1, m), NEG_INF)
     prefixes: list = [[None] * m for _ in range(layers + 1)]
 
-    for j in range(m):
+    for j in range(m if layers else 0):
         if geo is not None:
             step = geo.into_step[j, :j]
         else:
@@ -321,22 +313,15 @@ def solve(
                 prefixes[c][j] = best_prefix
 
     final_row = val[layers]
-    candidates: list = []
-    if include_empty:
-        candidates.append((0.0, ()))
+    candidates: list = [(0.0, ())] if want == 0 else []
     top = float(final_row.max()) if m else NEG_INF
     if top > NEG_INF:
         for j in np.flatnonzero(final_row == top):
             candidates.append((top, prefixes[layers][j] + (int(j),)))
     if not candidates:
-        return ChainSolution(NEG_INF, (), ())
+        return _solution(pts, NEG_INF)
     best_value = max(v for v, _ in candidates)
-    best_chain = min(ch for v, ch in candidates if v == best_value)
-    return ChainSolution(
-        value=best_value,
-        indices=tuple(best_chain),
-        chain=tuple(tuple(map(float, pts[i])) for i in best_chain),
-    )
+    return _solution(pts, best_value, min(ch for v, ch in candidates if v == best_value))
 
 
 # ---------------------------------------------------------------------------
@@ -371,46 +356,52 @@ def _brute_loop(pts, beta, kappa, kind, cardinality):
             ):
                 best_value, best_chain = value, combo
     if best_chain is None:
-        return ChainSolution(NEG_INF, (), ())
-    return ChainSolution(
-        best_value, tuple(best_chain), tuple(tuple(map(float, pts[i])) for i in best_chain)
-    )
+        return _solution(pts, NEG_INF)
+    return _solution(pts, best_value, best_chain)
+
+
+def chain_lattice(first, legs, weights, fold):
+    """All 2^k subsets of k time-sorted items at once, indexed by bit
+    mask: each subset's legs folded along its chain, its weight sum and
+    its size.  A subset extends the subset without its last item by one
+    leg: ``first[b]`` from the origin to item b, or ``legs[a, b]`` from
+    item a.  ``fold`` is np.add for entropies, np.multiply for kernel
+    products."""
+    size = 1 << len(weights)
+    folded = np.full(size, float(fold.identity))
+    wsum = np.zeros(size)
+    count = np.zeros(size, dtype=np.int64)
+    last = np.zeros(size, dtype=np.int64)
+    for b, weight in enumerate(weights):
+        rest = np.arange(1 << b)
+        block = (1 << b) + rest
+        folded[block] = fold(folded[rest], np.where(rest == 0, first[b], legs[last[rest], b]))
+        wsum[block] = wsum[rest] + weight
+        count[block] = count[rest] + 1
+        last[block] = b
+    return folded, wsum, count
 
 
 def _brute_table(pts, beta, kappa, kind, cardinality):
     m = len(pts)
     t, x, w = pts[:, 0], pts[:, 1], pts[:, 2]
-    origin = _step_cost(kind, t, x)
-    pair = _step_cost(kind, t[None, :] - t[:, None], x[None, :] - x[:, None])
-    size = 1 << m
-    msb = np.zeros(size, dtype=np.int64)
-    for b in range(1, m):
-        msb[1 << b : 1 << (b + 1)] = b
-    ent = np.zeros(size)
-    wsum = np.zeros(size)
-    popcnt = np.zeros(size, dtype=np.int64)
-    for b in range(m):
-        rest = np.arange(1 << b)
-        inc = np.where(rest == 0, origin[b], pair[msb[rest], b])
-        block = (1 << b) + rest
-        ent[block] = ent[rest] + inc
-        wsum[block] = wsum[rest] + w[b]
-        popcnt[block] = popcnt[rest] + 1
+    ent, wsum, popcnt = chain_lattice(
+        _step_cost(kind, t, x),
+        _step_cost(kind, t[None, :] - t[:, None], x[None, :] - x[:, None]), w, np.add,
+    )
     with np.errstate(invalid="ignore"):
         values = beta * wsum - kappa * popcnt - ent
     values[np.isnan(values)] = NEG_INF  # inf - inf across the entropy term
     allowed = np.isin(popcnt, _allowed_sizes(cardinality, m))
     values = np.where(allowed, values, NEG_INF)
-    best_value = float(values.max()) if size else NEG_INF
+    best_value = float(values.max())
     if best_value == NEG_INF:
-        return ChainSolution(NEG_INF, (), ())
-    chains = []
-    for mask in np.flatnonzero(values == best_value):
-        chains.append(tuple(b for b in range(m) if (int(mask) >> b) & 1))
-    best_chain = min(chains)
-    return ChainSolution(
-        best_value, best_chain, tuple(tuple(map(float, pts[i])) for i in best_chain)
-    )
+        return _solution(pts, NEG_INF)
+    chains = [
+        tuple(b for b in range(m) if (int(mask) >> b) & 1)
+        for mask in np.flatnonzero(values == best_value)
+    ]
+    return _solution(pts, best_value, min(chains))
 
 
 def brute_force(

@@ -39,12 +39,13 @@ _MONOTONE_GRID_DECADES = 14
 _MONOTONE_GRID_POINTS = 400
 
 
-def _raw_survival(alpha: float, law: str, c: float, b: float, x):
-    """L(x) * x**(-alpha) without the clamp at 1; x may be an array."""
+def _raw_survival(tail: TailParams, x):
+    """L(x) * x**(-alpha) without the clamp at 1; x may be an array.
+    Reads only alpha, law, c and b, so it runs before the edge is set."""
     x = np.asarray(x, dtype=float)
-    if law == LAW_CONSTANT:
-        return c * x ** (-alpha)
-    return np.log(np.e + x) ** b * x ** (-alpha)
+    if tail.law == LAW_CONSTANT:
+        return tail.c * x ** (-tail.alpha)
+    return np.log(np.e + x) ** tail.b * x ** (-tail.alpha)
 
 
 @dataclass(frozen=True)
@@ -82,11 +83,11 @@ class TailParams:
     def _solve_edge(self) -> float:
         """Smallest x with L(x) x^(-alpha) = 1, by bisection."""
         lo, hi = 1e-300, 1.0
-        while _raw_survival(self.alpha, self.law, self.c, self.b, hi) > 1.0:
+        while _raw_survival(self, hi) > 1.0:
             lo, hi = hi, hi * 4.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if _raw_survival(self.alpha, self.law, self.c, self.b, mid) > 1.0:
+            if _raw_survival(self, mid) > 1.0:
                 lo = mid
             else:
                 hi = mid
@@ -98,7 +99,7 @@ class TailParams:
         grid = edge * np.exp(
             np.linspace(0.0, _MONOTONE_GRID_DECADES * np.log(10.0), _MONOTONE_GRID_POINTS)
         )
-        s = _raw_survival(self.alpha, self.law, self.c, self.b, grid)
+        s = _raw_survival(self, grid)
         if np.any(np.diff(s) > 1e-12 * s[:-1]):
             raise ValueError(
                 f"survival not nonincreasing for alpha={self.alpha}, b={self.b}"
@@ -133,7 +134,7 @@ def survival(tail: TailParams, x):
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0.0):
         raise ValueError("survival requires x > 0")
-    out = np.minimum(1.0, _raw_survival(tail.alpha, tail.law, tail.c, tail.b, arr))
+    out = np.minimum(1.0, _raw_survival(tail, arr))
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
@@ -146,13 +147,13 @@ def _quantile_from_survival(tail: TailParams, p):
     hi = np.full(p.shape, max(2.0 * tail.edge, 2.0))
     # Expand hi until survival(hi) <= p everywhere.
     while True:
-        need = _raw_survival(tail.alpha, tail.law, tail.c, tail.b, hi) > p
+        need = _raw_survival(tail, hi) > p
         if not np.any(need):
             break
         hi = np.where(need, hi * 4.0, hi)
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        above = _raw_survival(tail.alpha, tail.law, tail.c, tail.b, mid) > p
+        above = _raw_survival(tail, mid) > p
         lo = np.where(above, mid, lo)
         hi = np.where(above, hi, mid)
     return hi
@@ -174,7 +175,7 @@ def quantile(tail: TailParams, x):
 def _survival_integral(tail: TailParams, upper: float) -> float:
     """Integral of the survival from the support edge to ``upper``."""
     body, _ = integrate.quad(
-        lambda u: _raw_survival(tail.alpha, tail.law, tail.c, tail.b, u),
+        lambda u: _raw_survival(tail, u),
         tail.edge, upper, epsabs=1e-12, epsrel=1e-12, limit=200,
     )
     return body

@@ -14,10 +14,10 @@ manifest, keeping the CSVs reproducible.
 ``run_experiment`` is the one campaign runner.  Each kind is a spec in
 ``_KINDS``: a set-up step (the kind's config checks and label, giving
 the replicas' extra task arguments and the manifest fields), the
-replica function, the replica tables with their columns and sort-key
-widths, and a summary function that reads those tables by column name
-and returns the decay or KS table.  The runner maps the replicas,
-sorts each table, counts failures and flags, adds the summary and
+replica function, the replica tables with their columns, and a summary
+function that reads those tables by column name and returns the decay
+or KS table.  The runner maps the replicas, sorts each table by
+(n, replica), counts failures and flags, adds the summary and
 writes the manifest meta.
 
 Exact transfer passes are O(n^2) per replica with the full-width
@@ -184,6 +184,8 @@ class ExperimentConfig:
             raise ValueError(f"sizes are capped at {SIZE_CAP}")
         if self.replicas < 1:
             raise ValueError("replicas must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if not 1 <= self.ell <= ELL_CAP:
             raise ValueError(f"ell must lie in [1, {ELL_CAP}]")
         if self.eps <= 0.0:
@@ -261,6 +263,10 @@ def load_config(path) -> ExperimentConfig:
     unknown = set(raw) - set(_CONFIG_TYPES)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    missing = [f.name for f in dataclasses.fields(ExperimentConfig)
+               if f.default is dataclasses.MISSING and f.name not in raw]
+    if missing:
+        raise ValueError(f"missing config keys: {missing}")
     return ExperimentConfig(**raw)
 
 
@@ -731,46 +737,47 @@ class _Kind(NamedTuple):
 
     setup: Callable  # config -> (extra task arguments, manifest fields); raises on a bad config
     replica: Callable  # (config, n, replica, *extra) -> rows per table, failures[, flagged]
-    tables: Dict[str, Tuple[Tuple[str, ...], int]]  # replica table -> (columns, sort-key width)
+    tables: Dict[str, Tuple[str, ...]]  # replica table -> columns
     summary: Callable  # (config, tables, manifest fields) -> (name, summary table)
 
 
 _KINDS = {
     KIND_FLUCTUATION: _Kind(_fluctuation_setup, _fluctuation_replica, {
-        "gibbs_tail": (("n", "replica", "seed", "a", "h_n", "tail_prob"), 4),
+        "gibbs_tail": ("n", "replica", "seed", "a", "h_n", "tail_prob"),
     }, _decay),
     KIND_REGIME: _Kind(_regime_setup, _regime_replica, {
-        "observable": (("n", "replica", "seed", "beta_n", "h_field", "log_z", "centering",
-                        "rescaled", "rescaled_vn", "companion", "flagged", "label",
-                        "wrapper", "normalizer"), 3),
-        "coupling": (("n", "replica", "seed", "nu_effective", "discrete_value",
-                      "continuum_value", "abs_diff"), 3),
+        "observable": ("n", "replica", "seed", "beta_n", "h_field", "log_z", "centering",
+                       "rescaled", "rescaled_vn", "companion", "flagged", "label",
+                       "wrapper", "normalizer"),
+        "coupling": ("n", "replica", "seed", "nu_effective", "discrete_value",
+                     "continuum_value", "abs_diff"),
     }, _regime_ks),
     KIND_ORDERED: _Kind(_ordered_setup, _ordered_replica, {
-        "order_stats": (("n", "replica", "source", "rank", "seed", "weight_over_scale",
-                         "t_frac", "x_frac"), 4),
+        "order_stats": ("n", "replica", "source", "rank", "seed", "weight_over_scale",
+                        "t_frac", "x_frac"),
     }, _marginal_ks),
     KIND_SMALL_ALPHA: _Kind(_small_alpha_setup, _small_alpha_replica, {
-        "conditioned": (("n", "replica", "seed", "beta_n", "hat_proxy", "conditioned",
-                         "log_z", "rescaled", "companion"), 3),
-        "bands": (("n", "replica", "seed", "c", "tail_prob", "band_prob"), 4),
+        "conditioned": ("n", "replica", "seed", "beta_n", "hat_proxy", "conditioned",
+                        "log_z", "rescaled", "companion"),
+        "bands": ("n", "replica", "seed", "c", "tail_prob", "band_prob"),
     }, _conditioned_ks),
 }
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the campaign of ``config.kind``: its replica tables, each
-    sorted by its key columns, then its summary table; the manifest
-    meta holds the kind's fields, the wall time and the replicas'
-    total quadrature warnings."""
+    sorted by (n, replica), then its summary table; the manifest meta
+    holds the kind's fields, the wall time and the replicas' total
+    quadrature warnings."""
     kind = _KINDS[config.kind]
     extra, fields = kind.setup(config)
     start = time.perf_counter()
     bundles = _map_replicas(kind.replica, config, *extra)
     tables = {}
-    for name, (columns, key_width) in kind.tables.items():
+    for name, columns in kind.tables.items():
+        # each replica emits its rows in key order, and the sort is stable
         rows = [row for b in bundles for row in b[name]]
-        rows.sort(key=lambda r: r[:key_width])
+        rows.sort(key=lambda r: r[:2])
         tables[name] = Table(columns, rows)
     name, summary = kind.summary(config, tables, fields)
     tables[name] = summary

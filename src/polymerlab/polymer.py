@@ -34,6 +34,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gammaln, logsumexp
 
+from .elpp import chain_lattice
 from .environment import (
     DisorderField,
     TailParams,
@@ -172,6 +173,8 @@ _KERNEL_GRID_CACHE_SIZE = 4
 
 def kernel_grid(n: int, half_width: int) -> np.ndarray:
     """(n, 2*half_width+1) array of P(S_i = x); row i-1, column x+half_width."""
+    if half_width < 0:
+        raise ValueError("half_width must be >= 0")
     key = (n, half_width)
     hit = _KERNEL_GRID_CACHE.get(key)
     if hit is not None:
@@ -468,6 +471,8 @@ def chaos_terms(
     holds exactly by construction of r_n.
     """
     n, h = field.n, field.h
+    if band < 0:
+        raise ValueError("band must be >= 0")
     if band > h:
         raise ValueError("band exceeds the field box: no weights there")
     if beta < 0.0:
@@ -544,14 +549,9 @@ def heavy_site_decomposition(
     heavy = heavy[:ell]
     heavy = heavy[np.lexsort((heavy[:, 1], heavy[:, 0]))]
     k = len(heavy)
-    if k == 0:
-        return HeavySiteDecomposition(
-            u=np.array([1.0]), u_minus=np.array([0.0]), sites=[], capped=capped
-        )
 
-    # P(S contains every site of the mask), built incrementally in
-    # time order: each block of masks sharing the same top bit extends a
-    # previously computed mask by one kernel factor.
+    # contain[D] = P(S visits every site of D): the kernel product along
+    # D's chain of heavy sites, on elpp's lattice of chains
     times, places, weights = heavy.T
     pair = np.zeros((k, k))
     from_origin = np.array(
@@ -562,25 +562,11 @@ def heavy_site_decomposition(
             dt = int(times[b] - times[a])
             dx = int(places[b] - places[a])
             pair[a, b] = walk_kernel(dt, dx) if dt >= 1 else 0.0
+    exact, energy, popcnt = chain_lattice(from_origin, pair, weights, np.multiply)
 
-    size = 1 << k
-    msb = np.zeros(size, dtype=np.int64)
-    for b in range(1, k):
-        msb[1 << b : 1 << (b + 1)] = b
-    contain = np.ones(size)
-    energy = np.zeros(size)
-    popcnt = np.zeros(size, dtype=np.int64)
-    for b in range(k):
-        rest = np.arange(1 << b)
-        kernels = np.where(rest == 0, from_origin[b], pair[msb[rest], b])
-        block = (1 << b) + rest
-        contain[block] = contain[rest] * kernels
-        energy[block] = energy[rest] + weights[b]
-        popcnt[block] = popcnt[rest] + 1
-
-    # Superset Mobius transform: exact[D] = sum_{T >= D} (-1)^{|T\D|} contain[T]
-    exact = contain.copy()
-    idx = np.arange(size)
+    # Superset Mobius transform in place, from contain[D] to
+    # exact[D] = sum_{T >= D} (-1)^{|T\D|} contain[T]
+    idx = np.arange(1 << k)
     for b in range(k):
         without = idx[(idx >> b) & 1 == 0]
         exact[without] -= exact[without | (1 << b)]

@@ -425,26 +425,8 @@ def classify(
     split_threshold = math.nan
 
     if alpha == 0.5:
-        ratio = quantile(tail, float(n_probe) ** 2) / (
-            n_probe * quantile(tail, float(n_probe) ** 1.5)
-        )
-        report = RegimeReport(
-            label=LABEL_BOUNDARY,
-            h_n=h.h,
-            clamped=h.clamped,
-            xi=xi,
-            beta_limit=math.nan,
-            normalizer=(
-                "undecided at alpha = 1/2: the scale comparison depends on "
-                "the slowly varying factor; probe ratio quantile(n^2)/"
-                f"(n * quantile(n^(3/2))) = {ratio:.6g} at n_probe"
-            ),
-            limit_object="undecided",
-            probes=probes,
-        )
-        return report
-
-    if alpha < 0.5:
+        label, beta_limit = LABEL_BOUNDARY, math.nan
+    elif alpha < 0.5:
         if q1 == math.inf:
             label, beta_limit = LABEL_SMALL_N, math.inf
         elif q1 == 0.0:
@@ -469,7 +451,17 @@ def classify(
         ).median
         label = above if beta_limit > split_threshold else below
 
-    if label == LABEL_R3:
+    if label == LABEL_BOUNDARY:
+        ratio = quantile(tail, float(n_probe) ** 2) / (
+            n_probe * quantile(tail, float(n_probe) ** 1.5)
+        )
+        normalizer = (
+            "undecided at alpha = 1/2: the scale comparison depends on "
+            "the slowly varying factor; probe ratio quantile(n^2)/"
+            f"(n * quantile(n^(3/2))) = {ratio:.6g} at n_probe"
+        )
+        limit_object = "undecided"
+    elif label == LABEL_R3:
         norm_a, lim_a = RECORDS[LABEL_R3A].recipe(beta_limit, alpha)
         norm_b, lim_b = RECORDS[LABEL_R3B].recipe(beta_limit, alpha)
         normalizer = (

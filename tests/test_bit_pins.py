@@ -1,6 +1,7 @@
-"""Bit pins: the exact float bytes of the transfer passes, the CSV
-bytes of two small campaigns, and the float and stdout bytes of the
-critical-coupling estimate and of chain solves on tied point sets.
+"""Bit pins: the exact float bytes of the transfer passes, and the
+float and stdout bytes of the critical-coupling estimate and of chain
+solves on tied point sets.  Campaign CSV bytes are pinned in
+tests/golden/campaign_digests.json (tests/test_golden.py).
 
 The transfer digests were taken before the transfer passes were folded
 into one light-cone kernel, and the threshold and chain digests before
@@ -20,13 +21,6 @@ from polymerlab import cli
 from polymerlab.continuum import _threshold, critical_coupling
 from polymerlab.elpp import at_least, exactly, prepare_geometry, solve
 from polymerlab.environment import TailParams, sample_field
-from polymerlab.experiments import (
-    KIND_FLUCTUATION,
-    KIND_SMALL_ALPHA,
-    ExperimentConfig,
-    run_experiment,
-    write_outputs,
-)
 from polymerlab.polymer import (
     CENTER_TRUNCATED,
     FREE,
@@ -116,45 +110,6 @@ def digests():
 @pytest.mark.parametrize("name", sorted(PASS_DIGESTS))
 def test_pass_bits_pinned(name, digests):
     assert digests[name] == PASS_DIGESTS[name]
-
-
-CAMPAIGNS = {
-    # the small-alpha diffusive campaign of the CHANGES.md digest table
-    "small_alpha": (
-        dict(kind=KIND_SMALL_ALPHA, alpha=0.3, gamma=6.0),
-        {
-            "bands.csv":
-                "16be38b235eab033774fe88887ee9553796d760e676dac8535452470b800bbc8",
-            "conditioned.csv":
-                "5a02a186fdef088e9293c6be5340f7f3553f91704560cdc9c09c551c47d65319",
-            "ks_summary.csv":
-                "fc78ce59b518e4aae6b2f6b2d87aac5ffd0de538c733aff28e54568c1defa5c6",
-        },
-    ),
-    # A = 8 puts the tail band past the walk range at both sizes
-    "fluctuation": (
-        dict(kind=KIND_FLUCTUATION, alpha=1.0, gamma=1.25, beta_hat=0.22,
-             a_values=(0.5, 1.0, 2.0, 8.0)),
-        {
-            "decay.csv":
-                "9b02d09db1243c4dc604fd64a23b492da460cf2636df3d4c123549f8ce737370",
-            "gibbs_tail.csv":
-                "23f59af7093bf74d4f687cbf5cd7a6ff77b11856b0e59f22285a38c117ce7bc7",
-        },
-    ),
-}
-
-
-@pytest.mark.parametrize("name", sorted(CAMPAIGNS))
-def test_campaign_csv_bytes_pinned(name, tmp_path):
-    kwargs, want = CAMPAIGNS[name]
-    cfg = ExperimentConfig(sizes=(24, 48), replicas=4, seed=77, ell=12, **kwargs)
-    write_outputs(run_experiment(cfg), tmp_path)
-    got = {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(tmp_path.glob("*.csv"))
-    }
-    assert got == want
 
 
 THRESHOLDS = {

@@ -4,11 +4,20 @@ import json
 
 import pytest
 
+from polymerlab import cli
 from polymerlab.cli import main
 from polymerlab.continuum import chain_value, sample_ppp
-from polymerlab.elpp import at_least, site_price, solve_field
+from polymerlab.elpp import ANY, at_least, exactly, site_price, solve_field
 from polymerlab.environment import TailParams, sample_field
-from polymerlab.polymer import FREE, PathConstraint, log_partition
+from polymerlab.polymer import (
+    FREE,
+    PathConstraint,
+    WeightFilter,
+    filter_above,
+    filter_atmost_one,
+    filter_between,
+    log_partition,
+)
 
 
 def run_cli(capsys, *argv):
@@ -148,3 +157,46 @@ def test_experiment_run_rejects_mistyped_config(capsys, tmp_path, patch):
     assert code == 2
     assert "wrong type" in capsys.readouterr().err
     assert not (tmp_path / "res").exists()
+
+
+def test_experiment_run_names_missing_config_key(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema": 1, "alpha": 0.4, "gamma": 5.0, "sizes": [16], "replicas": 2, "seed": 9,
+    }))
+    code = main(["experiment", "run", str(cfg), "--out", str(tmp_path / "res")])
+    assert code == 2
+    assert "missing config keys: ['kind']" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+
+
+# each spec parses to the object it parsed to before the one spec grammar,
+# or is still rejected; None marks a ValueError
+SPECS = {
+    "all": (WeightFilter(), None),
+    "all:": (WeightFilter(), None),
+    "atmost1": (filter_atmost_one(), None),
+    "above:1": (filter_above(1.0), None),
+    "between:0.5:20": (filter_between(0.5, 20.0), None),
+    "any": (None, ANY),
+    "any:": (None, ANY),
+    "exactly:0": (None, exactly(0)),
+    "atleast:2": (None, at_least(2)),
+    "above:": (None, None),
+    "between:1:": (None, None),
+    "between:1:2:3": (None, None),
+    "exactly:": (None, None),
+    "bogus": (None, None),
+    "": (None, None),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(SPECS))
+def test_spec_grammar_parity(spec):
+    for grammar, want in zip((cli._FILTER_SPECS, cli._CARDINALITY_SPECS), SPECS[spec]):
+        if want is None:
+            with pytest.raises(ValueError):
+                cli._parse_spec(spec, grammar)
+        else:
+            got = cli._parse_spec(spec, grammar)
+            assert got == want and type(got) is type(want)

@@ -77,8 +77,8 @@ def test_config_rejects_bad_input(tmp_path):
         "sizes": [16], "replicas": 1, "seed": 0,
     }
 
-    def load(**patch):
-        raw = dict(good, **patch)
+    def load(drop=(), **patch):
+        raw = {k: v for k, v in dict(good, **patch).items() if k not in drop}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(raw))
         return load_config(path)
@@ -95,6 +95,10 @@ def test_config_rejects_bad_input(tmp_path):
         load(sizes=[8192])
     with pytest.raises(ValueError, match="kind"):
         load(kind="nope")
+    with pytest.raises(ValueError, match=r"missing config keys: \['kind', 'seed'\]"):
+        load(drop=("kind", "seed"))
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        load(seed=-1)
 
 
 def test_config_rejects_non_integer_counts():

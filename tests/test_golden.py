@@ -1,0 +1,37 @@
+"""Golden campaign digests: every config of tests/golden/campaign_digests.json
+is rerun with one thread, and the sha256 of each CSV, of the manifest
+meta without its wall time, and the failure and flag counts must equal
+the stored ones.  The file is rewritten only by
+tests/golden/regenerate.py, on a deliberate and logged output change.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from polymerlab.experiments import ExperimentConfig
+
+_spec = importlib.util.spec_from_file_location(
+    "regenerate", Path(__file__).parent / "golden" / "regenerate.py"
+)
+regenerate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regenerate)
+
+GOLDEN = json.loads(regenerate.GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_campaign_digests(name):
+    want = dict(GOLDEN[name])
+    config = ExperimentConfig(**want.pop("config"))
+    assert config.threads == 1
+    assert regenerate.campaign_digests(config) == want
+
+
+def test_golden_file_covers_every_kind_and_config():
+    assert set(GOLDEN) == set(regenerate.CONFIGS)
+    kinds = {entry["config"]["kind"] for entry in GOLDEN.values()}
+    assert kinds == {"regime_convergence", "fluctuation", "ordered_stats_coupling",
+                     "small_alpha"}

@@ -7,7 +7,10 @@ transfer kernel in ``polymer``, so a second copy cannot drift from it;
 likewise ``experiments.run_experiment`` is the one campaign runner and
 ``environment.top_sites`` the one ranking of walk-reachable sites.
 Chain legs are stored by their end point (``into_step``), and the old
-transposed name ``pair_step`` stays gone.
+transposed name ``pair_step`` stays gone.  Both 2^k subset enumerations
+(the brute-force table and the heavy-site inclusion-exclusion) run on
+``elpp.chain_lattice``; the CLI parses its specs with one grammar, and
+campaign tables sort on (n, replica) with no per-table key width.
 Every top-level import is used, so a fold leaves no names behind.
 """
 
@@ -111,6 +114,40 @@ def test_chain_legs_stored_by_end_point():
         or (isinstance(node, ast.keyword) and node.arg == "pair_step")
     ]
     assert named == []
+
+
+def _calls(tree, name):
+    """Names of the module-level functions whose body calls ``name``."""
+    return [
+        node.name for node in tree.body
+        if isinstance(node, ast.FunctionDef) and any(
+            isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            and call.func.id == name
+            for call in ast.walk(node)
+        )
+    ]
+
+
+def test_one_chain_lattice():
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    defined = [
+        name for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "chain_lattice"
+    ]
+    assert defined == ["elpp"]
+    assert _calls(trees["elpp"], "chain_lattice") == ["_brute_table"]
+    assert _calls(trees["polymer"], "chain_lattice") == ["heavy_site_decomposition"]
+    # the most-significant-bit tables, the two spec parsers and the
+    # per-table sort-key widths the folds replaced stay gone
+    removed = {"msb", "_parse_filter", "_parse_cardinality", "key_width"}
+    for name, tree in trees.items():
+        found = {
+            getattr(node, field) for node in ast.walk(tree)
+            for field in ("id", "arg", "name", "attr")
+            if isinstance(getattr(node, field, None), str)
+        }
+        assert not found & removed, name
 
 
 def _exported(tree):

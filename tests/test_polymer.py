@@ -465,6 +465,15 @@ def test_chaos_centered_term_identity():
     assert centered_first_term(terms) == pytest.approx(direct, abs=1e-13)
 
 
+def test_negative_band_and_half_width_rejected():
+    field = sample_field(8, 8, PARETO_12, 72)
+    with pytest.raises(ValueError, match="band must be >= 0"):
+        chaos_terms(field, 0.5, -1)
+    with pytest.raises(ValueError, match="half_width must be >= 0"):
+        kernel_grid(8, -1)
+    assert (8, -1) not in polymer._KERNEL_GRID_CACHE
+
+
 def test_chaos_beta_zero_full_band():
     field = sample_field(8, 8, PARETO_12, 72)
     terms = chaos_terms(field, 0.0, 8)
