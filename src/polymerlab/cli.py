@@ -131,14 +131,15 @@ def _cmd_polymer(args) -> int:
     logz = log_partition(field, beta, constraint)
     t2 = time.perf_counter()
 
-    scale = fluctuation_scale(args.n, beta, tail)
+    # below zero coupling there is no transversal scale: its keys are null
+    scale = fluctuation_scale(args.n, beta, tail) if beta >= 0.0 else None
     return _emit({
         "logZ": float(logz),
         "normalizers": {
             "beta": beta,
-            "h_n": scale.h,
-            "h_n_clamped": scale.clamped,
-            "weight_scale": quantile(tail, args.n * scale.h),
+            "h_n": scale and scale.h,
+            "h_n_clamped": scale and scale.clamped,
+            "weight_scale": scale and quantile(tail, args.n * scale.h),
             "centering_per_step": centering_value(tail, beta, args.centering),
         },
         "timings": {"sample_s": t1 - t0, "transfer_s": t2 - t1},
@@ -216,10 +217,9 @@ def _cmd_ppp(args) -> int:
     if args.op == "beta_c":
         if args.eps is not None:
             raise ValueError("beta_c estimates run in top mode")
-        flavor = "tilde" if args.alpha > 0.5 else "hat"
         top = args.top if args.top is not None else DEFAULT_TOP
         est = critical_coupling(
-            args.alpha, flavor=flavor, replicas=args.replicas, top=top,
+            args.alpha, replicas=args.replicas, top=top,
             q=args.q, seed=args.seed,
         )
         return _emit({

@@ -212,17 +212,18 @@ def lipschitz_chain_value(points, beta: float) -> float:
     return result.value / beta
 
 
-def _threshold(geometry: ChainGeometry, flavor: str, start: float | None = None):
+def _threshold(geometry: ChainGeometry, start: float | None = None):
     """Exact critical coupling of one point set, and the ratio behind it.
 
-    tilde: beta_c = 1/(2 rho*), rho* the max over chains of (weight -
-    entropy) / size; hat: beta_c is the min over chains of entropy /
-    weight.  Dinkelbach's iteration solves at the current ratio and moves
-    to the returned chain's ratio until the empty chain comes back or the
-    ratio stops improving.  ``start`` must be no better than the optimum.
-    beta_c is nan at or above BRACKET_HIGH and at least BRACKET_LOW.
+    Quadratic entropy gives tilde: beta_c = 1/(2 rho*), rho* the max over
+    chains of (weight - entropy) / size; Lipschitz entropy gives hat:
+    beta_c is the min over chains of entropy / weight.  Dinkelbach's
+    iteration solves at the current ratio and moves to the returned
+    chain's ratio until the empty chain comes back or the ratio stops
+    improving.  ``start`` must be no better than the optimum.  beta_c is
+    nan at or above BRACKET_HIGH and at least BRACKET_LOW.
     """
-    rises = flavor == "tilde"
+    rises = geometry.entropy_kind == ENTROPY_QUADRATIC
     ratio = start if start is not None else (0.0 if rises else BRACKET_HIGH)
     for _ in range(RATIO_STEP_CAP):
         kappa, beta = (ratio, 1.0) if rises else (0.0, ratio)
@@ -273,22 +274,9 @@ class CriticalCouplingEstimate:
     failures: int
 
 
-def _flavor_setup(flavor: str, alpha: float, q: float | None):
-    if flavor == "tilde":
-        if not 0.5 < alpha < 2.0:
-            raise ValueError("tilde flavor needs alpha in (1/2, 2)")
-        return (q if q is not None else 8.0), ENTROPY_QUADRATIC
-    if flavor == "hat":
-        if not 0.0 < alpha < 0.5:
-            raise ValueError("hat flavor needs alpha in (0, 1/2)")
-        return (q if q is not None else 1.0), ENTROPY_LIPSCHITZ
-    raise ValueError("flavor must be 'tilde' or 'hat'")
-
-
 def critical_coupling(
     alpha: float,
     *,
-    flavor: str = "tilde",
     replicas: int = 100,
     top: int = DEFAULT_TOP,
     q: float | None = None,
@@ -304,13 +292,19 @@ def critical_coupling(
     truncation is coupled point-set inclusion, and the full sample's
     iteration starts from the primary ratio, so per-replica thresholds
     can only shrink.  Reports the median over replicas with a
-    percentile-bootstrap interval.
+    percentile-bootstrap interval.  alpha sets the flavor: tilde (default
+    q 8) on (1/2, 2), hat (default q 1) on (0, 1/2).
     """
+    if 0.5 < alpha < 2.0:
+        flavor, entropy_kind, q = "tilde", ENTROPY_QUADRATIC, (8.0 if q is None else q)
+    elif 0.0 < alpha < 0.5:
+        flavor, entropy_kind, q = "hat", ENTROPY_LIPSCHITZ, (1.0 if q is None else q)
+    else:
+        raise ValueError("critical coupling needs alpha in (0, 1/2) or (1/2, 2)")
     if replicas < 1:
         raise ValueError("replicas must be positive")
     if top < 1:
         raise ValueError("top must be positive")
-    q, entropy_kind = _flavor_setup(flavor, alpha, q)
 
     root = np.random.SeedSequence(seed)
     sample_seeds = root.spawn(replicas + 1)
@@ -320,8 +314,8 @@ def critical_coupling(
         full = prepare_geometry(
             sample_ppp(alpha, q, top=2 * top, seed=sample_seeds[r]), entropy_kind
         )
-        primary[r], ratio = _threshold(top_geometry(full, top), flavor)
-        doubled[r], _ = _threshold(full, flavor, ratio)
+        primary[r], ratio = _threshold(top_geometry(full, top))
+        doubled[r], _ = _threshold(full, ratio)
 
     finite = primary[np.isfinite(primary)]
     failures = replicas - finite.size

@@ -122,6 +122,8 @@ class Cardinality:
             raise ValueError(f"unknown cardinality kind {self.kind!r}")
         if self.count < 0:
             raise ValueError("count must be >= 0")
+        if self.kind == "any" and self.count != 0:
+            raise ValueError("cardinality 'any' takes no count")
 
 
 ANY = Cardinality()

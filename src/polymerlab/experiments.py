@@ -13,7 +13,7 @@ manifest, keeping the CSVs reproducible.
 
 ``run_experiment`` is the one campaign runner.  Each kind is a spec in
 ``_KINDS``: a set-up step (the kind's config checks and label, giving
-the replicas' extra task arguments and the manifest fields), the
+the manifest fields, which every replica task also carries), the
 replica function, the replica tables with their columns, and a summary
 function that reads those tables by column name and returns the decay
 or KS table.  The runner maps the replicas, sorts each table by
@@ -69,9 +69,9 @@ from .regimes import (
     LABEL_R3A,
     LABEL_R3B,
     LABEL_R4,
-    LABEL_R5,
     LABEL_SMALL_N,
     LABEL_SMALL_SPLIT,
+    LABEL_ZERO,
     LINEAR,
     RECORDS,
     PowerLawSchedule,
@@ -107,8 +107,6 @@ KIND_REGIME = "regime_convergence"
 KIND_ORDERED = "ordered_stats_coupling"
 KIND_SMALL_ALPHA = "small_alpha"
 KINDS = (KIND_FLUCTUATION, KIND_REGIME, KIND_ORDERED, KIND_SMALL_ALPHA)
-
-LABEL_ZERO = "zero-coupling"
 
 # identity slack for the per-replica discrete/continuum coupling check
 COUPLING_TOL = 1e-9
@@ -325,12 +323,11 @@ def _counted(job) -> dict:
     return bundle
 
 
-def _map_replicas(worker, config: ExperimentConfig, *extra) -> list:
-    """One bundle per (config, n, replica, *extra) task, on a pool of
+def _map_replicas(worker, config: ExperimentConfig, fields: dict) -> list:
+    """One bundle per (config, n, replica, fields) task, on a pool of
     config.threads processes when that is above 1."""
-    jobs = [
-        (worker, (config, n, r, *extra)) for n in config.sizes for r in range(config.replicas)
-    ]
+    jobs = [(worker, (config, n, r, fields))
+            for n in config.sizes for r in range(config.replicas)]
     if config.threads <= 1 or len(jobs) <= 1:
         return [_counted(job) for job in jobs]
     with multiprocessing.Pool(processes=config.threads) as pool:
@@ -383,12 +380,12 @@ def _fluctuation_setup(config: ExperimentConfig):
             f"schedule classifies as {label}; the scale balance needs "
             "the intermediate strip"
         )
-    return (), {"label": label}
+    return {"label": label}
 
 
 def _fluctuation_replica(task) -> dict:
     """Exact Gibbs tail P(max |S_i| >= A h_n) swept over A."""
-    config, n, replica = task
+    config, n, replica, _ = task
     tail = config.tail()
     beta = config.beta_at(n)
     h_n = fluctuation_scale(n, beta, tail).h
@@ -413,10 +410,9 @@ def _decay(config: ExperimentConfig, tables: Dict[str, Table], fields) -> Tuple[
     n exp(-c1 A^2 h_n^2 / n).  The walk-deviation constants are not
     pinned down, so thresholds are swept over c1_values rather than
     fixed."""
-    tail = config.tail()
     rows = []
     for n in config.sizes:
-        h_n = fluctuation_scale(n, config.beta_at(n), tail).h
+        h_n = tables["gibbs_tail"].column("h_n", n=n)[0]
         for a in config.a_values:
             probs = tables["gibbs_tail"].column("tail_prob", n=n, a=a)
             med = statistics.median(probs)
@@ -436,11 +432,6 @@ def _decay(config: ExperimentConfig, tables: Dict[str, Table], fields) -> Tuple[
 # ---------------------------------------------------------------------------
 
 
-def _record(label: str) -> RegimeRecord:
-    # the zero-coupling control runs on the diffusive record
-    return RECORDS[LABEL_R5 if label == LABEL_ZERO else label]
-
-
 def _regime_setup(config: ExperimentConfig):
     """Random splits in the classification are resolved with a seed
     derived from the config seed."""
@@ -457,9 +448,8 @@ def _regime_setup(config: ExperimentConfig):
             raise ValueError("alpha = 1/2 classification is undecided")
         if label in (LABEL_R3, LABEL_SMALL_SPLIT):
             raise ValueError("random split left unresolved")  # unreachable
-    fields = dict(label=label, beta_limit=beta_limit, normalizer=normalizer,
-                  limit_object=limit_object, wrapper=_record(label).wrapper)
-    return (label, beta_limit, normalizer), fields
+    return dict(label=label, beta_limit=beta_limit, normalizer=normalizer,
+                limit_object=limit_object, wrapper=RECORDS[label].wrapper)
 
 
 def _companion_sample(record: RegimeRecord, config: ExperimentConfig,
@@ -505,8 +495,8 @@ def _regime_replica(task) -> dict:
     coupling identity on the top-ell weights.  A replica of the
     zero-value branch whose own companion sample sits above its
     critical coupling is flagged, never dropped."""
-    config, n, replica, label, beta_limit, normalizer = task
-    record = _record(label)
+    config, n, replica, fields = task
+    record = RECORDS[fields["label"]]
     pathway = record.pathway
     tail = config.tail()
     beta = config.beta_at(n)
@@ -526,11 +516,11 @@ def _regime_replica(task) -> dict:
 
     discrete, cont, nu = _coupled_pair(record, field, beta, h, config.ell, tail)
     seed_ppp = derive_seed(config.seed, n, replica, _PPP_SLOT)
-    companion, pts = _companion_sample(record, config, beta_limit, nu, seed_ppp)
+    companion, pts = _companion_sample(record, config, fields["beta_limit"], nu, seed_ppp)
 
     flagged = 0
-    if label == LABEL_R3B and len(pts) and chain_value(
-        pts, 1.0, beta=beta_limit
+    if fields["label"] == LABEL_R3B and len(pts) and chain_value(
+        pts, 1.0, beta=fields["beta_limit"]
     ) > 0.0:
         flagged = 1  # sample sits above its own critical coupling
 
@@ -540,7 +530,7 @@ def _regime_replica(task) -> dict:
     obs_row = (
         n, replica, seed, float(beta), h, float(logz), float(center),
         float(rescaled), float(rescaled_vn), float(companion), flagged,
-        label, record.wrapper, normalizer,
+        fields["label"], fields["wrapper"], fields["normalizer"],
     )
     coup_row = (n, replica, seed, float(nu), float(discrete), float(cont),
                 float(diff))
@@ -564,7 +554,7 @@ def _regime_ks(config: ExperimentConfig, tables: Dict[str, Table], fields) -> Tu
     """
     observable = tables["observable"]
     targets = ["rescaled"]
-    if _record(fields["label"]).pathway is DIFFUSIVE:
+    if RECORDS[fields["label"]].pathway is DIFFUSIVE:
         targets.append("rescaled_vn")
     rows = []
     for n in config.sizes:
@@ -588,7 +578,7 @@ def _ordered_setup(config: ExperimentConfig):
         h = config.half_width or math.ceil(math.sqrt(n))
         if config.ell > n * (2 * h + 1):
             raise ValueError("ell exceeds the site count at the smallest size")
-    return (), {}
+    return {}
 
 
 def _ordered_replica(task) -> dict:
@@ -596,7 +586,7 @@ def _ordered_replica(task) -> dict:
     i/n, x/h) beside a direct point-process sample.  All box sites
     enter the ranking here (no walk-reachability cut), which is what
     the 2nh site count in the weight scale assumes."""
-    config, n, replica = task
+    config, n, replica, _ = task
     tail = config.tail()
     h = config.half_width or math.ceil(math.sqrt(n))
     seed = derive_seed(config.seed, n, replica, _FIELD_SLOT)
@@ -645,7 +635,7 @@ def _small_alpha_setup(config: ExperimentConfig):
             "linear-scale coupling diverges; this campaign needs the "
             "transition line or below"
         )
-    return (), {"label": label}
+    return {"label": label}
 
 
 def _small_alpha_replica(task) -> dict:
@@ -657,7 +647,7 @@ def _small_alpha_replica(task) -> dict:
     Gibbs tail beyond C sqrt(n) and the occupancy of the intermediate
     band [C sqrt(n), band_fraction * n) are swept over c_values.
     """
-    config, n, replica = task
+    config, n, replica, _ = task
     tail = config.tail()
     beta = config.beta_at(n)
     seed = derive_seed(config.seed, n, replica, _FIELD_SLOT)
@@ -735,8 +725,8 @@ def _conditioned_ks(config: ExperimentConfig, tables: Dict[str, Table],
 class _Kind(NamedTuple):
     """What one experiment kind gives run_experiment."""
 
-    setup: Callable  # config -> (extra task arguments, manifest fields); raises on a bad config
-    replica: Callable  # (config, n, replica, *extra) -> rows per table, failures[, flagged]
+    setup: Callable  # config -> manifest fields; raises on a bad config
+    replica: Callable  # (config, n, replica, fields) -> rows per table, failures[, flagged]
     tables: Dict[str, Tuple[str, ...]]  # replica table -> columns
     summary: Callable  # (config, tables, manifest fields) -> (name, summary table)
 
@@ -770,9 +760,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     holds the kind's fields, the wall time and the replicas' total
     quadrature warnings."""
     kind = _KINDS[config.kind]
-    extra, fields = kind.setup(config)
+    fields = kind.setup(config)
     start = time.perf_counter()
-    bundles = _map_replicas(kind.replica, config, *extra)
+    bundles = _map_replicas(kind.replica, config, fields)
     tables = {}
     for name, columns in kind.tables.items():
         # each replica emits its rows in key order, and the sort is stable

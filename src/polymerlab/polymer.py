@@ -131,17 +131,22 @@ class PathConstraint:
 FREE = PathConstraint()
 
 
-def centering_value(tail: TailParams, beta: float, kind: str) -> float:
-    """Per-step centering constant: 0, beta*E[w], or beta*E[w 1{w <= 1/beta}]."""
-    if kind == CENTER_NONE or beta == 0.0:
+def centering_moment(tail: TailParams, kind: str, cutoff: float) -> float:
+    """Centering moment per unit coupling: 0, E[w], or E[w 1{w <= cutoff}]."""
+    if kind == CENTER_NONE:
         return 0.0
     if kind == CENTER_MEAN:
-        return beta * mean_weight(tail)
+        return mean_weight(tail)
     if kind == CENTER_TRUNCATED:
-        if beta < 0.0:
-            return 0.0  # cutoff below the support, nothing collected
-        return beta * truncated_mean_weight(tail, 1.0 / beta)
+        return truncated_mean_weight(tail, cutoff)
     raise ValueError(f"unknown centering {kind!r}")
+
+
+def centering_value(tail: TailParams, beta: float, kind: str) -> float:
+    """Per-step centering constant beta * centering_moment(tail, kind, 1/beta)."""
+    if kind == CENTER_NONE or beta == 0.0 or (kind == CENTER_TRUNCATED and beta < 0.0):
+        return 0.0  # a negative cutoff lies below the support: nothing collected
+    return beta * centering_moment(tail, kind, 1.0 / beta)
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +466,15 @@ def log_mgf_truncated(tail: TailParams, t: float, cutoff: float) -> float:
     return t * cutoff + math.log(val)
 
 
+def _kernel_sum(energy: np.ndarray, grid: np.ndarray) -> float:
+    """sum expm1(energy) * grid; an overflow where grid is 0 (inf * 0 = nan)
+    is redone over the sites with kernel mass, off the normal path."""
+    total = float(np.sum(np.expm1(energy) * grid))
+    if math.isnan(total):
+        total = float(np.sum(np.expm1(energy[grid > 0.0]) * grid[grid > 0.0]))
+    return total
+
+
 def chaos_terms(
     field: DisorderField, beta: float, band: int, cutoff: Optional[float] = None
 ) -> ChaosTerms:
@@ -486,7 +500,7 @@ def chaos_terms(
     trunc = np.where(field.weights <= cutoff, field.weights, 0.0)
     grid = kernel_grid(n, band)
     box = trunc[:, h - band : h + band + 1]
-    v_n = float(np.sum(np.expm1(beta * box) * grid))
+    v_n = _kernel_sum(beta * box, grid)
     # 1 minus the kernel mass of the whole space-time box; close to 1-n
     # for a wide band, so typically negative
     gap = 1.0 - float(grid.sum())
@@ -496,7 +510,7 @@ def chaos_terms(
         w_n = math.inf if gap > 0.0 else -math.inf
     else:
         w_n = math.expm1(lam) * gap
-    v_centered = float(np.sum(np.expm1(beta * box - lam) * grid))
+    v_centered = _kernel_sum(beta * box - lam, grid)
     r, sites = _transfer(trunc, h, beta, WeightFilter(), 0.0, band)
     logz_trunc = _logsumexp(sites[0], r, band)
     shift = logz_trunc - n * lam

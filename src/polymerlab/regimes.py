@@ -34,8 +34,8 @@ from .continuum import (
     single_point_max,
 )
 from .elpp import at_least
-from .environment import TailParams, mean_weight, quantile, truncated_mean_weight
-from .polymer import CENTER_MEAN, CENTER_NONE, CENTER_TRUNCATED
+from .environment import TailParams, quantile
+from .polymer import CENTER_MEAN, CENTER_NONE, CENTER_TRUNCATED, centering_moment
 
 LABEL_R1 = "R1"
 LABEL_R2 = "R2"
@@ -48,6 +48,7 @@ LABEL_SMALL_N = "alpha-small-n-scale"
 LABEL_SMALL_SQRT = "alpha-small-sqrt-scale"
 LABEL_SMALL_SPLIT = "alpha-small-transition"
 LABEL_BOUNDARY = "boundary"
+LABEL_ZERO = "zero-coupling"
 
 _EXPONENT_TOL = 1e-12
 
@@ -317,9 +318,7 @@ class RegimeRecord:
         """n * beta_n times the centering moment; 0 where the rule is off."""
         if beta == 0.0 or self.centering == CENTER_NONE or tail.alpha < self.center_from:
             return 0.0
-        if self.centering == CENTER_MEAN:
-            return n * beta * mean_weight(tail)
-        return n * beta * truncated_mean_weight(tail, self.pathway.cutoff(n, beta, tail))
+        return n * beta * centering_moment(tail, self.centering, self.pathway.cutoff(n, beta, tail))
 
     def recipe(self, beta_limit: float, alpha: float) -> Tuple[str, str]:
         """Normalizer description and limit object at the limiting coupling."""
@@ -377,13 +376,14 @@ RECORDS = {
     ),
     LABEL_R5: _DIFFUSIVE_RECORD,
     LABEL_SMALL_SQRT: _DIFFUSIVE_RECORD,
+    LABEL_ZERO: _DIFFUSIVE_RECORD,  # the beta = 0 control of campaigns
 }
 
 
-# random split -> (critical coupling flavor, label above it, label below it)
+# random split -> (label above the critical coupling, label below it)
 _SPLITS = {
-    LABEL_R3: ("tilde", LABEL_R3A, LABEL_R3B),
-    LABEL_SMALL_SPLIT: ("hat", LABEL_SMALL_N, LABEL_SMALL_SQRT),
+    LABEL_R3: (LABEL_R3A, LABEL_R3B),
+    LABEL_SMALL_SPLIT: (LABEL_SMALL_N, LABEL_SMALL_SQRT),
 }
 
 
@@ -445,10 +445,8 @@ def classify(
         label, beta_limit = LABEL_R5, q3
 
     if seed is not None and label in _SPLITS:
-        flavor, above, below = _SPLITS[label]
-        split_threshold = critical_coupling(
-            alpha, flavor=flavor, replicas=replicas, top=top, seed=seed
-        ).median
+        above, below = _SPLITS[label]
+        split_threshold = critical_coupling(alpha, replicas=replicas, top=top, seed=seed).median
         label = above if beta_limit > split_threshold else below
 
     if label == LABEL_BOUNDARY:

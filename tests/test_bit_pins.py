@@ -129,7 +129,8 @@ THRESHOLDS = {
 
 
 def threshold_digest(flavor, alpha, seed) -> str:
-    est = critical_coupling(alpha, flavor=flavor, replicas=4, top=64, seed=seed)
+    est = critical_coupling(alpha, replicas=4, top=64, seed=seed)
+    assert est.flavor == flavor  # alpha sets the flavor
     return _digest(np.concatenate([
         est.samples, est.doubled_samples,
         [est.median, est.ci_low, est.ci_high, est.relative_shift],
@@ -153,7 +154,7 @@ def tied_lattice_digest() -> str:
         for kappa in (0.5, 1.0, 2.0):
             found = solve(geo, 1.0, kappa=kappa)
             rows += [found.value, len(found.indices), *found.indices]
-        rows += list(_threshold(geo, "tilde"))
+        rows += list(_threshold(geo))
     return _digest(rows)
 
 

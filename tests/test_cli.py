@@ -52,6 +52,23 @@ def test_polymer_gamma_schedule(capsys):
     )
 
 
+def test_polymer_negative_beta_has_no_scale(capsys):
+    # the atmost1 filter admits beta < 0; there is no transversal scale there
+    code, rec = run_cli(
+        capsys, "polymer", "--n", "32", "--h", "8", "--alpha", "1.2",
+        "--beta", "-0.3", "--filter", "atmost1", "--seed", "4",
+    )
+    assert code == 0
+    field = sample_field(32, 8, TailParams(1.2), 4)
+    want = log_partition(field, -0.3, PathConstraint(weight_filter=filter_atmost_one()))
+    assert rec["logZ"] == want
+    assert rec["normalizers"]["beta"] == -0.3
+    for key in ("h_n", "h_n_clamped", "weight_scale"):
+        assert rec["normalizers"][key] is None
+    # without the filter a negative coupling is still refused
+    assert main(["polymer", "--n", "32", "--h", "8", "--alpha", "1.2", "--beta", "-0.3"]) == 2
+
+
 def test_polymer_rejects_bad_filter(capsys):
     code = main([
         "polymer", "--n", "16", "--h", "4", "--alpha", "1.0",

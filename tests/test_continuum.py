@@ -357,7 +357,7 @@ def enumerate_lipschitz_threshold(points):
 
 def exact_threshold(points, flavor):
     kind = elpp.ENTROPY_QUADRATIC if flavor == "tilde" else elpp.ENTROPY_LIPSCHITZ
-    return continuum._threshold(elpp.prepare_geometry(points, kind), flavor)[0]
+    return continuum._threshold(elpp.prepare_geometry(points, kind))[0]
 
 
 def random_point_sets(seed, count):
@@ -426,7 +426,7 @@ def test_threshold_inconsistent_chain_raises(monkeypatch):
 
     monkeypatch.setattr(continuum, "solve", inconsistent)
     with pytest.raises(RuntimeError):
-        continuum._threshold(geometry, "tilde")
+        continuum._threshold(geometry)
 
 
 def test_threshold_step_cap_raises(monkeypatch):
@@ -434,7 +434,7 @@ def test_threshold_step_cap_raises(monkeypatch):
     geometry = elpp.prepare_geometry(pts, elpp.ENTROPY_QUADRATIC)
     monkeypatch.setattr(continuum, "RATIO_STEP_CAP", 1)
     with pytest.raises(RuntimeError):
-        continuum._threshold(geometry, "tilde")
+        continuum._threshold(geometry)
 
 
 @pytest.mark.parametrize(
@@ -443,9 +443,8 @@ def test_threshold_step_cap_raises(monkeypatch):
 )
 def test_threshold_brackets_sign_change(flavor, alpha, kind):
     replicas, top, seed = 6, 32, 101
-    est = critical_coupling(
-        alpha, flavor=flavor, replicas=replicas, top=top, seed=seed, bootstrap=20
-    )
+    est = critical_coupling(alpha, replicas=replicas, top=top, seed=seed, bootstrap=20)
+    assert est.flavor == flavor  # alpha sets the flavor
     assert np.all(np.isfinite(est.samples))
     assert np.all(est.doubled_samples <= est.samples)
 
@@ -477,8 +476,7 @@ def test_critical_coupling_solve_count(monkeypatch, flavor, alpha):
 
     monkeypatch.setattr(continuum, "solve", counted)
     replicas = 4
-    critical_coupling(alpha, flavor=flavor, replicas=replicas, top=64, seed=3,
-                      bootstrap=20)
+    critical_coupling(alpha, replicas=replicas, top=64, seed=3, bootstrap=20)
     assert len(calls) / (2 * replicas) <= 8
 
 
@@ -492,7 +490,7 @@ def test_critical_coupling_one_geometry_per_replica(monkeypatch, flavor, alpha):
         return inner(points, *args, **kwargs)
 
     monkeypatch.setattr(continuum, "prepare_geometry", counted)
-    critical_coupling(alpha, flavor=flavor, replicas=3, top=16, seed=5, bootstrap=20)
+    critical_coupling(alpha, replicas=3, top=16, seed=5, bootstrap=20)
     assert built == [32, 32, 32]  # the full sample; the primary is cut from it
 
 
@@ -507,8 +505,9 @@ def test_critical_coupling_geometry_cap_before_any_solve(monkeypatch):
 
 def test_critical_coupling_tilde():
     est = critical_coupling(
-        1.2, flavor="tilde", replicas=8, top=32, q=4.0, seed=17, bootstrap=100
+        1.2, replicas=8, top=32, q=4.0, seed=17, bootstrap=100
     )
+    assert est.flavor == "tilde"
     assert est.failures == 0
     assert 0.0 < est.median < math.inf
     assert est.ci_low <= est.median <= est.ci_high
@@ -521,8 +520,9 @@ def test_critical_coupling_tilde():
 
 def test_critical_coupling_hat():
     est = critical_coupling(
-        0.3, flavor="hat", replicas=6, top=32, seed=29, bootstrap=100
+        0.3, replicas=6, top=32, seed=29, bootstrap=100
     )
+    assert est.flavor == "hat"
     assert est.q == 1.0
     assert est.failures == 0
     assert 0.0 < est.median < math.inf
@@ -530,7 +530,7 @@ def test_critical_coupling_hat():
 
 
 def test_critical_coupling_deterministic():
-    kwargs = dict(flavor="tilde", replicas=4, top=16, q=4.0, seed=5, bootstrap=50)
+    kwargs = dict(replicas=4, top=16, q=4.0, seed=5, bootstrap=50)
     a = critical_coupling(1.0, **kwargs)
     b = critical_coupling(1.0, **kwargs)
     np.testing.assert_array_equal(a.samples, b.samples)
@@ -538,9 +538,7 @@ def test_critical_coupling_deterministic():
 
 
 def test_critical_coupling_flavor_domains():
-    with pytest.raises(ValueError):
-        critical_coupling(0.3, flavor="tilde")
-    with pytest.raises(ValueError):
-        critical_coupling(1.2, flavor="hat")
-    with pytest.raises(ValueError):
-        critical_coupling(1.2, flavor="other")
+    # alpha sets the flavor, so only alpha can fall outside both domains
+    for alpha in (0.0, 0.5, 2.0):
+        with pytest.raises(ValueError):
+            critical_coupling(alpha)

@@ -16,6 +16,7 @@ from polymerlab.elpp import (
     ANY,
     ENTROPY_LIPSCHITZ,
     ENTROPY_QUADRATIC,
+    Cardinality,
     ChainSolution,
     at_least,
     brute_force,
@@ -46,6 +47,15 @@ def random_points(rng, m, t_hi=1.0, x_scale=1.0, w_scale=1.0):
 # ---------------------------------------------------------------------------
 # Entropy functionals
 # ---------------------------------------------------------------------------
+
+
+def test_cardinality_validation():
+    assert ANY == Cardinality("any", 0)
+    assert exactly(3) == Cardinality("exactly", 3)
+    assert at_least(0).count == 0
+    for kind, count in (("any", 3), ("exactly", -1), ("atleast", -2), ("some", 1)):
+        with pytest.raises(ValueError):
+            Cardinality(kind, count)
 
 
 def test_entropy_hand_values():

@@ -11,7 +11,10 @@ transposed name ``pair_step`` stays gone.  Both 2^k subset enumerations
 (the brute-force table and the heavy-site inclusion-exclusion) run on
 ``elpp.chain_lattice``; the CLI parses its specs with one grammar, and
 campaign tables sort on (n, replica) with no per-table key width.
-Every top-level import is used, so a fold leaves no names behind.
+alpha sets the critical-coupling flavor, so no function takes one;
+every regime label, the zero-coupling control included, has its record
+in ``regimes.RECORDS``; ``polymer.centering_moment`` is the one choice
+between the mean and the truncated mean.  Every top-level import is used, so a fold leaves no names behind.
 """
 
 import ast
@@ -84,6 +87,17 @@ def test_one_campaign_runner():
         assert not _defined_names(ast.parse(path.read_text())) & removed, path.name
 
 
+def _params_named(tree, name):
+    """``function(parameter)`` for every parameter called ``name``."""
+    return [
+        f"{node.name}({arg.arg})"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in node.args.args + node.args.posonlyargs + node.args.kwonlyargs
+        if arg.arg == name
+    ]
+
+
 def test_one_top_sites_selector():
     # environment.top_sites is the one ranking of walk-reachable sites:
     # no function takes a reachability switch, and the record type, the
@@ -92,14 +106,26 @@ def test_one_top_sites_selector():
     for path in SOURCES:
         tree = ast.parse(path.read_text())
         assert not _defined_names(tree) & removed, path.name
-        params = [
-            f"{node.name}({arg.arg})"
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            for arg in node.args.args + node.args.posonlyargs + node.args.kwonlyargs
-            if arg.arg == "reachable_only"
-        ]
-        assert params == [], path.name
+        assert _params_named(tree, "reachable_only") == [], path.name
+
+
+def test_threshold_flavor_follows_alpha():
+    # critical_coupling reads the flavor off alpha and _threshold off the
+    # geometry's entropy kind; the per-flavor set-up and the campaigns'
+    # label -> record shim stay gone
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        assert not _defined_names(tree) & {"_flavor_setup", "_record"}, path.name
+        assert _params_named(tree, "flavor") == [], path.name
+
+
+def test_one_record_per_label_and_one_centering_moment():
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    assert [name for name, tree in trees.items()
+            if "LABEL_ZERO" in _defined_names(tree)] == ["regimes"]
+    moments = ("mean_weight", "truncated_mean_weight")
+    assert _calls(trees["polymer"], *moments) == ["centering_moment"]
+    assert _calls(trees["regimes"], *moments) == []
 
 
 def test_chain_legs_stored_by_end_point():
@@ -116,13 +142,14 @@ def test_chain_legs_stored_by_end_point():
     assert named == []
 
 
-def _calls(tree, name):
-    """Names of the module-level functions whose body calls ``name``."""
+def _calls(tree, *names):
+    """Names of the functions and methods, at any depth, whose body calls
+    one of ``names``."""
     return [
-        node.name for node in tree.body
+        node.name for node in ast.walk(tree)
         if isinstance(node, ast.FunctionDef) and any(
             isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
-            and call.func.id == name
+            and call.func.id in names
             for call in ast.walk(node)
         )
     ]

@@ -465,6 +465,17 @@ def test_chaos_centered_term_identity():
     assert centered_first_term(terms) == pytest.approx(direct, abs=1e-13)
 
 
+def test_chaos_overflow_at_unreachable_site_is_ignored():
+    # a weight of the wrong parity carries no kernel mass; its expm1
+    # overflows at beta 20 and must not turn v_n into inf * 0 = nan
+    weights = np.ones((6, 13))
+    weights[0, 6] = 50.0  # (i=1, x=0)
+    field = DisorderField(6, 6, PARETO_15, 0, weights)
+    for beta in (10.0, 20.0):
+        v_n = chaos_terms(field, beta, band=6, cutoff=100.0).v_n
+        assert v_n == pytest.approx(6.0 * math.expm1(beta), rel=1e-12)
+
+
 def test_negative_band_and_half_width_rejected():
     field = sample_field(8, 8, PARETO_12, 72)
     with pytest.raises(ValueError, match="band must be >= 0"):
