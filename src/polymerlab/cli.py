@@ -131,8 +131,8 @@ def _cmd_polymer(args) -> int:
     logz = log_partition(field, beta, constraint)
     t2 = time.perf_counter()
 
-    # below zero coupling there is no transversal scale: its keys are null
-    scale = fluctuation_scale(args.n, beta, tail) if beta >= 0.0 else None
+    # no transversal scale below zero coupling or at one step: its keys are null
+    scale = fluctuation_scale(args.n, beta, tail) if beta >= 0.0 and args.n >= 2 else None
     return _emit({
         "logZ": float(logz),
         "normalizers": {
@@ -209,6 +209,16 @@ def _cmd_elpp(args) -> int:
 # ---------------------------------------------------------------------------
 # ppp
 
+# op -> (functional of the points and args, whether it needs --beta, default
+# q); W0 defaults to the wide box its kernel tail needs
+_PPP_OPS = {
+    "T": (lambda pts, args: chain_value(pts, args.nu), False, 1.0),
+    "tildeT": (lambda pts, args: chain_value(pts, args.nu, beta=args.beta), True, 1.0),
+    "hatT": (lambda pts, args: lipschitz_chain_value(pts, args.beta), True, 1.0),
+    "W": (lambda pts, args: single_point_max(pts, args.beta).value, True, 1.0),
+    "W0": (lambda pts, args: heat_kernel_sum(pts), False, 8.0),
+}
+
 
 def _cmd_ppp(args) -> int:
     if args.eps is not None and args.top is not None:
@@ -235,26 +245,16 @@ def _cmd_ppp(args) -> int:
                        "replicas": args.replicas, "seed": args.seed},
         })
 
-    # default truncation: 256 heaviest points; W0 defaults to the wide
-    # box its kernel tail needs
-    q = args.q if args.q is not None else (8.0 if args.op == "W0" else 1.0)
+    # default truncation: 256 heaviest points
+    functional, needs_beta, default_q = _PPP_OPS[args.op]
+    q = args.q if args.q is not None else default_q
     eps, top = args.eps, args.top
     if eps is None and top is None:
         top = DEFAULT_TOP
-    if args.op in ("tildeT", "hatT", "W") and args.beta is None:
+    if needs_beta and args.beta is None:
         raise ValueError(f"{args.op} needs --beta")
     points = sample_ppp(args.alpha, q, eps=eps, top=top, seed=args.seed)
-
-    if args.op == "T":
-        value = chain_value(points, args.nu)
-    elif args.op == "tildeT":
-        value = chain_value(points, args.nu, beta=args.beta)
-    elif args.op == "hatT":
-        value = lipschitz_chain_value(points, args.beta)
-    elif args.op == "W":
-        value = single_point_max(points, args.beta).value
-    else:  # W0
-        value = heat_kernel_sum(points)
+    value = functional(points, args)
 
     return _emit({
         "op": args.op,
@@ -370,10 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"keep this many heaviest points (default {DEFAULT_TOP})",
     )
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument(
-        "--op", required=True,
-        choices=("T", "tildeT", "hatT", "W", "W0", "beta_c"),
-    )
+    p.add_argument("--op", required=True, choices=(*_PPP_OPS, "beta_c"))
     p.add_argument("--nu", type=float, default=1.0, help="weight prefactor")
     p.add_argument("--beta", type=float, default=None)
     p.add_argument(

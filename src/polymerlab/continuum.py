@@ -50,6 +50,8 @@ DEFAULT_TOP = 256
 BRACKET_LOW = 1e-4
 BRACKET_HIGH = 1e4
 RATIO_STEP_CAP = 64
+#: Resamples of the threshold estimate's percentile-bootstrap interval.
+BOOTSTRAP = 200
 
 __all__ = [
     "DEFAULT_TOP",
@@ -281,7 +283,6 @@ def critical_coupling(
     top: int = DEFAULT_TOP,
     q: float | None = None,
     seed=None,
-    bootstrap: int = 200,
 ) -> CriticalCouplingEstimate:
     """Estimate the coupling where the chain value first turns positive.
 
@@ -324,7 +325,7 @@ def critical_coupling(
     median = float(np.median(finite))
 
     boot_rng = np.random.default_rng(sample_seeds[replicas])
-    draws = boot_rng.choice(finite, size=(bootstrap, finite.size), replace=True)
+    draws = boot_rng.choice(finite, size=(BOOTSTRAP, finite.size), replace=True)
     boot_medians = np.median(draws, axis=1)
     ci_low, ci_high = np.percentile(boot_medians, [2.5, 97.5])
 

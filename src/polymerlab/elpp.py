@@ -343,12 +343,11 @@ def _allowed_sizes(cardinality: Cardinality, m: int):
 
 def _brute_loop(pts, beta, kappa, kind, cardinality):
     m = len(pts)
-    path_entropy = entropy if kind == ENTROPY_QUADRATIC else lipschitz_entropy
     best_value, best_chain = NEG_INF, None
     for size in _allowed_sizes(cardinality, m):
         for combo in itertools.combinations(range(m), size):
             subset = pts[list(combo)]
-            ent = path_entropy(subset) if size else 0.0
+            ent = _path_entropy(kind, subset) if size else 0.0
             value = float(beta * subset[:, 2].sum() - kappa * size - ent)
             if value == NEG_INF:
                 continue  # infinite entropy, not a feasible chain

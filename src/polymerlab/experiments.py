@@ -31,6 +31,8 @@ import dataclasses
 import json
 import math
 import multiprocessing
+import os
+import platform
 import re
 import statistics
 import subprocess
@@ -42,6 +44,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
+import scipy
 from scipy.integrate import IntegrationWarning
 from scipy.stats import ks_2samp
 
@@ -323,12 +326,17 @@ def _counted(job) -> dict:
     return bundle
 
 
+def _processes(config: ExperimentConfig) -> int:
+    """Processes a campaign runs on: config.threads, or 1 (in-process) for one task."""
+    return config.threads if len(config.sizes) * config.replicas > 1 else 1
+
+
 def _map_replicas(worker, config: ExperimentConfig, fields: dict) -> list:
     """One bundle per (config, n, replica, fields) task, on a pool of
-    config.threads processes when that is above 1."""
+    _processes(config) processes when that is above 1."""
     jobs = [(worker, (config, n, r, fields))
             for n in config.sizes for r in range(config.replicas)]
-    if config.threads <= 1 or len(jobs) <= 1:
+    if _processes(config) == 1:
         return [_counted(job) for job in jobs]
     with multiprocessing.Pool(processes=config.threads) as pool:
         return list(pool.imap_unordered(_counted, jobs, chunksize=1))
@@ -805,6 +813,9 @@ def write_outputs(result: ExperimentResult, out_dir) -> List[Path]:
         "flagged": result.flagged,
         "meta": result.meta,
         "git": _git_describe(),
+        "provenance": {"python": platform.python_version(), "numpy": np.__version__,
+                       "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
+                       "processes": _processes(result.config)},
         "tables": {name: len(t.rows) for name, t in result.tables.items()},
     }
     (out / "manifest.json").write_text(

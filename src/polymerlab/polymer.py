@@ -25,8 +25,8 @@ of a full-width recursion.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -170,21 +170,12 @@ def walk_kernel(i: int, x: int) -> float:
     )
 
 
-# (n, half_width) -> grid, least recently used first; a full-band grid at
-# n 4096 alone is 268 MB, so only the last few are kept
-_KERNEL_GRID_CACHE: "OrderedDict[Tuple[int, int], np.ndarray]" = OrderedDict()
-_KERNEL_GRID_CACHE_SIZE = 4
-
-
+# a full-band grid at n 4096 alone is 268 MB, so only the last few are kept
+@functools.lru_cache(maxsize=4)
 def kernel_grid(n: int, half_width: int) -> np.ndarray:
     """(n, 2*half_width+1) array of P(S_i = x); row i-1, column x+half_width."""
     if half_width < 0:
         raise ValueError("half_width must be >= 0")
-    key = (n, half_width)
-    hit = _KERNEL_GRID_CACHE.get(key)
-    if hit is not None:
-        _KERNEL_GRID_CACHE.move_to_end(key)
-        return hit
     valid = reachable_mask(n, half_width)
     i = np.arange(1, n + 1)[:, None]
     x = np.arange(-half_width, half_width + 1)[None, :]
@@ -193,9 +184,6 @@ def kernel_grid(n: int, half_width: int) -> np.ndarray:
     logp = logp + i * LOG_HALF
     grid = np.where(valid, np.exp(logp), 0.0)
     grid.flags.writeable = False
-    _KERNEL_GRID_CACHE[key] = grid
-    if len(_KERNEL_GRID_CACHE) > _KERNEL_GRID_CACHE_SIZE:
-        _KERNEL_GRID_CACHE.popitem(last=False)
     return grid
 
 
@@ -467,10 +455,12 @@ def log_mgf_truncated(tail: TailParams, t: float, cutoff: float) -> float:
 
 
 def _kernel_sum(energy: np.ndarray, grid: np.ndarray) -> float:
-    """sum expm1(energy) * grid; an overflow where grid is 0 (inf * 0 = nan)
-    is redone over the sites with kernel mass, off the normal path."""
-    total = float(np.sum(np.expm1(energy) * grid))
-    if math.isnan(total):
+    """sum expm1(energy) * grid; a sum that overflows (inf * 0 = nan where
+    grid is 0) is redone over the sites with kernel mass, where only an
+    overflow that counts warns."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.sum(np.expm1(energy) * grid))
+    if not math.isfinite(total):
         total = float(np.sum(np.expm1(energy[grid > 0.0]) * grid[grid > 0.0]))
     return total
 
@@ -564,19 +554,15 @@ def heavy_site_decomposition(
     heavy = heavy[np.lexsort((heavy[:, 1], heavy[:, 0]))]
     k = len(heavy)
 
-    # contain[D] = P(S visits every site of D): the kernel product along
-    # D's chain of heavy sites, on elpp's lattice of chains
+    # contain[D] = P(S visits every site of D): the kernel product along D's
+    # chain of heavy sites, on elpp's lattice of chains; legs with dt < 1 are
+    # 0 and never read
     times, places, weights = heavy.T
-    pair = np.zeros((k, k))
-    from_origin = np.array(
-        [walk_kernel(int(t), int(x)) for t, x in zip(times, places)]
+    leg = np.vectorize(lambda dt, dx: walk_kernel(int(dt), int(dx)) if dt >= 1 else 0.0, otypes="d")
+    exact, energy, popcnt = chain_lattice(
+        leg(times, places), leg(times - times[:, None], places - places[:, None]),
+        weights, np.multiply,
     )
-    for a in range(k):
-        for b in range(a + 1, k):
-            dt = int(times[b] - times[a])
-            dx = int(places[b] - places[a])
-            pair[a, b] = walk_kernel(dt, dx) if dt >= 1 else 0.0
-    exact, energy, popcnt = chain_lattice(from_origin, pair, weights, np.multiply)
 
     # Superset Mobius transform in place, from contain[D] to
     # exact[D] = sum_{T >= D} (-1)^{|T\D|} contain[T]

@@ -380,10 +380,12 @@ RECORDS = {
 }
 
 
-# random split -> (label above the critical coupling, label below it)
+# random split -> (label above the critical coupling, label below it,
+# their recipe names, their branch names)
 _SPLITS = {
-    LABEL_R3: (LABEL_R3A, LABEL_R3B),
-    LABEL_SMALL_SPLIT: (LABEL_SMALL_N, LABEL_SMALL_SQRT),
+    LABEL_R3: (LABEL_R3A, LABEL_R3B, "positive-value", "zero-value", "positive", "zero"),
+    LABEL_SMALL_SPLIT: (LABEL_SMALL_N, LABEL_SMALL_SQRT,
+                        "order-n", "order-sqrt(n)", "order-n", "diffusive"),
 }
 
 
@@ -445,7 +447,7 @@ def classify(
         label, beta_limit = LABEL_R5, q3
 
     if seed is not None and label in _SPLITS:
-        above, below = _SPLITS[label]
+        above, below = _SPLITS[label][:2]
         split_threshold = critical_coupling(alpha, replicas=replicas, top=top, seed=seed).median
         label = above if beta_limit > split_threshold else below
 
@@ -459,22 +461,16 @@ def classify(
             f"(n * quantile(n^(3/2))) = {ratio:.6g} at n_probe"
         )
         limit_object = "undecided"
-    elif label == LABEL_R3:
-        norm_a, lim_a = RECORDS[LABEL_R3A].recipe(beta_limit, alpha)
-        norm_b, lim_b = RECORDS[LABEL_R3B].recipe(beta_limit, alpha)
+    elif label in _SPLITS:
+        above, below, recipe_a, recipe_b, branch_a, branch_b = _SPLITS[label]
+        norm_a, lim_a = RECORDS[above].recipe(beta_limit, alpha)
+        lower = RECORDS[below]  # a diffusive branch sits at zero coupling
+        norm_b, lim_b = lower.recipe(0.0 if lower.pathway is DIFFUSIVE else beta_limit, alpha)
         normalizer = (
-            "unresolved random split, positive-value recipe: "
-            f"[{norm_a}]; zero-value recipe: [{norm_b}]"
+            f"unresolved random split, {recipe_a} recipe: "
+            f"[{norm_a}]; {recipe_b} recipe: [{norm_b}]"
         )
-        limit_object = f"positive branch {lim_a}; zero branch {lim_b}"
-    elif label == LABEL_SMALL_SPLIT:
-        norm_a, lim_a = RECORDS[LABEL_SMALL_N].recipe(beta_limit, alpha)
-        norm_b, lim_b = RECORDS[LABEL_SMALL_SQRT].recipe(0.0, alpha)
-        normalizer = (
-            "unresolved random split, order-n recipe: "
-            f"[{norm_a}]; order-sqrt(n) recipe: [{norm_b}]"
-        )
-        limit_object = f"order-n branch {lim_a}; diffusive branch {lim_b}"
+        limit_object = f"{branch_a} branch {lim_a}; {branch_b} branch {lim_b}"
     else:
         normalizer, limit_object = RECORDS[label].recipe(beta_limit, alpha)
 

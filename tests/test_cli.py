@@ -69,6 +69,17 @@ def test_polymer_negative_beta_has_no_scale(capsys):
     assert main(["polymer", "--n", "32", "--h", "8", "--alpha", "1.2", "--beta", "-0.3"]) == 2
 
 
+def test_polymer_one_step_has_no_scale(capsys):
+    # fluctuation_scale needs n >= 2; a one-step walk still gets its log Z
+    code, rec = run_cli(
+        capsys, "polymer", "--n", "1", "--h", "0", "--alpha", "1.2", "--beta", "0.3",
+    )
+    assert code == 0
+    assert rec["logZ"] == log_partition(sample_field(1, 0, TailParams(1.2), 0), 0.3)
+    for key in ("h_n", "h_n_clamped", "weight_scale"):
+        assert rec["normalizers"][key] is None
+
+
 def test_polymer_rejects_bad_filter(capsys):
     code = main([
         "polymer", "--n", "16", "--h", "4", "--alpha", "1.0",
@@ -121,6 +132,9 @@ def test_ppp_value_matches_sample(capsys):
 
 
 def test_ppp_beta_required_for_penalized_ops(capsys):
+    assert [op for op, (_, needs_beta, _) in cli._PPP_OPS.items() if needs_beta] == [
+        "tildeT", "hatT", "W",
+    ]
     for op in ("tildeT", "hatT", "W"):
         assert main(["ppp", "--alpha", "1.0", "--op", op]) == 2
         assert "error:" in capsys.readouterr().err

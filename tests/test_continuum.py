@@ -443,7 +443,7 @@ def test_threshold_step_cap_raises(monkeypatch):
 )
 def test_threshold_brackets_sign_change(flavor, alpha, kind):
     replicas, top, seed = 6, 32, 101
-    est = critical_coupling(alpha, replicas=replicas, top=top, seed=seed, bootstrap=20)
+    est = critical_coupling(alpha, replicas=replicas, top=top, seed=seed)
     assert est.flavor == flavor  # alpha sets the flavor
     assert np.all(np.isfinite(est.samples))
     assert np.all(est.doubled_samples <= est.samples)
@@ -476,7 +476,7 @@ def test_critical_coupling_solve_count(monkeypatch, flavor, alpha):
 
     monkeypatch.setattr(continuum, "solve", counted)
     replicas = 4
-    critical_coupling(alpha, replicas=replicas, top=64, seed=3, bootstrap=20)
+    critical_coupling(alpha, replicas=replicas, top=64, seed=3)
     assert len(calls) / (2 * replicas) <= 8
 
 
@@ -490,7 +490,7 @@ def test_critical_coupling_one_geometry_per_replica(monkeypatch, flavor, alpha):
         return inner(points, *args, **kwargs)
 
     monkeypatch.setattr(continuum, "prepare_geometry", counted)
-    critical_coupling(alpha, replicas=3, top=16, seed=5, bootstrap=20)
+    critical_coupling(alpha, replicas=3, top=16, seed=5)
     assert built == [32, 32, 32]  # the full sample; the primary is cut from it
 
 
@@ -505,7 +505,7 @@ def test_critical_coupling_geometry_cap_before_any_solve(monkeypatch):
 
 def test_critical_coupling_tilde():
     est = critical_coupling(
-        1.2, replicas=8, top=32, q=4.0, seed=17, bootstrap=100
+        1.2, replicas=8, top=32, q=4.0, seed=17
     )
     assert est.flavor == "tilde"
     assert est.failures == 0
@@ -520,7 +520,7 @@ def test_critical_coupling_tilde():
 
 def test_critical_coupling_hat():
     est = critical_coupling(
-        0.3, replicas=6, top=32, seed=29, bootstrap=100
+        0.3, replicas=6, top=32, seed=29
     )
     assert est.flavor == "hat"
     assert est.q == 1.0
@@ -530,7 +530,7 @@ def test_critical_coupling_hat():
 
 
 def test_critical_coupling_deterministic():
-    kwargs = dict(replicas=4, top=16, q=4.0, seed=5, bootstrap=50)
+    kwargs = dict(replicas=4, top=16, q=4.0, seed=5)
     a = critical_coupling(1.0, **kwargs)
     b = critical_coupling(1.0, **kwargs)
     np.testing.assert_array_equal(a.samples, b.samples)

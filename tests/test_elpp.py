@@ -129,6 +129,13 @@ def test_brute_force_routes_agree(kind):
         assert a.indices == b.indices
 
 
+def test_brute_force_routes_reject_unknown_entropy():
+    pts = random_points(np.random.default_rng(3), 3, x_scale=0.4)
+    for method in ("loop", "table"):
+        with pytest.raises(ValueError, match="unknown entropy kind"):
+            brute_force(pts, 1.0, entropy_kind="bogus", method=method)
+
+
 # ---------------------------------------------------------------------------
 # Solver vs brute force
 # ---------------------------------------------------------------------------

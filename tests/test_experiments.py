@@ -4,10 +4,13 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import platform
 from itertools import product
 
 import numpy as np
 import pytest
+import scipy
 
 from polymerlab.continuum import (
     chain_value,
@@ -18,6 +21,7 @@ from polymerlab.continuum import (
 )
 from polymerlab.environment import TailParams, quantile
 from polymerlab.regimes import fluctuation_scale
+from polymerlab import experiments
 from polymerlab.experiments import (
     KIND_FLUCTUATION,
     KIND_ORDERED,
@@ -496,6 +500,21 @@ def test_write_outputs_layout(tmp_path):
     assert manifest["invariant_failures"] == 0
     assert manifest["meta"]["wall_time_s"] > 0.0
     assert manifest["tables"]["observable"] == 2
+
+
+def test_manifest_provenance(tmp_path):
+    # one task runs in-process whatever threads says; meta stays as it was
+    cfg = make_config(sizes=(16,), replicas=1, threads=2)
+    res = run_experiment(cfg)
+    write_outputs(res, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["provenance"] == {
+        "python": platform.python_version(), "numpy": np.__version__,
+        "scipy": scipy.__version__, "cpu_count": os.cpu_count(), "processes": 1,
+    }
+    assert "provenance" not in res.meta
+    assert experiments._processes(dataclasses.replace(cfg, replicas=2)) == 2
+    assert experiments._processes(dataclasses.replace(cfg, threads=1, replicas=2)) == 1
 
 
 def test_numpy_float_config_writes_its_manifest(tmp_path):

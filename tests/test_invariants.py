@@ -15,6 +15,10 @@ alpha sets the critical-coupling flavor, so no function takes one;
 every regime label, the zero-coupling control included, has its record
 in ``regimes.RECORDS``; ``polymer.centering_moment`` is the one choice
 between the mean and the truncated mean.  Every top-level import is used, so a fold leaves no names behind.
+``polymer.kernel_grid`` is cached by ``functools.lru_cache``, not by a
+hand-rolled dict; the threshold interval always takes
+``continuum.BOOTSTRAP`` resamples; each ``ppp`` op is named once, as a
+key of ``cli._PPP_OPS``.
 """
 
 import ast
@@ -169,12 +173,40 @@ def test_one_chain_lattice():
     # per-table sort-key widths the folds replaced stay gone
     removed = {"msb", "_parse_filter", "_parse_cardinality", "key_width"}
     for name, tree in trees.items():
-        found = {
-            getattr(node, field) for node in ast.walk(tree)
-            for field in ("id", "arg", "name", "attr")
-            if isinstance(getattr(node, field, None), str)
-        }
-        assert not found & removed, name
+        assert not _identifiers(tree) & removed, name
+
+
+def _identifiers(tree):
+    """Every name, argument, definition, import alias and attribute."""
+    return {
+        getattr(node, field) for node in ast.walk(tree)
+        for field in ("id", "arg", "name", "attr")
+        if isinstance(getattr(node, field, None), str)
+    }
+
+
+def test_stdlib_kernel_grid_cache_and_no_bootstrap_knob():
+    removed = {"OrderedDict", "_KERNEL_GRID_CACHE", "_KERNEL_GRID_CACHE_SIZE"}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        assert not _identifiers(tree) & removed, path.name
+        assert _params_named(tree, "bootstrap") == [], path.name
+
+
+def test_ppp_ops_named_once():
+    tree = ast.parse((Path(polymerlab.__file__).parent / "cli.py").read_text())
+    (table,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "_PPP_OPS"
+    ]
+    ops = [key.value for key in table.keys]
+    assert ops == ["T", "tildeT", "hatT", "W", "W0"]
+    keys = {id(key) for key in table.keys}
+    named = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in ops and id(node) not in keys
+    ]
+    assert named == []
 
 
 def _exported(tree):

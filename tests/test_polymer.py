@@ -6,13 +6,13 @@ route at n <= 11.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.special import logsumexp
 
-from polymerlab import polymer
 from polymerlab.environment import (
     DisorderField,
     TailParams,
@@ -289,16 +289,19 @@ def test_band_probabilities_equal_separate_passes_bitwise():
 
 
 def test_kernel_grid_cache_is_bounded():
-    bound = polymer._KERNEL_GRID_CACHE_SIZE
+    kernel_grid.cache_clear()
+    bound = kernel_grid.cache_info().maxsize
+    assert bound == 4
     grids = [kernel_grid(9, w) for w in range(bound + 3)]
-    assert len(polymer._KERNEL_GRID_CACHE) == bound
+    assert kernel_grid.cache_info().currsize == bound
     hit = kernel_grid(9, bound + 2)
     assert hit is grids[-1]
+    assert kernel_grid.cache_info().hits == 1
     assert not hit.flags.writeable
-    # the least recently used entry went first
-    assert (9, 0) not in polymer._KERNEL_GRID_CACHE
-    assert np.array_equal(kernel_grid(9, 0), grids[0])
-    assert len(polymer._KERNEL_GRID_CACHE) == bound
+    # the least recently used entry went first: (9, 0) is built again
+    again = kernel_grid(9, 0)
+    assert again is not grids[0] and np.array_equal(again, grids[0])
+    assert kernel_grid.cache_info() == (1, bound + 4, bound, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -471,18 +474,31 @@ def test_chaos_overflow_at_unreachable_site_is_ignored():
     weights = np.ones((6, 13))
     weights[0, 6] = 50.0  # (i=1, x=0)
     field = DisorderField(6, 6, PARETO_15, 0, weights)
-    for beta in (10.0, 20.0):
-        v_n = chaos_terms(field, beta, band=6, cutoff=100.0).v_n
-        assert v_n == pytest.approx(6.0 * math.expm1(beta), rel=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and it is silent
+        for beta in (10.0, 20.0):
+            v_n = chaos_terms(field, beta, band=6, cutoff=100.0).v_n
+            assert v_n == pytest.approx(6.0 * math.expm1(beta), rel=1e-12)
+
+
+def test_chaos_overflow_at_reachable_site_warns():
+    weights = np.ones((6, 13))
+    weights[0, 7] = 50.0  # (i=1, x=1) carries kernel mass 1/2
+    field = DisorderField(6, 6, PARETO_15, 0, weights)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        v_n = chaos_terms(field, 20.0, band=6, cutoff=100.0).v_n
+    assert v_n == math.inf
 
 
 def test_negative_band_and_half_width_rejected():
     field = sample_field(8, 8, PARETO_12, 72)
     with pytest.raises(ValueError, match="band must be >= 0"):
         chaos_terms(field, 0.5, -1)
-    with pytest.raises(ValueError, match="half_width must be >= 0"):
-        kernel_grid(8, -1)
-    assert (8, -1) not in polymer._KERNEL_GRID_CACHE
+    kernel_grid.cache_clear()
+    for _ in range(2):  # the error is raised again, never cached
+        with pytest.raises(ValueError, match="half_width must be >= 0"):
+            kernel_grid(8, -1)
+    assert kernel_grid.cache_info()[1:] == (2, 4, 0)
 
 
 def test_chaos_beta_zero_full_band():

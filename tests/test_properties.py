@@ -1,0 +1,121 @@
+"""Seeded property tests of the one transfer kernel against the 2^n path
+enumeration.
+
+Hypothesis (MacIver et al., JOSS 2019) draws small boxes, edge boxes
+included (h = 0, h >= n, band > h), couplings with log10(beta * max
+omega) in [-3, 6], and every constraint kind: band, band window, each
+weight filter, each centering, and negative beta with the atmost1
+filter.  ``derandomize=True`` makes every run draw the same examples.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polymerlab.environment import TailParams, sample_field
+from polymerlab.polymer import (
+    CENTER_MEAN,
+    CENTER_NONE,
+    CENTER_TRUNCATED,
+    FREE,
+    PathConstraint,
+    WeightFilter,
+    filter_above,
+    filter_atmost_one,
+    filter_between,
+    gibbs_band_probabilities,
+    gibbs_site_marginals,
+    log_partition,
+)
+from test_polymer import enum_log_partition
+
+SEEDED = settings(derandomize=True, deadline=None, max_examples=300)
+
+
+def rounding(log_z):
+    """Absolute error budget of probabilities exp(a - log_z) summed to 1:
+    a few ulps of the log-domain magnitudes that cancel in a - log_z."""
+    return 1e-12 + 16 * np.finfo(float).eps * abs(log_z)
+
+
+@st.composite
+def fields(draw):
+    """A field of n <= 10 steps, box h in 0..n+2, and a coupling beta > 0."""
+    n = draw(st.integers(1, 10))
+    h = draw(st.integers(0, n + 2))
+    alpha = draw(st.floats(0.2, 2.0, exclude_min=True, exclude_max=True))
+    field = sample_field(n, h, TailParams(alpha), draw(st.integers(0, 2**32)))
+    scale = draw(st.floats(-3.0, 6.0))
+    return field, 10.0**scale / float(field.weights.max())
+
+
+@st.composite
+def constrained(draw):
+    """A field, a coupling and a constraint of any kind."""
+    field, beta = draw(fields())
+    n, top = field.n, beta * float(field.weights.max())
+    kind = draw(st.sampled_from(["band", "window", "all", "above", "between", "atmost1",
+                                 "negative"]))
+    band = window = None
+    filt = WeightFilter()
+    if kind == "band":
+        band = draw(st.integers(0, n + 2))
+    elif kind == "window":
+        h1 = draw(st.integers(0, n + 1))
+        window = (h1, draw(st.integers(h1 + 1, n + 3)))
+    elif kind == "above":
+        filt = filter_above(draw(st.floats(0.0, 1.0)) * top)
+    elif kind == "between":
+        lo = draw(st.floats(0.0, 1.0))
+        filt = filter_between(lo * top, (lo + draw(st.floats(1e-3, 1.0))) * top)
+    elif kind in ("atmost1", "negative"):
+        filt = filter_atmost_one()
+        beta = -beta if kind == "negative" else beta
+    centering = draw(st.sampled_from([CENTER_NONE, CENTER_MEAN, CENTER_TRUNCATED]))
+    return field, beta, PathConstraint(band, window, filt, centering)
+
+
+@SEEDED
+@given(constrained())
+def test_log_partition_matches_enumeration(case):
+    field, beta, constraint = case
+    if constraint.centering == CENTER_MEAN and field.tail.alpha <= 1.0:
+        with pytest.raises(ValueError, match="mean is infinite"):
+            log_partition(field, beta, constraint)
+        return
+    got = log_partition(field, beta, constraint)
+    want = enum_log_partition(field, beta, constraint)
+    if want == -math.inf:
+        assert got == -math.inf
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@st.composite
+def partitions(draw):
+    """A field, a coupling and windows that partition [0, n+1)."""
+    field, beta = draw(fields())
+    cuts = draw(st.sets(st.integers(1, field.n), max_size=field.n))
+    edges = [0, *sorted(cuts), field.n + 1]
+    return field, beta, list(zip(edges[:-1], edges[1:]))
+
+
+@SEEDED
+@given(partitions())
+def test_band_probabilities_partition_sums_to_one(case):
+    field, beta, windows = case
+    log_z, probs = gibbs_band_probabilities(field, beta, windows)
+    assert log_z == log_partition(field, beta, FREE)
+    assert math.fsum(probs) == pytest.approx(1.0, abs=rounding(log_z))
+
+
+@SEEDED
+@given(fields())
+def test_site_marginal_rows_sum_to_one(case):
+    field, beta = case
+    rows = gibbs_site_marginals(field, beta).sum(axis=1)
+    log_z = log_partition(field, beta, FREE)
+    np.testing.assert_allclose(rows, 1.0, rtol=0.0, atol=rounding(log_z))
