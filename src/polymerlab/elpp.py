@@ -81,7 +81,7 @@ def _step_cost(kind: str, dt, dx) -> np.ndarray:
 def _path_entropy(kind: str, delta) -> float:
     arr = np.asarray(delta, dtype=float)
     if arr.size == 0:
-        return 0.0
+        arr = arr.reshape(0, 2)  # no legs: the cost is 0, once the kind is checked
     if arr.ndim != 2 or arr.shape[1] not in (2, 3):
         raise ValueError("expected rows of (t, x) or (t, x, w)")
     order = np.lexsort((arr[:, 1], arr[:, 0]))
@@ -347,7 +347,7 @@ def _brute_loop(pts, beta, kappa, kind, cardinality):
     for size in _allowed_sizes(cardinality, m):
         for combo in itertools.combinations(range(m), size):
             subset = pts[list(combo)]
-            ent = _path_entropy(kind, subset) if size else 0.0
+            ent = _path_entropy(kind, subset)
             value = float(beta * subset[:, 2].sum() - kappa * size - ent)
             if value == NEG_INF:
                 continue  # infinite entropy, not a feasible chain

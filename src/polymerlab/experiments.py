@@ -13,12 +13,15 @@ manifest, keeping the CSVs reproducible.
 
 ``run_experiment`` is the one campaign runner.  Each kind is a spec in
 ``_KINDS``: a set-up step (the kind's config checks and label, giving
-the manifest fields, which every replica task also carries), the
-replica function, the replica tables with their columns, and a summary
-function that reads those tables by column name and returns the decay
-or KS table.  The runner maps the replicas, sorts each table by
-(n, replica), counts failures and flags, adds the summary and
-writes the manifest meta.
+the manifest fields), a size step, the replica function, the replica
+tables with their columns, and a summary function that reads those
+tables by column name and returns the decay or KS table.  The size step
+runs once per size in the calling process and gives the field box h and
+the kind's constants that depend on n alone.  Each (n, replica) task is
+one context record (config, fields, n, beta_n, the size's constants,
+replica index and seeds), from which the field is sampled in one place.
+The runner maps the tasks, sorts each table by (n, replica), counts
+failures and flags, adds the summary and writes the manifest meta.
 
 Exact transfer passes are O(n^2) per replica with the full-width
 field box, hence the hard size cap at 4096.
@@ -41,6 +44,7 @@ import warnings
 from dataclasses import dataclass
 from numbers import Integral, Real
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -54,7 +58,7 @@ from .continuum import (
     sample_heat_kernel_sum,
     sample_ppp,
 )
-from .elpp import ENTROPY_LIPSCHITZ, solve
+from .elpp import ENTROPY_LIPSCHITZ, ENTROPY_QUADRATIC, solve
 from .environment import (
     TailParams,
     ordered_statistics,
@@ -63,7 +67,7 @@ from .environment import (
     sample_field,
     top_sites,
 )
-from .polymer import FREE, chaos_terms, gibbs_band_probabilities, log_partition
+from .polymer import FREE, chaos_v_n, gibbs_band_probabilities, log_partition
 from .regimes import (
     DIFFUSIVE,
     LABEL_BOUNDARY,
@@ -78,7 +82,6 @@ from .regimes import (
     LINEAR,
     RECORDS,
     PowerLawSchedule,
-    RegimeRecord,
     classify,
     fluctuation_scale,
 )
@@ -304,10 +307,10 @@ class ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def _counted(job) -> dict:
-    """Run one replica; its scipy quadrature warnings are counted into
-    the bundle instead of shown, and other warnings are shown as usual."""
-    worker, task = job
+def _sized(kind, config: ExperimentConfig, fields: dict) -> Tuple[List[dict], int]:
+    """Each size's task constants (config, fields, n, beta_n and the kind's
+    size step) and the count of the scipy quadrature warnings the size
+    steps raised, counted instead of shown; other warnings show as usual."""
     count = 0
     show = warnings.showwarning
 
@@ -318,28 +321,26 @@ def _counted(job) -> dict:
         else:
             show(message, category, *args, **kwargs)
 
+    sizes = []
     with warnings.catch_warnings():
         warnings.simplefilter("always", IntegrationWarning)
         warnings.showwarning = count_quadrature
-        bundle = worker(task)
-    bundle["quadrature_warnings"] = count
-    return bundle
+        for n in config.sizes:
+            beta = config.beta_at(n)
+            sizes.append(dict(config=config, fields=fields, n=n, beta=beta,
+                              **kind.size(config, fields, n, beta)))
+    return sizes, count
+
+
+def _run_replica(job) -> dict:
+    """One replica on the field its task context names."""
+    replica, t = job
+    return replica(t, sample_field(t.n, t.h, t.config.tail(), t.seed))
 
 
 def _processes(config: ExperimentConfig) -> int:
     """Processes a campaign runs on: config.threads, or 1 (in-process) for one task."""
     return config.threads if len(config.sizes) * config.replicas > 1 else 1
-
-
-def _map_replicas(worker, config: ExperimentConfig, fields: dict) -> list:
-    """One bundle per (config, n, replica, fields) task, on a pool of
-    _processes(config) processes when that is above 1."""
-    jobs = [(worker, (config, n, r, fields))
-            for n in config.sizes for r in range(config.replicas)]
-    if _processes(config) == 1:
-        return [_counted(job) for job in jobs]
-    with multiprocessing.Pool(processes=config.threads) as pool:
-        return list(pool.imap_unordered(_counted, jobs, chunksize=1))
 
 
 def _git_describe() -> str:
@@ -374,6 +375,11 @@ def _top_lattice(field, ell: int) -> np.ndarray:
     return top_sites(field, min(ell, reachable_count(field.n, field.h)))
 
 
+def _exceeding(bounds, values) -> int:
+    """How many values exceed their bound beyond the monotonicity slack."""
+    return sum(v > b * (1.0 + MONOTONE_TOL) + 1e-15 for b, v in zip(bounds, values))
+
+
 # ---------------------------------------------------------------------------
 # Fluctuation decay
 # ---------------------------------------------------------------------------
@@ -391,26 +397,20 @@ def _fluctuation_setup(config: ExperimentConfig):
     return {"label": label}
 
 
-def _fluctuation_replica(task) -> dict:
-    """Exact Gibbs tail P(max |S_i| >= A h_n) swept over A."""
-    config, n, replica, _ = task
-    tail = config.tail()
-    beta = config.beta_at(n)
-    h_n = fluctuation_scale(n, beta, tail).h
-    seed = derive_seed(config.seed, n, replica, _FIELD_SLOT)
-    field = sample_field(n, n, tail, seed)
+def _fluctuation_size(config: ExperimentConfig, fields, n: int, beta: float) -> dict:
+    h_n = fluctuation_scale(n, beta, config.tail()).h
     los = [math.ceil(a * h_n) for a in config.a_values]
-    found = iter(gibbs_band_probabilities(field, beta, [(lo, n + 1) for lo in los if lo <= n]).probs)
-    probs = [next(found) if lo <= n else 0.0 for lo in los]
-    rows = []
-    failures = 0
-    prev = math.inf
-    for a, prob in zip(config.a_values, probs):
-        if prob > prev * (1.0 + MONOTONE_TOL) + 1e-15:
-            failures += 1
-        prev = prob
-        rows.append((n, replica, seed, float(a), float(h_n), float(prob)))
-    return {"gibbs_tail": rows, "failures": failures}
+    return dict(h=n, h_n=h_n, los=los, windows=[(lo, n + 1) for lo in los if lo <= n])
+
+
+def _fluctuation_replica(t, field) -> dict:
+    """Exact Gibbs tail P(max |S_i| >= A h_n) swept over A."""
+    n = t.n
+    found = iter(gibbs_band_probabilities(field, t.beta, t.windows).probs)
+    probs = [next(found) if lo <= n else 0.0 for lo in t.los]
+    rows = [(n, t.replica, t.seed, float(a), float(t.h_n), float(prob))
+            for a, prob in zip(t.config.a_values, probs)]
+    return {"gibbs_tail": rows, "failures": _exceeding([math.inf, *probs], probs)}
 
 
 def _decay(config: ExperimentConfig, tables: Dict[str, Table], fields) -> Tuple[str, Table]:
@@ -460,87 +460,72 @@ def _regime_setup(config: ExperimentConfig):
                 limit_object=limit_object, wrapper=RECORDS[label].wrapper)
 
 
-def _companion_sample(record: RegimeRecord, config: ExperimentConfig,
-                      beta_limit: float, nu: float,
-                      seed: int) -> Tuple[float, np.ndarray]:
-    if record.companion is None:
-        # the stable functional at positive coupling is out of scope;
-        # only the zero-coupling heat-kernel limit is sampled
-        if beta_limit == 0.0:
-            value = 2.0 * sample_heat_kernel_sum(
-                config.alpha, config.eps, half_width=config.kernel_cutoff, seed=seed
-            )
-        else:
-            value = math.nan
-        return value, np.empty((0, 3))
-    pts = sample_ppp(config.alpha, 1.0, top=config.ell, seed=seed)
-    return record.companion(pts, beta_limit, nu), pts
-
-
-def _coupled_pair(record: RegimeRecord, field, beta: float, h: int, ell: int,
-                  tail: TailParams) -> Tuple[float, float, float]:
-    """Discrete chain value in continuum units vs the continuum solver
-    on the same rescaled points.  Exact up to rounding: the costs scale
-    covariantly under (i, x, w) -> (i/n, x/h, w/m(nh))."""
-    n = field.n
-    lattice = _top_lattice(field, ell)
-    if record.pathway is LINEAR:
+def _regime_size(config: ExperimentConfig, fields, n: int, beta: float) -> dict:
+    """The field box, the label's rescaling constants, and the coupled
+    pair's units and entropy (Lipschitz on the linear pathway)."""
+    record = RECORDS[fields["label"]]
+    pathway, tail = record.pathway, config.tail()
+    h = pathway.box(n, beta, tail, config.kernel_cutoff)
+    if pathway is LINEAR:
         m_scale = quantile(tail, float(n) ** 2)
-        nu = beta * m_scale / n
-        discrete = solve(lattice, beta, 0.0, ENTROPY_LIPSCHITZ).value / n
-        cont = solve(lattice / (n, n, m_scale), nu, 0.0, ENTROPY_LIPSCHITZ).value
-        return discrete, cont, nu
-    m_scale = quantile(tail, float(n) * h)
-    nu = beta * m_scale * n / (h * h)
-    discrete = solve(lattice, beta).value * n / (h * h)
-    cont = solve(lattice / (n, h, m_scale), nu).value
-    return discrete, cont, nu
+        units, nu, entropy = (n, n, m_scale), beta * m_scale / n, ENTROPY_LIPSCHITZ
+    else:
+        m_scale = quantile(tail, float(n) * h)
+        units, nu, entropy = (n, h, m_scale), beta * m_scale * n / (h * h), ENTROPY_QUADRATIC
+    return dict(h=h, center=record.centering_total(n, beta, tail),
+                prefactor=pathway.prefactor(n),
+                scale=beta * quantile(tail, pathway.scale_arg(n, h)),
+                units=units, nu=nu, entropy=entropy)
 
 
-def _regime_replica(task) -> dict:
+def _regime_replica(t, field) -> dict:
     """Rescaled exact free energy, an independent truncated sample of
     the matching limit object, and the exact discrete to continuum
-    coupling identity on the top-ell weights.  A replica of the
-    zero-value branch whose own companion sample sits above its
-    critical coupling is flagged, never dropped."""
-    config, n, replica, fields = task
-    record = RECORDS[fields["label"]]
-    pathway = record.pathway
-    tail = config.tail()
-    beta = config.beta_at(n)
-    h = pathway.box(n, beta, tail, config.kernel_cutoff)
-    seed = derive_seed(config.seed, n, replica, _FIELD_SLOT)
-    field = sample_field(n, h, tail, seed)
+    coupling identity on the top-ell weights: the discrete chain value
+    in continuum units vs the continuum solver on the same rescaled
+    points, exact up to rounding because the costs scale covariantly
+    under (i, x, w) -> (i/n, x/h, w/m(nh)).
+    A replica of the zero-value branch whose own companion sample sits
+    above its critical coupling is flagged, never dropped."""
+    n, h, beta, config, fields = t.n, t.h, t.beta, t.config, t.fields
+    record, beta_limit = RECORDS[fields["label"]], fields["beta_limit"]
     logz = log_partition(field, beta, FREE)
-
-    center = record.centering_total(n, beta, tail)
-    prefactor = pathway.prefactor(n)
-    scale = beta * quantile(tail, pathway.scale_arg(n, h))
-    rescaled = 0.0 if beta == 0.0 else prefactor * (logz - center) / scale
+    rescaled = 0.0 if beta == 0.0 else t.prefactor * (logz - t.center) / t.scale
     rescaled_vn = math.nan
-    if pathway is DIFFUSIVE:
-        v_n = chaos_terms(field, beta, band=h).v_n
-        rescaled_vn = 0.0 if beta == 0.0 else prefactor * v_n / scale
+    if record.pathway is DIFFUSIVE:
+        v_n = chaos_v_n(field, beta, band=h)
+        rescaled_vn = 0.0 if beta == 0.0 else t.prefactor * v_n / t.scale
 
-    discrete, cont, nu = _coupled_pair(record, field, beta, h, config.ell, tail)
-    seed_ppp = derive_seed(config.seed, n, replica, _PPP_SLOT)
-    companion, pts = _companion_sample(record, config, fields["beta_limit"], nu, seed_ppp)
+    lattice = _top_lattice(field, config.ell)
+    chain = solve(lattice, beta, 0.0, t.entropy).value
+    discrete = chain / n if record.pathway is LINEAR else chain * n / (h * h)
+    cont = solve(lattice / t.units, t.nu, 0.0, t.entropy).value
 
-    flagged = 0
-    if fields["label"] == LABEL_R3B and len(pts) and chain_value(
-        pts, 1.0, beta=fields["beta_limit"]
-    ) > 0.0:
-        flagged = 1  # sample sits above its own critical coupling
+    pts = np.empty((0, 3))
+    if record.companion is not None:
+        pts = sample_ppp(config.alpha, 1.0, top=config.ell, seed=t.seed_ppp)
+        companion = record.companion(pts, beta_limit, t.nu)
+    elif beta_limit == 0.0:
+        companion = 2.0 * sample_heat_kernel_sum(
+            config.alpha, config.eps, half_width=config.kernel_cutoff, seed=t.seed_ppp
+        )
+    else:
+        # the stable functional at positive coupling is out of scope;
+        # only the zero-coupling heat-kernel limit is sampled
+        companion = math.nan
+    # the sample sits above its own critical coupling
+    flagged = int(fields["label"] == LABEL_R3B and len(pts) > 0
+                  and chain_value(pts, 1.0, beta=beta_limit) > 0.0)
 
     diff = abs(discrete - cont)
     failures = int(diff > COUPLING_TOL * max(1.0, abs(cont)))
 
     obs_row = (
-        n, replica, seed, float(beta), h, float(logz), float(center),
+        n, t.replica, t.seed, float(beta), h, float(logz), float(t.center),
         float(rescaled), float(rescaled_vn), float(companion), flagged,
         fields["label"], fields["wrapper"], fields["normalizer"],
     )
-    coup_row = (n, replica, seed, float(nu), float(discrete), float(cont),
+    coup_row = (n, t.replica, t.seed, float(t.nu), float(discrete), float(cont),
                 float(diff))
     return {
         "observable": [obs_row],
@@ -582,38 +567,33 @@ def _regime_ks(config: ExperimentConfig, tables: Dict[str, Table], fields) -> Tu
 def _ordered_setup(config: ExperimentConfig):
     if config.ell > ORDERED_ELL_CAP:
         raise ValueError(f"ordered-statistics ell is capped at {ORDERED_ELL_CAP}")
-    for n in config.sizes:
-        h = config.half_width or math.ceil(math.sqrt(n))
-        if config.ell > n * (2 * h + 1):
-            raise ValueError("ell exceeds the site count at the smallest size")
     return {}
 
 
-def _ordered_replica(task) -> dict:
+def _ordered_size(config: ExperimentConfig, fields, n: int, beta: float) -> dict:
+    h = config.half_width or math.ceil(math.sqrt(n))
+    if config.ell > n * (2 * h + 1):
+        raise ValueError("ell exceeds the site count at the smallest size")
+    return dict(h=h, scale=quantile(config.tail(), 2.0 * n * h))
+
+
+def _ordered_replica(t, field) -> dict:
     """Top-ell field weights rescaled to continuum units (w / m(2nh),
     i/n, x/h) beside a direct point-process sample.  All box sites
     enter the ranking here (no walk-reachability cut), which is what
     the 2nh site count in the weight scale assumes."""
-    config, n, replica, _ = task
-    tail = config.tail()
-    h = config.half_width or math.ceil(math.sqrt(n))
-    seed = derive_seed(config.seed, n, replica, _FIELD_SLOT)
-    field = sample_field(n, h, tail, seed)
-    top = ordered_statistics(field, config.ell)
-    scale = quantile(tail, 2.0 * n * h)
-    ppp = sample_ppp(
-        config.alpha, 1.0, top=config.ell,
-        seed=derive_seed(config.seed, n, replica, _PPP_SLOT),
-    )
+    n, h, ell = t.n, t.h, t.config.ell
+    top = ordered_statistics(field, ell)
+    ppp = sample_ppp(t.config.alpha, 1.0, top=ell, seed=t.seed_ppp)
     rows = []
     failures = 0
-    for source, raw, (w, t, x) in (
-        ("field", top[:, 2], (top[:, 2] / scale, top[:, 0] / n, top[:, 1] / h)),
+    for source, raw, (w, i, x) in (
+        ("field", top[:, 2], (top[:, 2] / t.scale, top[:, 0] / n, top[:, 1] / h)),
         ("ppp", ppp[:, 2], (ppp[:, 2], ppp[:, 0], ppp[:, 1])),
     ):
         failures += int(np.count_nonzero(raw[1:] > raw[:-1]))
-        rows += [(n, replica, source, r + 1, seed, float(w[r]), float(t[r]), float(x[r]))
-                 for r in range(config.ell)]
+        rows += [(n, t.replica, source, r + 1, t.seed, float(w[r]), float(i[r]), float(x[r]))
+                 for r in range(ell)]
     return {"order_stats": rows, "failures": failures}
 
 
@@ -646,7 +626,20 @@ def _small_alpha_setup(config: ExperimentConfig):
     return {"label": label}
 
 
-def _small_alpha_replica(task) -> dict:
+def _small_alpha_size(config: ExperimentConfig, fields, n: int, beta: float) -> dict:
+    """Band edges and windows, the proxy's units (i/n, x/n, w/m(n^2)) and
+    run coupling, and the diffusive rescaling sqrt(n) / (beta_n m(n^{3/2}))."""
+    tail = config.tail()
+    m_lin = quantile(tail, float(n) ** 2)
+    band_hi = math.ceil(config.band_fraction * n)
+    los = [math.ceil(c * math.sqrt(n)) for c in config.c_values]
+    windows = [(lo, n + 1) for lo in los if lo <= n] + [(lo, band_hi) for lo in los if lo < band_hi]
+    return dict(h=n, band_hi=band_hi, los=los, windows=windows, units=(n, n, m_lin),
+                beta_run=beta * m_lin / n, prefactor=math.sqrt(n),
+                scale=beta * quantile(tail, float(n) ** 1.5))
+
+
+def _small_alpha_replica(t, field) -> dict:
     """Conditional diffusive-scale law for tail index below 1/2.
 
     A truncated Lipschitz-value proxy decides whether the linear-scale
@@ -655,20 +648,9 @@ def _small_alpha_replica(task) -> dict:
     Gibbs tail beyond C sqrt(n) and the occupancy of the intermediate
     band [C sqrt(n), band_fraction * n) are swept over c_values.
     """
-    config, n, replica, _ = task
-    tail = config.tail()
-    beta = config.beta_at(n)
-    seed = derive_seed(config.seed, n, replica, _FIELD_SLOT)
-    field = sample_field(n, n, tail, seed)
-    band_hi = math.ceil(config.band_fraction * n)
-    los = [math.ceil(c * math.sqrt(n)) for c in config.c_values]
-    logz, probs = gibbs_band_probabilities(
-        field, beta,
-        [(lo, n + 1) for lo in los if lo <= n] + [(lo, band_hi) for lo in los if lo < band_hi],
-    )
-    m_lin = quantile(tail, float(n) ** 2)
-    m_diff = quantile(tail, float(n) ** 1.5)
-    rescaled = 0.0 if beta == 0.0 else math.sqrt(n) * logz / (beta * m_diff)
+    n, beta, los = t.n, t.beta, t.los
+    logz, probs = gibbs_band_probabilities(field, beta, t.windows)
+    rescaled = 0.0 if beta == 0.0 else t.prefactor * logz / t.scale
 
     # conditioning proxy: Lipschitz chain value on the rescaled top
     # weights; truncation can only lower it, so replicas the full value
@@ -676,37 +658,25 @@ def _small_alpha_replica(task) -> dict:
     # way, zero-slope lattice sites carry exactly zero entropy, so a
     # hair-thin positive proxy is common while the top weights still
     # cover a sizable share of the box (small n).
-    beta_run = beta * m_lin / n
-    if beta_run > 0.0:
-        pts = _top_lattice(field, HAT_PROXY_TOP) / (n, n, m_lin)
-        proxy = lipschitz_chain_value(pts, beta_run)
+    if t.beta_run > 0.0:
+        pts = _top_lattice(field, HAT_PROXY_TOP) / t.units
+        proxy = lipschitz_chain_value(pts, t.beta_run)
     else:
         proxy = 0.0
     conditioned = int(proxy == 0.0)
 
     companion = 2.0 * sample_heat_kernel_sum(
-        config.alpha, config.eps, half_width=config.kernel_cutoff,
-        seed=derive_seed(config.seed, n, replica, _PPP_SLOT),
+        t.config.alpha, t.config.eps, half_width=t.config.kernel_cutoff, seed=t.seed_ppp,
     )
 
-    failures = 0
     found = iter(probs)
     tails = [next(found) if lo <= n else 0.0 for lo in los]
-    bands = [next(found) if lo < band_hi else 0.0 for lo in los]
-    band_rows = []
-    prev_tail = math.inf
-    for c, tail_p, band_p in zip(config.c_values, tails, bands):
-        if band_p > tail_p * (1.0 + MONOTONE_TOL) + 1e-15:
-            failures += 1
-        if tail_p > prev_tail * (1.0 + MONOTONE_TOL) + 1e-15:
-            failures += 1
-        prev_tail = tail_p
-        band_rows.append(
-            (n, replica, seed, float(c), float(tail_p), float(band_p))
-        )
-
+    bands = [next(found) if lo < t.band_hi else 0.0 for lo in los]
+    failures = _exceeding(tails, bands) + _exceeding([math.inf, *tails], tails)
+    band_rows = [(n, t.replica, t.seed, float(c), float(tail_p), float(band_p))
+                 for c, tail_p, band_p in zip(t.config.c_values, tails, bands)]
     cond_row = (
-        n, replica, seed, float(beta), float(proxy), conditioned,
+        n, t.replica, t.seed, float(beta), float(proxy), conditioned,
         float(logz), float(rescaled), float(companion),
     )
     return {"conditioned": [cond_row], "bands": band_rows, "failures": failures}
@@ -734,27 +704,28 @@ class _Kind(NamedTuple):
     """What one experiment kind gives run_experiment."""
 
     setup: Callable  # config -> manifest fields; raises on a bad config
-    replica: Callable  # (config, n, replica, fields) -> rows per table, failures[, flagged]
+    size: Callable  # (config, fields, n, beta_n) -> field box h and the size's constants
+    replica: Callable  # (task context, field) -> rows per table, failures[, flagged]
     tables: Dict[str, Tuple[str, ...]]  # replica table -> columns
     summary: Callable  # (config, tables, manifest fields) -> (name, summary table)
 
 
 _KINDS = {
-    KIND_FLUCTUATION: _Kind(_fluctuation_setup, _fluctuation_replica, {
+    KIND_FLUCTUATION: _Kind(_fluctuation_setup, _fluctuation_size, _fluctuation_replica, {
         "gibbs_tail": ("n", "replica", "seed", "a", "h_n", "tail_prob"),
     }, _decay),
-    KIND_REGIME: _Kind(_regime_setup, _regime_replica, {
+    KIND_REGIME: _Kind(_regime_setup, _regime_size, _regime_replica, {
         "observable": ("n", "replica", "seed", "beta_n", "h_field", "log_z", "centering",
                        "rescaled", "rescaled_vn", "companion", "flagged", "label",
                        "wrapper", "normalizer"),
         "coupling": ("n", "replica", "seed", "nu_effective", "discrete_value",
                      "continuum_value", "abs_diff"),
     }, _regime_ks),
-    KIND_ORDERED: _Kind(_ordered_setup, _ordered_replica, {
+    KIND_ORDERED: _Kind(_ordered_setup, _ordered_size, _ordered_replica, {
         "order_stats": ("n", "replica", "source", "rank", "seed", "weight_over_scale",
                         "t_frac", "x_frac"),
     }, _marginal_ks),
-    KIND_SMALL_ALPHA: _Kind(_small_alpha_setup, _small_alpha_replica, {
+    KIND_SMALL_ALPHA: _Kind(_small_alpha_setup, _small_alpha_size, _small_alpha_replica, {
         "conditioned": ("n", "replica", "seed", "beta_n", "hat_proxy", "conditioned",
                         "log_z", "rescaled", "companion"),
         "bands": ("n", "replica", "seed", "c", "tail_prob", "band_prob"),
@@ -765,12 +736,22 @@ _KINDS = {
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the campaign of ``config.kind``: its replica tables, each
     sorted by (n, replica), then its summary table; the manifest meta
-    holds the kind's fields, the wall time and the replicas' total
-    quadrature warnings."""
+    holds the kind's fields, the wall time and the size steps' total
+    quadrature warnings.  The replicas run on a pool of
+    _processes(config) processes when that is above 1."""
     kind = _KINDS[config.kind]
     fields = kind.setup(config)
     start = time.perf_counter()
-    bundles = _map_replicas(kind.replica, config, fields)
+    sizes, quadrature_warnings = _sized(kind, config, fields)
+    jobs = [(kind.replica, SimpleNamespace(
+        **size, replica=r, seed=derive_seed(config.seed, size["n"], r, _FIELD_SLOT),
+        seed_ppp=derive_seed(config.seed, size["n"], r, _PPP_SLOT),
+    )) for size in sizes for r in range(config.replicas)]
+    if _processes(config) == 1:
+        bundles = [_run_replica(job) for job in jobs]
+    else:
+        with multiprocessing.Pool(processes=config.threads) as pool:
+            bundles = list(pool.imap_unordered(_run_replica, jobs, chunksize=1))
     tables = {}
     for name, columns in kind.tables.items():
         # each replica emits its rows in key order, and the sort is stable
@@ -782,7 +763,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     meta = {
         **fields,
         "wall_time_s": time.perf_counter() - start,
-        "quadrature_warnings": sum(b["quadrature_warnings"] for b in bundles),
+        "quadrature_warnings": quadrature_warnings,
     }
     failures = sum(b["failures"] for b in bundles)
     flagged = sum(b.get("flagged", 0) for b in bundles)

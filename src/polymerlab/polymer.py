@@ -465,15 +465,10 @@ def _kernel_sum(energy: np.ndarray, grid: np.ndarray) -> float:
     return total
 
 
-def chaos_terms(
-    field: DisorderField, beta: float, band: int, cutoff: Optional[float] = None
-) -> ChaosTerms:
-    """First-order expansion terms of the banded, weight-truncated sum.
-
-    cutoff defaults to the quantile at n^(3/2) log n.  The identity
-    exp(-n lam) Z-trunc = 1 + sum (e^{beta w-trunc - lam} - 1) p + r_n
-    holds exactly by construction of r_n.
-    """
+def _truncated_band(field: DisorderField, beta: float, band: int, cutoff: Optional[float]):
+    """The truncation both chaos functions start from: the cutoff
+    (default the quantile at n^(3/2) log n), the weights truncated at it,
+    their band box and the band's kernel grid."""
     n, h = field.n, field.h
     if band < 0:
         raise ValueError("band must be >= 0")
@@ -486,10 +481,30 @@ def chaos_terms(
         if arg <= 1.0:
             raise ValueError("default cutoff undefined at this n; pass cutoff")
         cutoff = quantile(field.tail, arg)
-    lam = log_mgf_truncated(field.tail, beta, cutoff)
     trunc = np.where(field.weights <= cutoff, field.weights, 0.0)
-    grid = kernel_grid(n, band)
-    box = trunc[:, h - band : h + band + 1]
+    return cutoff, trunc, trunc[:, h - band : h + band + 1], kernel_grid(n, band)
+
+
+def chaos_v_n(
+    field: DisorderField, beta: float, band: int, cutoff: Optional[float] = None
+) -> float:
+    """The first chaos term ``chaos_terms(...).v_n`` alone, bit for bit,
+    without the truncated-mgf quadrature or the truncated transfer pass."""
+    _, _, box, grid = _truncated_band(field, beta, band, cutoff)
+    return _kernel_sum(beta * box, grid)
+
+
+def chaos_terms(
+    field: DisorderField, beta: float, band: int, cutoff: Optional[float] = None
+) -> ChaosTerms:
+    """First-order expansion terms of the banded, weight-truncated sum.
+
+    cutoff defaults to the quantile at n^(3/2) log n.  The identity
+    exp(-n lam) Z-trunc = 1 + sum (e^{beta w-trunc - lam} - 1) p + r_n
+    holds exactly by construction of r_n.
+    """
+    cutoff, trunc, box, grid = _truncated_band(field, beta, band, cutoff)
+    lam = log_mgf_truncated(field.tail, beta, cutoff)
     v_n = _kernel_sum(beta * box, grid)
     # 1 minus the kernel mass of the whole space-time box; close to 1-n
     # for a wide band, so typically negative
@@ -501,9 +516,9 @@ def chaos_terms(
     else:
         w_n = math.expm1(lam) * gap
     v_centered = _kernel_sum(beta * box - lam, grid)
-    r, sites = _transfer(trunc, h, beta, WeightFilter(), 0.0, band)
+    r, sites = _transfer(trunc, field.h, beta, WeightFilter(), 0.0, band)
     logz_trunc = _logsumexp(sites[0], r, band)
-    shift = logz_trunc - n * lam
+    shift = logz_trunc - field.n * lam
     z_shifted = math.exp(shift) if shift < 700.0 else math.inf
     r_n = z_shifted - 1.0 - v_centered
     return ChaosTerms(v_n=v_n, w_n=w_n, r_n=r_n, lam=lam, cutoff=cutoff)

@@ -136,6 +136,17 @@ def test_brute_force_routes_reject_unknown_entropy():
             brute_force(pts, 1.0, entropy_kind="bogus", method=method)
 
 
+def test_every_route_rejects_unknown_entropy_on_an_empty_set():
+    # the empty chain has no legs to cost, but its kind is still checked
+    pts = np.empty((0, 3))
+    for method in ("loop", "table"):
+        with pytest.raises(ValueError, match="unknown entropy kind"):
+            brute_force(pts, 1.0, entropy_kind="bogus", method=method)
+    with pytest.raises(ValueError, match="unknown entropy kind"):
+        solve(pts, 1.0, entropy_kind="bogus")
+    assert brute_force(pts, 1.0, method="loop").value == 0.0
+
+
 # ---------------------------------------------------------------------------
 # Solver vs brute force
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ import json
 import math
 import os
 import platform
+import warnings
 from itertools import product
 
 import numpy as np
 import pytest
 import scipy
+from scipy.integrate import IntegrationWarning
 
 from polymerlab.continuum import (
     chain_value,
@@ -530,15 +532,16 @@ def test_numpy_float_config_writes_its_manifest(tmp_path):
 
 
 def test_quadrature_warnings_counted_in_manifest(tmp_path, recwarn):
-    # the small-alpha diffusive campaign's chaos terms meet a slowly
-    # convergent quadrature on every replica
+    # the small-alpha diffusive campaign's replicas take the first chaos
+    # term alone and integrate nothing, and its size steps meet no hard
+    # quadrature, so nothing is counted
     cfg = make_config(alpha=0.3, gamma=6.0, sizes=(24, 48), replicas=4, seed=77)
     write_outputs(run_experiment(cfg), tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["meta"]["quadrature_warnings"] > 0
+    assert manifest["meta"]["quadrature_warnings"] == 0
     assert not [w for w in recwarn if "integral" in str(w.message)]
     # the count stays out of the CSVs: their bytes are those of the
-    # campaign before the warnings were counted
+    # campaign whose replicas counted warnings of the full chaos terms
     digests = {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
         for p in tmp_path.glob("*.csv")
@@ -551,6 +554,29 @@ def test_quadrature_warnings_counted_in_manifest(tmp_path, recwarn):
         "observable.csv":
             "a39c713b006675d8d24630eb4632abcac3336ee58919e1b918febbc46b280aa4",
     }
+
+
+def test_size_step_quadrature_warnings_counted_once_per_size(monkeypatch, recwarn):
+    # no shipped config warns in a size step, so each size's fluctuation
+    # scale is made to raise one quadrature warning and one other warning
+    inner = experiments.fluctuation_scale
+
+    def warning_scale(*args):
+        warnings.warn("forced quadrature warning", IntegrationWarning)
+        warnings.warn("forced other warning", UserWarning)
+        return inner(*args)
+
+    monkeypatch.setattr(experiments, "fluctuation_scale", warning_scale)
+    cfg = make_config(kind=KIND_FLUCTUATION, alpha=1.0, gamma=1.25, beta_hat=0.22,
+                      sizes=(16, 32), replicas=3, a_values=(1.0, 2.0))
+    counts = [run_experiment(dataclasses.replace(cfg, threads=threads)).meta
+              ["quadrature_warnings"] for threads in (1, 2)]
+    # one per size, not per replica, and the same on a pool
+    assert counts == [2, 2]
+    assert not [w for w in recwarn if issubclass(w.category, IntegrationWarning)]
+    # the other warning is shown as usual, under the active filters
+    shown = [w for w in recwarn if str(w.message) == "forced other warning"]
+    assert shown and all(w.category is UserWarning for w in shown)
 
 
 def test_run_from_file_exit_code(tmp_path):

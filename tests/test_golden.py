@@ -1,7 +1,9 @@
-"""Golden campaign digests: every config of tests/golden/campaign_digests.json
+"""Golden digests: every config of tests/golden/campaign_digests.json
 is rerun with one thread, and the sha256 of each CSV, of the manifest
 meta without its wall time, and the failure and flag counts must equal
-the stored ones.  The file is rewritten only by
+the stored ones; every argv of tests/golden/cli_digests.json is rerun
+and its exit code and stdout sha256 (``timings`` dropped) must equal the
+stored ones.  The files are rewritten only by
 tests/golden/regenerate.py, on a deliberate and logged output change.
 """
 
@@ -20,6 +22,7 @@ regenerate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(regenerate)
 
 GOLDEN = json.loads(regenerate.GOLDEN.read_text())
+CLI_GOLDEN = json.loads(regenerate.CLI_GOLDEN.read_text())
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -35,3 +38,14 @@ def test_golden_file_covers_every_kind_and_config():
     kinds = {entry["config"]["kind"] for entry in GOLDEN.values()}
     assert kinds == {"regime_convergence", "fluctuation", "ordered_stats_coupling",
                      "small_alpha"}
+
+
+@pytest.mark.parametrize("argv", sorted(CLI_GOLDEN))
+def test_cli_digests(argv):
+    assert regenerate.cli_digest(argv) == CLI_GOLDEN[argv]
+
+
+def test_cli_golden_file_covers_every_argv_and_subcommand():
+    assert set(CLI_GOLDEN) == set(regenerate.CLI_ARGVS)
+    assert {argv.split()[0] for argv in CLI_GOLDEN} == {
+        "polymer", "elpp", "ppp", "regime", "experiment"}

@@ -18,13 +18,19 @@ between the mean and the truncated mean.  Every top-level import is used, so a f
 ``polymer.kernel_grid`` is cached by ``functools.lru_cache``, not by a
 hand-rolled dict; the threshold interval always takes
 ``continuum.BOOTSTRAP`` resamples; each ``ppp`` op is named once, as a
-key of ``cli._PPP_OPS``.
+key of ``cli._PPP_OPS``.  Campaign replicas read their seeds, field and
+per-size constants from one task context built by the runner, the
+runner's per-replica warning counter ``_counted`` stays gone, and
+``chaos_terms`` takes no ``lam``.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import polymerlab
+from polymerlab import experiments
+from polymerlab.polymer import chaos_terms
 
 SOURCES = sorted(Path(polymerlab.__file__).parent.glob("*.py"))
 
@@ -234,3 +240,23 @@ def test_no_unused_top_level_imports():
                     if (alias.asname or alias.name.split(".")[0]) not in used
                 ]
     assert unused == []
+
+
+def test_one_replica_context():
+    # seeds, the field, beta_n and every per-size scale come from the
+    # runner's task context, and no replica runs the full chaos terms
+    per_size = {"derive_seed", "sample_field", "beta_at", "quantile", "fluctuation_scale",
+                "chaos_terms"}
+    replicas = {kind.replica.__name__ for kind in experiments._KINDS.values()}
+    tree = ast.parse(Path(experiments.__file__).read_text())
+    calls = [
+        f"{node.name}: {name}"
+        for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in replicas
+        for call in ast.walk(node) if isinstance(call, ast.Call)
+        for name in [getattr(call.func, "id", getattr(call.func, "attr", None))]
+        if name in per_size
+    ]
+    assert len(replicas) == 4 and calls == []
+    for path in SOURCES:
+        assert "_counted" not in _defined_names(ast.parse(path.read_text())), path.name
+    assert list(inspect.signature(chaos_terms).parameters) == ["field", "beta", "band", "cutoff"]

@@ -13,6 +13,7 @@ import pytest
 from scipy import integrate
 from scipy.special import logsumexp
 
+from polymerlab import polymer
 from polymerlab.environment import (
     DisorderField,
     TailParams,
@@ -32,6 +33,7 @@ from polymerlab.polymer import (
     centered_first_term,
     centering_value,
     chaos_terms,
+    chaos_v_n,
     filter_above,
     filter_atmost_one,
     filter_between,
@@ -524,6 +526,48 @@ def test_chaos_band_exceeding_box_rejected():
     field = sample_field(6, 3, PARETO_12, 74)
     with pytest.raises(ValueError):
         chaos_terms(field, 0.5, 4)
+
+
+def bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def test_chaos_v_n_alone_at_an_unreachable_overflow():
+    # the overflow case above: v_n alone has the full terms' bits, silently
+    weights = np.ones((6, 13))
+    weights[0, 6] = 50.0  # (i=1, x=0), wrong parity
+    field = DisorderField(6, 6, PARETO_15, 0, weights)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for beta in (10.0, 20.0):
+            alone = chaos_v_n(field, beta, band=6, cutoff=100.0)
+            assert bits(alone) == bits(chaos_terms(field, beta, band=6, cutoff=100.0).v_n)
+            assert math.isfinite(alone)
+
+
+@pytest.mark.parametrize("case", [
+    (sample_field(8, 8, PARETO_12, 72), 0.5, -1),  # negative band
+    (sample_field(6, 3, PARETO_12, 74), 0.5, 4),  # band beyond the box
+    (sample_field(8, 8, PARETO_12, 72), -0.5, 4),  # negative coupling
+    (sample_field(1, 1, PARETO_12, 73), 0.5, 1),  # no default cutoff at n = 1
+])
+def test_chaos_v_n_raises_as_chaos_terms_does(case):
+    with pytest.raises(ValueError) as full:
+        chaos_terms(*case)
+    with pytest.raises(ValueError) as alone:
+        chaos_v_n(*case)
+    assert str(alone.value) == str(full.value)
+
+
+def test_chaos_v_n_runs_no_quadrature(monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("log_mgf_truncated called")
+
+    monkeypatch.setattr(polymer, "log_mgf_truncated", refuse)
+    field = sample_field(32, 12, PARETO_08, 75)
+    assert math.isfinite(chaos_v_n(field, 0.01, 12))
+    with pytest.raises(RuntimeError, match="log_mgf_truncated called"):
+        chaos_terms(field, 0.01, 12)
 
 
 # ---------------------------------------------------------------------------
