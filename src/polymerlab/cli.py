@@ -50,7 +50,6 @@ from .environment import (
     sample_field,
     top_sites,
 )
-from .experiments import run_from_file
 from .polymer import (
     CENTER_MEAN,
     CENTER_NONE,
@@ -292,6 +291,7 @@ def _cmd_regime(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    from .experiments import run_from_file  # the one command that needs scipy.stats
     return run_from_file(args.config, out_dir=args.out, threads=args.threads)
 
 

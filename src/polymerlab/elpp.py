@@ -15,8 +15,8 @@ or the Lipschitz rate entropy
     e(s) = (1+s)/2 log(1+s) + (1-s)/2 log(1-s),   e(+-1) = log 2,
 
 both measured from (0, 0), infinite over equal-time displacements and
-(in the Lipschitz case) slopes above 1 in modulus.  Chains may be
-required to have exactly k or at least r points.
+(in the Lipschitz case) slopes above 1 in modulus: entropy(delta, kind).
+Chains may hold exactly k or at least r points; ANY is at_least(0).
 
 solve() is an exact layered dynamic program, O(layers * m^2) time and
 O(layers * m) memory; brute_force() enumerates subsets two independent
@@ -65,8 +65,8 @@ def _step_cost(kind: str, dt, dx) -> np.ndarray:
     dt = np.asarray(dt, dtype=float)
     dx = np.asarray(dx, dtype=float)
     still = (dt == 0.0) & (dx == 0.0)
-    if kind == ENTROPY_QUADRATIC:
-        with np.errstate(divide="ignore", invalid="ignore"):
+    if kind == ENTROPY_QUADRATIC:  # a subnormal dt overflows the cost to inf
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             cost = np.where(dt > 0.0, dx * dx / (2.0 * dt), math.inf)
     elif kind == ENTROPY_LIPSCHITZ:
         ok = (dt > 0.0) & (np.abs(dx) <= dt * _SLOPE_SLACK)
@@ -78,7 +78,9 @@ def _step_cost(kind: str, dt, dx) -> np.ndarray:
     return np.where(still, 0.0, cost)
 
 
-def _path_entropy(kind: str, delta) -> float:
+def entropy(delta, kind: str = ENTROPY_QUADRATIC) -> float:
+    """Path entropy of a point set of (t, x) or (t, x, w) rows, from the
+    origin; ``kind`` is ENTROPY_QUADRATIC or ENTROPY_LIPSCHITZ."""
     arr = np.asarray(delta, dtype=float)
     if arr.size == 0:
         arr = arr.reshape(0, 2)  # no legs: the cost is 0, once the kind is checked
@@ -95,16 +97,6 @@ def _path_entropy(kind: str, delta) -> float:
     return float(np.sum(_step_cost(kind, np.diff(t), np.diff(x))))
 
 
-def entropy(delta) -> float:
-    """Quadratic path entropy of a point set, from the origin."""
-    return _path_entropy(ENTROPY_QUADRATIC, delta)
-
-
-def lipschitz_entropy(delta) -> float:
-    """Lipschitz rate entropy of a point set, from the origin."""
-    return _path_entropy(ENTROPY_LIPSCHITZ, delta)
-
-
 # ---------------------------------------------------------------------------
 # Problem types
 # ---------------------------------------------------------------------------
@@ -112,21 +104,19 @@ def lipschitz_entropy(delta) -> float:
 
 @dataclass(frozen=True)
 class Cardinality:
-    """Chain-size requirement: any size, exactly k, or at least r points."""
+    """Chain-size requirement: exactly k, or at least r points."""
 
-    kind: str = "any"
+    kind: str = "atleast"
     count: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("any", "exactly", "atleast"):
+        if self.kind not in ("exactly", "atleast"):
             raise ValueError(f"unknown cardinality kind {self.kind!r}")
         if self.count < 0:
             raise ValueError("count must be >= 0")
-        if self.kind == "any" and self.count != 0:
-            raise ValueError("cardinality 'any' takes no count")
 
 
-ANY = Cardinality()
+ANY = Cardinality()  # any size: at least 0 points
 
 
 def exactly(k: int) -> Cardinality:
@@ -201,7 +191,7 @@ def prepare_geometry(points, entropy_kind: str = ENTROPY_QUADRATIC) -> ChainGeom
         # _step_cost in place; points are distinct, so only i = j stands still
         into = np.square(dx, out=dx)
         np.multiply(dt, 2.0, out=dt)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             np.divide(into, dt, out=into)
         into[dt <= 0.0] = math.inf
         np.fill_diagonal(into, 0.0)
@@ -267,7 +257,7 @@ def solve(
 
     # layer c holds the chains of c points, and with saturate the last
     # layer also the longer ones; exactly(0) has no layer, only the empty chain
-    want = 0 if cardinality.kind == "any" else cardinality.count
+    want = cardinality.count
     saturate = cardinality.kind != "exactly"
     if want > m:
         return _solution(pts, NEG_INF)
@@ -334,11 +324,7 @@ def solve(
 def _allowed_sizes(cardinality: Cardinality, m: int):
     if cardinality.kind == "exactly":
         return [cardinality.count] if cardinality.count <= m else []
-    if cardinality.kind == "atleast":
-        return list(range(cardinality.count, m + 1)) + (
-            [0] if cardinality.count == 0 else []
-        )
-    return list(range(0, m + 1))
+    return list(range(cardinality.count, m + 1))
 
 
 def _brute_loop(pts, beta, kappa, kind, cardinality):
@@ -347,7 +333,7 @@ def _brute_loop(pts, beta, kappa, kind, cardinality):
     for size in _allowed_sizes(cardinality, m):
         for combo in itertools.combinations(range(m), size):
             subset = pts[list(combo)]
-            ent = _path_entropy(kind, subset)
+            ent = entropy(subset, kind)
             value = float(beta * subset[:, 2].sum() - kappa * size - ent)
             if value == NEG_INF:
                 continue  # infinite entropy, not a feasible chain

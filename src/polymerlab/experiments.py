@@ -12,13 +12,13 @@ the thread count.  Wall-clock and git metadata go to a separate JSON
 manifest, keeping the CSVs reproducible.
 
 ``run_experiment`` is the one campaign runner.  Each kind is a spec in
-``_KINDS``: a set-up step (the kind's config checks and label, giving
-the manifest fields), a size step, the replica function, the replica
-tables with their columns, and a summary function that reads those
-tables by column name and returns the decay or KS table.  The size step
-runs once per size in the calling process and gives the field box h and
-the kind's constants that depend on n alone.  Each (n, replica) task is
-one context record (config, fields, n, beta_n, the size's constants,
+``_KINDS``: a set-up step (config checks and ``_classified``'s label,
+giving the manifest fields), a size step, the replica function, the
+replica tables with their columns, and a summary function that reads
+those tables by column name and returns the decay or KS table.  The size
+step runs once per size in the calling process and gives the field box h
+and the kind's constants that depend on n alone.  Each (n, replica) task
+is one context record (config, fields, n, beta_n, the size's constants,
 replica index and seeds), from which the field is sampled in one place.
 The runner maps the tasks, sorts each table by (n, replica), counts
 failures and flags, adds the summary and writes the manifest meta.
@@ -140,8 +140,8 @@ class ExperimentConfig:
     """Declarative campaign description, JSON schema version 1.
 
     ``beta_hat = 0`` is allowed and short-circuits every coupling to
-    zero (the plain random-walk model); any positive value follows the
-    power-law schedule beta_n = beta_hat * n**(-gamma).
+    zero (the plain random-walk model, without a ``schedule()``); any
+    positive value follows beta_n = beta_hat * n**(-gamma).
 
     Every field is checked against its annotation and normalised (ints
     to ``int``, floats to ``float``, lists to tuples).
@@ -213,8 +213,6 @@ class ExperimentConfig:
         return TailParams(self.alpha, law=self.law, c=self.c, b=self.b)
 
     def schedule(self) -> PowerLawSchedule:
-        if self.beta_hat == 0.0:
-            raise ValueError("zero coupling has no schedule")
         return PowerLawSchedule(self.gamma, self.beta_hat)
 
     def beta_at(self, n: int) -> float:
@@ -310,26 +308,18 @@ class ExperimentResult:
 def _sized(kind, config: ExperimentConfig, fields: dict) -> Tuple[List[dict], int]:
     """Each size's task constants (config, fields, n, beta_n and the kind's
     size step) and the count of the scipy quadrature warnings the size
-    steps raised, counted instead of shown; other warnings show as usual."""
-    count = 0
-    show = warnings.showwarning
-
-    def count_quadrature(message, category, *args, **kwargs):
-        nonlocal count
-        if issubclass(category, IntegrationWarning):
-            count += 1
-        else:
-            show(message, category, *args, **kwargs)
-
+    steps raised, counted instead of shown; other warnings show after."""
     sizes = []
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", IntegrationWarning)
-        warnings.showwarning = count_quadrature
         for n in config.sizes:
             beta = config.beta_at(n)
             sizes.append(dict(config=config, fields=fields, n=n, beta=beta,
                               **kind.size(config, fields, n, beta)))
-    return sizes, count
+    others = [w for w in caught if not issubclass(w.category, IntegrationWarning)]
+    for w in others:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
+    return sizes, len(caught) - len(others)
 
 
 def _run_replica(job) -> dict:
@@ -356,11 +346,15 @@ def _git_describe() -> str:
     return done.stdout.strip() or "unknown"
 
 
-def _label(config: ExperimentConfig) -> str:
-    """The schedule's class, or the zero-coupling label at beta_hat 0."""
+def _classified(config: ExperimentConfig, seed=None) -> Tuple[str, float, str, str]:
+    """Label, beta_limit, normalizer and limit object of the schedule (a
+    random split resolved with ``seed``), or of the zero-coupling control
+    at beta_hat 0."""
     if config.beta_hat == 0.0:
-        return LABEL_ZERO
-    return classify(config.alpha, config.schedule(), tail=config.tail()).label
+        return (LABEL_ZERO, 0.0, "zero coupling: every rescaled observable is 0 exactly",
+                "2 * heat-kernel functional (diagnostic companion)")
+    report = classify(config.alpha, config.schedule(), tail=config.tail(), seed=seed)
+    return report.label, report.beta_limit, report.normalizer, report.limit_object
 
 
 def _ks(sample, reference) -> float:
@@ -388,7 +382,7 @@ def _exceeding(bounds, values) -> int:
 def _fluctuation_setup(config: ExperimentConfig):
     if not 0.5 < config.alpha < 2.0:
         raise ValueError("fluctuation campaigns need alpha in (1/2, 2)")
-    label = _label(config)
+    label = _classified(config)[0]
     if label not in (LABEL_ZERO, LABEL_R2, LABEL_R3, LABEL_R3A, LABEL_R3B, LABEL_R4):
         raise ValueError(
             f"schedule classifies as {label}; the scale balance needs "
@@ -443,19 +437,12 @@ def _decay(config: ExperimentConfig, tables: Dict[str, Table], fields) -> Tuple[
 def _regime_setup(config: ExperimentConfig):
     """Random splits in the classification are resolved with a seed
     derived from the config seed."""
-    if config.beta_hat == 0.0:
-        label, beta_limit = LABEL_ZERO, 0.0
-        normalizer = "zero coupling: every rescaled observable is 0 exactly"
-        limit_object = "2 * heat-kernel functional (diagnostic companion)"
-    else:
-        report = classify(config.alpha, config.schedule(), tail=config.tail(),
-                          seed=derive_seed(config.seed, _CLASSIFY_KEY))
-        label, beta_limit = report.label, report.beta_limit
-        normalizer, limit_object = report.normalizer, report.limit_object
-        if label == LABEL_BOUNDARY:
-            raise ValueError("alpha = 1/2 classification is undecided")
-        if label in (LABEL_R3, LABEL_SMALL_SPLIT):
-            raise ValueError("random split left unresolved")  # unreachable
+    label, beta_limit, normalizer, limit_object = _classified(
+        config, derive_seed(config.seed, _CLASSIFY_KEY))
+    if label == LABEL_BOUNDARY:
+        raise ValueError("alpha = 1/2 classification is undecided")
+    if label in (LABEL_R3, LABEL_SMALL_SPLIT):
+        raise ValueError("random split left unresolved")  # unreachable
     return dict(label=label, beta_limit=beta_limit, normalizer=normalizer,
                 limit_object=limit_object, wrapper=RECORDS[label].wrapper)
 
@@ -564,14 +551,10 @@ def _regime_ks(config: ExperimentConfig, tables: Dict[str, Table], fields) -> Tu
 # ---------------------------------------------------------------------------
 
 
-def _ordered_setup(config: ExperimentConfig):
-    if config.ell > ORDERED_ELL_CAP:
-        raise ValueError(f"ordered-statistics ell is capped at {ORDERED_ELL_CAP}")
-    return {}
-
-
 def _ordered_size(config: ExperimentConfig, fields, n: int, beta: float) -> dict:
     h = config.half_width or math.ceil(math.sqrt(n))
+    if config.ell > ORDERED_ELL_CAP:
+        raise ValueError(f"ordered-statistics ell is capped at {ORDERED_ELL_CAP}")
     if config.ell > n * (2 * h + 1):
         raise ValueError("ell exceeds the site count at the smallest size")
     return dict(h=h, scale=quantile(config.tail(), 2.0 * n * h))
@@ -617,7 +600,7 @@ def _marginal_ks(config: ExperimentConfig, tables: Dict[str, Table], fields) -> 
 def _small_alpha_setup(config: ExperimentConfig):
     if not 0.0 < config.alpha < 0.5:
         raise ValueError("small-alpha campaigns need alpha in (0, 1/2)")
-    label = _label(config)
+    label = _classified(config)[0]
     if label == LABEL_SMALL_N:
         raise ValueError(
             "linear-scale coupling diverges; this campaign needs the "
@@ -721,7 +704,7 @@ _KINDS = {
         "coupling": ("n", "replica", "seed", "nu_effective", "discrete_value",
                      "continuum_value", "abs_diff"),
     }, _regime_ks),
-    KIND_ORDERED: _Kind(_ordered_setup, _ordered_size, _ordered_replica, {
+    KIND_ORDERED: _Kind(lambda config: {}, _ordered_size, _ordered_replica, {
         "order_stats": ("n", "replica", "source", "rank", "seed", "weight_over_scale",
                         "t_frac", "x_frac"),
     }, _marginal_ks),

@@ -2,8 +2,8 @@
 
 Everything here is a deterministic function of the field: partition
 functions by log-domain transfer recursion over the walk lattice (free
-endpoint, optional band or band-window restriction on max |S_i|, weight
-filters keeping part of the energy, per-step centering), exact walk
+endpoint, optional band or band-window restriction on max |S_i|, an
+energy window (lo, hi] filter, per-step centering), exact walk
 kernels, path sampling from the Gibbs measure, the truncated-environment
 expansion terms, and the heavy-site inclusion-exclusion decomposition.
 
@@ -50,11 +50,6 @@ from .environment import (
 LOG_HALF = math.log(0.5)
 NEG_INF = -np.inf
 
-FILTER_ALL = "all"
-FILTER_ABOVE = "above"
-FILTER_BETWEEN = "between"
-FILTER_ATMOST_ONE = "atmost1"
-
 CENTER_NONE = "none"
 CENTER_MEAN = "mean"
 CENTER_TRUNCATED = "truncated_mean"
@@ -62,44 +57,34 @@ CENTER_TRUNCATED = "truncated_mean"
 
 @dataclass(frozen=True)
 class WeightFilter:
-    """Which part of the per-site energy beta*omega is kept.
+    """The window (lo, hi] of the per-site energy beta*omega that is kept.
 
-    all: keep beta*w.  above: keep beta*w when beta*w > lo.
-    between: keep beta*w when lo < beta*w <= hi.  atmost1: keep
-    beta*w when beta*w <= 1.  Thresholds compare against beta*w at the
-    coupling actually passed to the partition function.
+    beta*w is kept when lo < beta*w <= hi and replaced by 0 otherwise;
+    the default window keeps every energy.  Thresholds compare against
+    beta*w at the coupling actually passed to the partition function.
     """
 
-    kind: str = FILTER_ALL
-    lo: float = 0.0
+    lo: float = -math.inf
     hi: float = math.inf
 
-    def __post_init__(self):
-        if self.kind not in (FILTER_ALL, FILTER_ABOVE, FILTER_BETWEEN, FILTER_ATMOST_ONE):
-            raise ValueError(f"unknown filter kind {self.kind!r}")
-        if self.kind == FILTER_BETWEEN and not self.lo < self.hi:
-            raise ValueError("between filter needs lo < hi")
-
     def apply(self, energies: np.ndarray) -> np.ndarray:
-        if self.kind == FILTER_ALL:
-            return energies
-        if self.kind == FILTER_ABOVE:
-            return np.where(energies > self.lo, energies, 0.0)
-        if self.kind == FILTER_BETWEEN:
-            return np.where((energies > self.lo) & (energies <= self.hi), energies, 0.0)
-        return np.where(energies <= 1.0, energies, 0.0)
+        if self.lo == -math.inf and self.hi == math.inf:
+            return energies  # the default window, once per transfer step
+        return np.where((energies > self.lo) & (energies <= self.hi), energies, 0.0)
 
 
 def filter_above(t: float) -> WeightFilter:
-    return WeightFilter(kind=FILTER_ABOVE, lo=t)
+    return WeightFilter(lo=t)
 
 
 def filter_between(lo: float, hi: float) -> WeightFilter:
-    return WeightFilter(kind=FILTER_BETWEEN, lo=lo, hi=hi)
+    if not lo < hi:
+        raise ValueError("between filter needs lo < hi")
+    return WeightFilter(lo, hi)
 
 
 def filter_atmost_one() -> WeightFilter:
-    return WeightFilter(kind=FILTER_ATMOST_ONE)
+    return WeightFilter(hi=1.0)
 
 
 @dataclass(frozen=True)
@@ -153,8 +138,6 @@ def centering_value(tail: TailParams, beta: float, kind: str) -> float:
 # Walk kernels
 # ---------------------------------------------------------------------------
 
-_EXACT_COMB_LIMIT = 1000
-
 
 def walk_kernel(i: int, x: int) -> float:
     """P(S_i = x) for the simple walk; 0 on wrong parity or |x| > i."""
@@ -162,12 +145,8 @@ def walk_kernel(i: int, x: int) -> float:
         raise ValueError("need i >= 1")
     if abs(x) > i or (i + x) % 2 != 0:
         return 0.0
-    k = (i + x) // 2
-    if i <= _EXACT_COMB_LIMIT:
-        return math.comb(i, k) / (1 << i)
-    return float(
-        np.exp(gammaln(i + 1) - gammaln(k + 1) - gammaln(i - k + 1) + i * LOG_HALF)
-    )
+    # integer true division rounds correctly at any i
+    return math.comb(i, (i + x) // 2) / (1 << i)
 
 
 # a full-band grid at n 4096 alone is 268 MB, so only the last few are kept
@@ -286,7 +265,7 @@ def log_partition(
     collected only inside the field box.  -inf (empty admissible set) is
     returned, never raised, when the restriction kills every path.
     """
-    if beta < 0.0 and constraint.weight_filter.kind != FILTER_ATMOST_ONE:
+    if beta < 0.0 and constraint.weight_filter != filter_atmost_one():
         raise ValueError("beta < 0 only allowed with the atmost1 filter")
     n, h = field.n, field.h
     filt = constraint.weight_filter
@@ -315,7 +294,7 @@ def gibbs_band_probabilities(
     if any(not 0 <= lo < hi <= n + 1 for lo, hi in windows):
         raise ValueError("need 0 <= h_low < h_high <= n+1")
     if beta < 0.0:
-        raise ValueError("beta < 0 only allowed with the atmost1 filter")
+        raise ValueError("need beta >= 0")
     log_free, *log_wins = _window_log_partitions(
         field, beta, WeightFilter(), 0.0, [(0, n)] + [(lo, min(hi - 1, n)) for lo, hi in windows]
     )

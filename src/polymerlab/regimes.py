@@ -51,6 +51,8 @@ LABEL_BOUNDARY = "boundary"
 LABEL_ZERO = "zero-coupling"
 
 _EXPONENT_TOL = 1e-12
+# cost of the Monte Carlo critical coupling that resolves a random split
+SPLIT_ESTIMATE = dict(replicas=16, top=64)
 
 __all__ = [
     "PowerLawSchedule",
@@ -267,9 +269,6 @@ class Pathway:
     prefactor: Callable[[int], float] = lambda n: 1.0
     cutoff: Callable[[int, float, TailParams], float] | None = None
     cutoff_text: str = ""
-    # the normalizer states the centering's alpha condition rather than
-    # resolving it at the classified alpha
-    states_condition: bool = False
 
 
 LINEAR = Pathway(
@@ -291,7 +290,6 @@ DIFFUSIVE = Pathway(
     prefactor=math.sqrt,
     cutoff=lambda n, beta, tail: quantile(tail, float(n) ** 1.5),
     cutoff_text="quantile(n^{3/2})",
-    states_condition=True,
 )
 
 
@@ -329,7 +327,7 @@ class RegimeRecord:
                 else f"truncated_mean_weight(tail, {self.pathway.cutoff_text})"
             )
             rule = f"subtract n * beta_n * {moment}"
-            if self.pathway.states_condition:
+            if self.pathway is DIFFUSIVE:  # states the alpha condition, unresolved
                 centering = f"{rule} when alpha >= {self.center_from:g}"
             elif alpha >= self.center_from:
                 centering = rule
@@ -396,8 +394,6 @@ def classify(
     *,
     tail: TailParams | None = None,
     seed=None,
-    replicas: int = 16,
-    top: int = 64,
 ) -> RegimeReport:
     """Classify a coupling schedule and return its normalization recipe.
 
@@ -407,7 +403,7 @@ def classify(
     class splits into R3a/R3b and the alpha < 1/2 transition line
     splits into the two scales.  With ``seed`` given, those splits are
     resolved by comparing the probe coupling to a Monte Carlo estimate
-    of the critical coupling (``replicas``/``top`` control its cost);
+    of the critical coupling (``SPLIT_ESTIMATE`` sets its cost);
     without a seed the unsplit label is returned with both recipes.
     """
     if not 0.0 < alpha < 2.0:
@@ -448,7 +444,7 @@ def classify(
 
     if seed is not None and label in _SPLITS:
         above, below = _SPLITS[label][:2]
-        split_threshold = critical_coupling(alpha, replicas=replicas, top=top, seed=seed).median
+        split_threshold = critical_coupling(alpha, **SPLIT_ESTIMATE, seed=seed).median
         label = above if beta_limit > split_threshold else below
 
     if label == LABEL_BOUNDARY:

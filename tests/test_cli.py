@@ -1,9 +1,13 @@
 """CLI smoke tests: each subcommand against the library it fronts."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import polymerlab
 from polymerlab import cli
 from polymerlab.cli import main
 from polymerlab.continuum import chain_value, sample_ppp
@@ -231,3 +235,13 @@ def test_spec_grammar_parity(spec):
         else:
             got = cli._parse_spec(spec, grammar)
             assert got == want and type(got) is type(want)
+
+
+def test_cli_import_loads_no_scipy_stats():
+    # only `experiment run` needs scipy.stats, and it imports experiments itself
+    src = str(Path(polymerlab.__file__).parent.parent)
+    probe = (f"import sys; sys.path.insert(0, {src!r}); import polymerlab.cli; "
+             "print('scipy.stats' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, timeout=120)
+    assert done.stdout.strip() == "False"

@@ -348,7 +348,7 @@ def enumerate_lipschitz_threshold(points):
     for r in range(1, len(pts) + 1):
         for combo in itertools.combinations(order, r):
             chain = pts[list(combo)]
-            ent = elpp.lipschitz_entropy(chain[:, :2])
+            ent = elpp.entropy(chain[:, :2], elpp.ENTROPY_LIPSCHITZ)
             total = chain[:, 2].sum()
             if math.isfinite(ent) and total > 0.0:
                 best = min(best, ent / total)

@@ -22,7 +22,6 @@ from polymerlab.elpp import (
     brute_force,
     entropy,
     exactly,
-    lipschitz_entropy,
     _step_cost,
     prepare_geometry,
     select_top,
@@ -50,7 +49,7 @@ def random_points(rng, m, t_hi=1.0, x_scale=1.0, w_scale=1.0):
 
 
 def test_cardinality_validation():
-    assert ANY == Cardinality("any", 0)
+    assert ANY == at_least(0)
     assert exactly(3) == Cardinality("exactly", 3)
     assert at_least(0).count == 0
     for kind, count in (("any", 3), ("exactly", -1), ("atleast", -2), ("some", 1)):
@@ -73,15 +72,15 @@ def test_entropy_equal_times_infinite():
 
 
 def test_lipschitz_entropy_frozen_value():
-    got = lipschitz_entropy([(0.5, 0.25)])
+    got = entropy([(0.5, 0.25)], ENTROPY_LIPSCHITZ)
     assert got == pytest.approx(HALF_RATE_AT_HALF, abs=5e-8)
 
 
 def test_lipschitz_entropy_boundary_slope():
     # slope exactly 1 costs log 2 per unit time, steeper is forbidden
-    assert lipschitz_entropy([(0.5, 0.5)]) == pytest.approx(0.5 * math.log(2), abs=1e-15)
-    assert lipschitz_entropy([(0.5, 0.500001)]) == math.inf
-    assert lipschitz_entropy([(0.4, -0.4)]) == pytest.approx(0.4 * math.log(2), abs=1e-15)
+    assert entropy([(0.5, 0.5)], ENTROPY_LIPSCHITZ) == pytest.approx(0.5 * math.log(2), abs=1e-15)
+    assert entropy([(0.5, 0.500001)], ENTROPY_LIPSCHITZ) == math.inf
+    assert entropy([(0.4, -0.4)], ENTROPY_LIPSCHITZ) == pytest.approx(0.4 * math.log(2), abs=1e-15)
 
 
 def test_lipschitz_dominates_quadratic():
@@ -94,7 +93,7 @@ def test_lipschitz_dominates_quadratic():
         t += np.arange(m) * 1e-3  # distinct times
         x = np.cumsum(rng.uniform(-1.0, 1.0, m) * np.diff(np.concatenate(([0.0], t))))
         delta = np.column_stack([t, x])
-        lip = lipschitz_entropy(delta)
+        lip = entropy(delta, ENTROPY_LIPSCHITZ)
         quad = entropy(delta)
         assert lip >= quad - 1e-12
 
@@ -254,8 +253,7 @@ def test_solution_certificate():
         beta, kappa = 2.0, 0.05
         got = solve(pts, beta, kappa, kind)
         chain = np.array(got.chain)
-        path_entropy = entropy if kind == ENTROPY_QUADRATIC else lipschitz_entropy
-        check = beta * chain[:, 2].sum() - kappa * len(chain) - path_entropy(chain[:, :2])
+        check = beta * chain[:, 2].sum() - kappa * len(chain) - entropy(chain[:, :2], kind)
         assert got.value == pytest.approx(float(check), rel=1e-12)
         assert len(chain) >= 1
 

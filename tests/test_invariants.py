@@ -21,16 +21,26 @@ hand-rolled dict; the threshold interval always takes
 key of ``cli._PPP_OPS``.  Campaign replicas read their seeds, field and
 per-size constants from one task context built by the runner, the
 runner's per-replica warning counter ``_counted`` stays gone, and
-``chaos_terms`` takes no ``lam``.
+``chaos_terms`` takes no ``lam``.  Each option has one rule: an energy
+filter is one (lo, hi] window, ``ANY`` is ``at_least(0)``, the walk
+kernel is exact at every size, the path entropy is one function, a
+pathway's text follows its identity, zero coupling is decided once,
+``classify`` has no Monte Carlo knobs, and no module swaps the global
+``warnings.showwarning``.
 """
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
+import pytest
+
 import polymerlab
 from polymerlab import experiments
-from polymerlab.polymer import chaos_terms
+from polymerlab.elpp import Cardinality
+from polymerlab.polymer import WeightFilter, chaos_terms
+from polymerlab.regimes import classify
 
 SOURCES = sorted(Path(polymerlab.__file__).parent.glob("*.py"))
 
@@ -260,3 +270,24 @@ def test_one_replica_context():
     for path in SOURCES:
         assert "_counted" not in _defined_names(ast.parse(path.read_text())), path.name
     assert list(inspect.signature(chaos_terms).parameters) == ["field", "beta", "band", "cutoff"]
+
+
+def test_one_rule_per_option():
+    removed = {"_EXACT_COMB_LIMIT", "lipschitz_entropy", "_path_entropy", "states_condition",
+               "_label", "_ordered_setup"}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        names = _identifiers(tree)
+        assert not names & removed, path.name
+        assert not [name for name in names if name.startswith("FILTER_")], path.name
+        swaps = [
+            node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+            for target in getattr(node, "targets", [getattr(node, "target", None)])
+            if isinstance(target, ast.Attribute) and target.attr == "showwarning"
+        ]
+        assert swaps == [], path.name
+    assert [field.name for field in dataclasses.fields(WeightFilter)] == ["lo", "hi"]
+    with pytest.raises(ValueError, match="unknown cardinality kind"):
+        Cardinality("any", 0)
+    assert not {"replicas", "top"} & set(inspect.signature(classify).parameters)

@@ -127,7 +127,7 @@ def test_walk_kernel_convolution():
 
 
 def test_walk_kernel_normalised_large():
-    for i in (999, 1000, 1001, 1500):
+    for i in (999, 1000, 1001, 1500, 4096):
         total = sum(walk_kernel(i, x) for x in range(-i, i + 1, 2))
         assert total == pytest.approx(1.0, rel=1e-11)
 
@@ -174,6 +174,15 @@ def test_log_partition_matches_enumeration(n, h, alpha, beta, seed):
             assert got == -np.inf
         else:
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_weight_filter_is_one_window():
+    # a bare lower edge is the above filter, not a filter that keeps all
+    field = sample_field(8, 8, PARETO_15, 7)
+    for t in (1.0, 2.0, 4.0):
+        want = log_partition(field, 0.5, PathConstraint(weight_filter=filter_above(t)))
+        assert want < log_partition(field, 0.5)
+        assert log_partition(field, 0.5, PathConstraint(weight_filter=WeightFilter(lo=t))) == want
 
 
 def test_log_partition_centerings_match_enumeration():
@@ -286,7 +295,7 @@ def test_band_probabilities_equal_separate_passes_bitwise():
             gibbs_band_probabilities(field, 0.5, [(0, 31), bad])
         with pytest.raises(ValueError):
             gibbs_band_probability(field, 0.5, *bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need beta >= 0"):
         gibbs_band_probabilities(field, -0.5, [(0, 31)])
 
 

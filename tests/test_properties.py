@@ -1,11 +1,15 @@
 """Seeded property tests of the one transfer kernel against the 2^n path
-enumeration, and of the first chaos term alone against the full terms.
+enumeration, of the first chaos term alone against the full terms, of
+the heavy-site sum identities, and of the chain solver against both
+brute-force routes.
 
 Hypothesis (MacIver et al., JOSS 2019) draws small boxes, edge boxes
 included (h = 0, h >= n, band > h), couplings with log10(beta * max
 omega) in [-3, 6], and every constraint kind: band, band window, each
 weight filter, each centering, and negative beta with the atmost1
-filter.  ``derandomize=True`` makes every run draw the same examples.
+filter.  Chain problems are drawn on continuous points and on a small
+integer lattice whose weights (signed zeros included) make ties.
+``derandomize=True`` makes every run draw the same examples.
 """
 
 import math
@@ -18,6 +22,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polymerlab import polymer
+from polymerlab.elpp import (
+    ANY,
+    ENTROPY_LIPSCHITZ,
+    ENTROPY_QUADRATIC,
+    _step_cost,
+    at_least,
+    brute_force,
+    chain_lattice,
+    exactly,
+    solve,
+)
 from polymerlab.environment import TailParams, sample_field
 from polymerlab.polymer import (
     CENTER_MEAN,
@@ -33,6 +48,7 @@ from polymerlab.polymer import (
     filter_between,
     gibbs_band_probabilities,
     gibbs_site_marginals,
+    heavy_site_decomposition,
     log_partition,
 )
 from test_polymer import enum_log_partition
@@ -151,3 +167,78 @@ def test_chaos_v_n_is_the_full_terms_v_n_bit_for_bit(case):
         alone = chaos_v_n(field, beta, band, cutoff)
         full = chaos_terms(field, beta, band, cutoff).v_n
     assert np.float64(alone).tobytes() == np.float64(full).tobytes()
+
+
+@st.composite
+def heavy_cases(draw):
+    """A field of n <= 40 steps, a band b inside its box, and a coupling
+    with log10(beta * max omega) in [-1, 2]."""
+    n = draw(st.integers(1, 40))
+    h = draw(st.integers(0, n + 2))
+    alpha = draw(st.floats(0.2, 2.0, exclude_min=True, exclude_max=True))
+    field = sample_field(n, h, TailParams(alpha), draw(st.integers(0, 2**32)))
+    scale = draw(st.floats(-1.0, 2.0))
+    return field, draw(st.integers(0, h)), 10.0**scale / float(field.weights.max())
+
+
+@SEEDED
+@given(heavy_cases())
+def test_heavy_site_sums_are_the_above_one_partition_sum(case):
+    field, band, beta = case
+    split = heavy_site_decomposition(field, beta, band)
+    if split.capped:
+        return  # the identities need every heavy site inside the cap
+    # the box h = band shares the field's weights, so its free sum is the
+    # field's sum with the energy outside |x| <= band dropped
+    nested = sample_field(field.n, band, field.tail, field.seed)
+    z = math.exp(log_partition(nested, beta, PathConstraint(weight_filter=filter_above(1.0))))
+    assert split.u.sum() == pytest.approx(z, rel=1e-12)
+    assert split.u_minus[1:].sum() == pytest.approx(z - 1.0, rel=0.0, abs=1e-12 * z)
+
+
+@st.composite
+def chain_problems(draw):
+    """Up to 10 distinct (t, x) points, continuous or on a small lattice
+    with tied and signed-zero weights, and a problem of any kind."""
+    if draw(st.booleans()):
+        row = st.tuples(st.integers(0, 4), st.integers(-3, 3),
+                        st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0]))
+    else:
+        row = st.tuples(st.floats(0.0, 1.0), st.floats(-1.0, 1.0), st.floats(-3.0, 3.0))
+    rows = draw(st.lists(row, max_size=10, unique_by=lambda r: r[:2]))
+    cardinality = draw(st.sampled_from([ANY, *map(at_least, range(4)), *map(exactly, range(4))]))
+    return (np.array(rows, dtype=float).reshape(-1, 3), draw(st.floats(-3.0, 3.0)),
+            draw(st.sampled_from([0.0, 0.5, 1.0])),
+            draw(st.sampled_from([ENTROPY_QUADRATIC, ENTROPY_LIPSCHITZ])), cardinality)
+
+
+def feasible_values(pts, beta, kappa, kind, cardinality):
+    """Every feasible chain's value, largest first, from the 2^m table."""
+    pts = pts[np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))]
+    t, x, w = pts.T
+    ent, wsum, size = chain_lattice(
+        _step_cost(kind, t, x), _step_cost(kind, t - t[:, None], x - x[:, None]), w, np.add,
+    )
+    values = beta * wsum - kappa * size - ent
+    count = cardinality.count
+    allowed = size == count if cardinality.kind == "exactly" else size >= count
+    return np.sort(values[allowed & (values > -math.inf)])[::-1]
+
+
+@SEEDED
+@given(chain_problems())
+def test_solve_matches_both_brute_force_routes(case):
+    pts, beta, kappa, kind, cardinality = case
+    got = solve(pts, beta, kappa, kind, cardinality)
+    values = feasible_values(pts, beta, kappa, kind, cardinality)
+    # rounding may break an exact tie either way, so chains are compared
+    # only where the optimum is clear of every other chain
+    clear = len(values) < 2 or values[0] - values[1] > 1e-9
+    for method in ("loop", "table"):
+        want = brute_force(pts, beta, kappa, kind, cardinality, method=method)
+        if want.value == -math.inf:
+            assert got.value == -math.inf
+        else:
+            assert got.value == pytest.approx(want.value, rel=0.0, abs=1e-12)
+        if clear:
+            assert got.indices == want.indices

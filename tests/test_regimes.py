@@ -186,8 +186,6 @@ def test_classify_log_window_regimes():
         PowerLawSchedule(gamma),
         tail=TailParams(alpha, law="logpower", b=0.7),
         seed=3,
-        replicas=6,
-        top=24,
     )
     assert resolved.label in ("R3a", "R3b")
     assert math.isfinite(resolved.split_threshold)
@@ -204,9 +202,7 @@ def test_classify_small_alpha():
     assert unresolved.label == "alpha-small-transition"
     assert "order-n recipe" in unresolved.normalizer
 
-    resolved = classify(
-        0.3, PowerLawSchedule(line), seed=11, replicas=6, top=24
-    )
+    resolved = classify(0.3, PowerLawSchedule(line), seed=11)
     assert resolved.label in ("alpha-small-n-scale", "alpha-small-sqrt-scale")
     assert math.isfinite(resolved.split_threshold)
 
