@@ -115,7 +115,7 @@ def _cmd_polymer(args) -> int:
     if args.beta is not None:
         beta = args.beta
     else:
-        beta = args.beta_hat * float(args.n) ** (-args.gamma)
+        beta = PowerLawSchedule(args.gamma, args.beta_hat).at(args.n)
     window = tuple(args.window) if args.window else None
     constraint = PathConstraint(
         band=args.band,
@@ -220,9 +220,6 @@ _PPP_OPS = {
 
 
 def _cmd_ppp(args) -> int:
-    if args.eps is not None and args.top is not None:
-        raise ValueError("give at most one of --eps and --top")
-
     if args.op == "beta_c":
         if args.eps is not None:
             raise ValueError("beta_c estimates run in top mode")
@@ -281,9 +278,7 @@ def _cmd_regime(args) -> int:
         tail=_tail_from_args(args),
         seed=args.seed,
     )
-    record = asdict(report)
-    record["probes"] = list(record["probes"])
-    return _emit(record)
+    return _emit(asdict(report))
 
 
 # ---------------------------------------------------------------------------

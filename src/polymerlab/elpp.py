@@ -23,6 +23,9 @@ O(layers * m) memory; brute_force() enumerates subsets two independent
 ways for cross-checking.  Ties in value are broken toward the chain
 whose time-sorted index sequence is lexicographically smallest, the
 empty chain smallest of all.
+
+The solver works on point sets alone; a sampled field's problem is
+solve(environment.top_sites(field, ell), beta, kappa=site_price(n)).
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.special import xlogy
-
-from .environment import DisorderField, top_sites
 
 ENTROPY_QUADRATIC = "quadratic"
 ENTROPY_LIPSCHITZ = "lipschitz"
@@ -423,6 +424,8 @@ def brute_force(
 
 def _top_rows(pts: np.ndarray, ell: int) -> np.ndarray:
     """Rows of the ell heaviest points (ties by smaller (t, x)), in time order."""
+    if ell < 0:
+        raise ValueError(f"ell must be >= 0, got {ell}")
     return np.sort(np.lexsort((pts[:, 1], pts[:, 0], -pts[:, 2]))[:ell])
 
 
@@ -432,30 +435,6 @@ def select_top(points, ell: int) -> np.ndarray:
     return pts[_top_rows(pts, ell)]
 
 
-# ---------------------------------------------------------------------------
-# Field-driven problems
-# ---------------------------------------------------------------------------
-
-
 def site_price(n: int) -> float:
     """log(n)/2, the entropy price of marking one site of an n-step field."""
     return 0.5 * math.log(n)
-
-
-def solve_field(
-    field: DisorderField,
-    beta: float,
-    ell: int,
-    kappa: Optional[float] = None,
-    entropy_kind: str = ENTROPY_QUADRATIC,
-    cardinality: Cardinality = ANY,
-) -> ChainSolution:
-    """Chain problem over the field's ell heaviest walk-reachable sites
-    (``environment.top_sites``), in lattice units; kappa defaults to
-    site_price(n)."""
-    if kappa is None:
-        kappa = site_price(field.n)
-    return solve(
-        top_sites(field, ell), beta, kappa=kappa, entropy_kind=entropy_kind,
-        cardinality=cardinality,
-    )

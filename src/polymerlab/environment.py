@@ -48,6 +48,19 @@ def _raw_survival(tail: TailParams, x):
     return np.log(np.e + x) ** tail.b * x ** (-tail.alpha)
 
 
+def weight_density(tail: TailParams, x) -> np.ndarray:
+    """Density of the weight law: -d/dx of the survival, 0 below the edge."""
+    x = np.asarray(x, dtype=float)
+    if tail.law == LAW_CONSTANT:
+        val = tail.alpha * tail.c * x ** (-tail.alpha - 1.0)
+    else:
+        lg = np.log(np.e + x)
+        val = lg ** (tail.b - 1.0) * x ** (-tail.alpha - 1.0) * (
+            tail.alpha * lg - tail.b * x / (np.e + x)
+        )
+    return np.where(x >= tail.edge, val, 0.0)
+
+
 @dataclass(frozen=True)
 class TailParams:
     """Heavy-tail weight law P(omega > x) = L(x) x^(-alpha).
@@ -79,6 +92,11 @@ class TailParams:
             edge = self._solve_edge()
             self._check_monotone(edge)
         object.__setattr__(self, "edge", float(edge))
+
+    @property
+    def log_power(self) -> float:
+        """The power of log x in L: b for the logpower law, 0 for a constant L."""
+        return self.b if self.law == LAW_LOGPOWER else 0.0
 
     def _solve_edge(self) -> float:
         """Smallest x with L(x) x^(-alpha) = 1, by bisection."""

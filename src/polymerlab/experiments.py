@@ -18,8 +18,9 @@ replica tables with their columns, and a summary function that reads
 those tables by column name and returns the decay or KS table.  The size
 step runs once per size in the calling process and gives the field box h
 and the kind's constants that depend on n alone.  Each (n, replica) task
-is one context record (config, fields, n, beta_n, the size's constants,
-replica index and seeds), from which the field is sampled in one place.
+is one context record (config, fields, the weight law, n, beta_n, the
+size's constants, replica index and seeds), from which the field is
+sampled in one place.
 The runner maps the tasks, sorts each table by (n, replica), counts
 failures and flags, adds the summary and writes the manifest meta.
 
@@ -306,15 +307,16 @@ class ExperimentResult:
 
 
 def _sized(kind, config: ExperimentConfig, fields: dict) -> Tuple[List[dict], int]:
-    """Each size's task constants (config, fields, n, beta_n and the kind's
-    size step) and the count of the scipy quadrature warnings the size
-    steps raised, counted instead of shown; other warnings show after."""
-    sizes = []
+    """Each size's task constants (config, fields, the weight law built
+    once, n, beta_n and the kind's size step) and the count of the scipy
+    quadrature warnings the size steps raised, counted instead of shown;
+    other warnings show after."""
+    sizes, tail = [], config.tail()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", IntegrationWarning)
         for n in config.sizes:
             beta = config.beta_at(n)
-            sizes.append(dict(config=config, fields=fields, n=n, beta=beta,
+            sizes.append(dict(config=config, fields=fields, tail=tail, n=n, beta=beta,
                               **kind.size(config, fields, n, beta)))
     others = [w for w in caught if not issubclass(w.category, IntegrationWarning)]
     for w in others:
@@ -325,7 +327,7 @@ def _sized(kind, config: ExperimentConfig, fields: dict) -> Tuple[List[dict], in
 def _run_replica(job) -> dict:
     """One replica on the field its task context names."""
     replica, t = job
-    return replica(t, sample_field(t.n, t.h, t.config.tail(), t.seed))
+    return replica(t, sample_field(t.n, t.h, t.tail, t.seed))
 
 
 def _processes(config: ExperimentConfig) -> int:
@@ -618,8 +620,8 @@ def _small_alpha_size(config: ExperimentConfig, fields, n: int, beta: float) -> 
     los = [math.ceil(c * math.sqrt(n)) for c in config.c_values]
     windows = [(lo, n + 1) for lo in los if lo <= n] + [(lo, band_hi) for lo in los if lo < band_hi]
     return dict(h=n, band_hi=band_hi, los=los, windows=windows, units=(n, n, m_lin),
-                beta_run=beta * m_lin / n, prefactor=math.sqrt(n),
-                scale=beta * quantile(tail, float(n) ** 1.5))
+                beta_run=beta * m_lin / n, prefactor=DIFFUSIVE.prefactor(n),
+                scale=beta * quantile(tail, DIFFUSIVE.scale_arg(n, n)))
 
 
 def _small_alpha_replica(t, field) -> dict:

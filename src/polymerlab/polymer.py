@@ -45,6 +45,7 @@ from .environment import (
     top_sites,
     truncated_mean_weight,
     quantile,
+    weight_density,
 )
 
 LOG_HALF = math.log(0.5)
@@ -215,12 +216,10 @@ def _transfer(weights, h, beta, filt, center, half_width, windows=(), store=None
     flag, dead = ruler >= bounds[:, :1], ruler > bounds[:, 1:]
     r = _reach(n if backward else 0, half_width)
     cur[0, ..., 1 : r + 2] = 0.0
-    gbuf = np.empty(min(h, half_width) + 1)
 
     def add_energy(v, i, r):
         cut = max(0, (r - h + 1) // 2)  # sites left of the field box
-        g = gbuf[: r + 1 - 2 * cut]
-        np.multiply(weights[i - 1, h - r + 2 * cut : h + r - 2 * cut + 1 : 2], beta, out=g)
+        g = beta * weights[i - 1, h - r + 2 * cut : h + r - 2 * cut + 1 : 2]
         v[..., 1 + cut : r + 2 - cut] += filt.apply(g)
 
     for i in range(n - 1, 0, -1) if backward else range(1, n + 1):
@@ -385,19 +384,6 @@ class ChaosTerms(NamedTuple):
     r_n: float  # residual making the expansion identity exact
     lam: float  # log E[exp(beta w-trunc)]
     cutoff: float  # the truncation level actually used
-
-
-def weight_density(tail: TailParams, x) -> np.ndarray:
-    """Density of the weight law: -d/dx of the survival, 0 below the edge."""
-    x = np.asarray(x, dtype=float)
-    if tail.law == "constant":
-        val = tail.alpha * tail.c * x ** (-tail.alpha - 1.0)
-    else:
-        lg = np.log(np.e + x)
-        val = lg ** (tail.b - 1.0) * x ** (-tail.alpha - 1.0) * (
-            tail.alpha * lg - tail.b * x / (np.e + x)
-        )
-    return np.where(x >= tail.edge, val, 0.0)
 
 
 def log_mgf_truncated(tail: TailParams, t: float, cutoff: float) -> float:

@@ -232,7 +232,7 @@ def _probe_limits(schedule, tail: TailParams, n_probe: int):
     probes = _probe_values(schedule, tail, n_probe)
     if isinstance(schedule, PowerLawSchedule):
         alpha = tail.alpha
-        log_b = tail.b if tail.law == "logpower" else 0.0
+        log_b = tail.log_power
         gamma = schedule.gamma
         orders = [
             (2.0 / alpha - 1.0 - gamma, log_b / alpha),

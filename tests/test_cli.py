@@ -11,8 +11,8 @@ import polymerlab
 from polymerlab import cli
 from polymerlab.cli import main
 from polymerlab.continuum import chain_value, sample_ppp
-from polymerlab.elpp import ANY, at_least, exactly, site_price, solve_field
-from polymerlab.environment import TailParams, sample_field
+from polymerlab.elpp import ANY, at_least, exactly, site_price, solve
+from polymerlab.environment import TailParams, sample_field, top_sites
 from polymerlab.polymer import (
     FREE,
     PathConstraint,
@@ -54,6 +54,18 @@ def test_polymer_gamma_schedule(capsys):
     assert rec["logZ"] == pytest.approx(
         log_partition(field, 2.0 / 64.0, FREE), rel=1e-12
     )
+
+
+def test_polymer_schedule_needs_a_positive_beta_hat(capsys):
+    # --gamma takes beta from the library's schedule, so polymer refuses
+    # beta_hat 0 as regime does; a fixed --beta 0 still runs
+    for command in ("polymer --n 8 --h 4", "regime"):
+        argv = [*command.split(), "--alpha", "1.2", "--gamma", "1.0", "--beta-hat", "0"]
+        assert main(argv) == 2
+        assert "beta_hat must be positive" in capsys.readouterr().err
+    code, rec = run_cli(capsys, "polymer", "--n", "8", "--h", "4", "--alpha", "1.2",
+                        "--beta", "0")
+    assert code == 0 and rec["normalizers"]["beta"] == 0.0
 
 
 def test_polymer_negative_beta_has_no_scale(capsys):
@@ -111,7 +123,7 @@ def test_elpp_from_field_matches_solver(capsys):
     )
     assert code == 0
     field = sample_field(40, 10, TailParams(1.1), 3)
-    want = solve_field(field, 0.6, 12, cardinality=at_least(1))
+    want = solve(top_sites(field, 12), 0.6, kappa=site_price(40), cardinality=at_least(1))
     assert rec["value"] == pytest.approx(want.value, rel=1e-12)
     assert rec["params"]["points"] == 12
     assert rec["params"]["kappa"] == site_price(40)

@@ -25,8 +25,8 @@ from polymerlab.elpp import (
     _step_cost,
     prepare_geometry,
     select_top,
+    site_price,
     solve,
-    solve_field,
     top_geometry,
 )
 from polymerlab.continuum import single_point_max
@@ -409,19 +409,31 @@ def test_select_top():
     assert select_top(pts, 10).shape == (4, 3)
 
 
+def test_negative_ell_is_rejected():
+    # a slice [:ell] at ell < 0 would keep all but the lightest |ell| points
+    pts = np.array([(0.1 * k, 0.0, float(k)) for k in range(1, 7)])
+    geo = prepare_geometry(pts)
+    for ell in (-1, -2):
+        with pytest.raises(ValueError, match="ell must be >= 0"):
+            select_top(pts, ell)
+        with pytest.raises(ValueError, match="ell must be >= 0"):
+            top_geometry(geo, ell)
+    assert select_top(pts, 0).shape == (0, 3)
+    assert top_geometry(geo, 0).points.shape == (0, 3)
+    assert top_geometry(geo, 9).points.shape == (6, 3)
+
+
 # ---------------------------------------------------------------------------
-# Field-driven problems
+# Field problems: the caller composes top_sites, solve and site_price
 # ---------------------------------------------------------------------------
 
 
-def test_solve_field_matches_direct_points():
+def test_site_price_is_half_log_n():
+    assert site_price(16) == 0.5 * math.log(16)
     field = sample_field(16, 8, TailParams(alpha=0.9), 91)
-    direct = solve(top_sites(field, 6), 0.8, kappa=0.5 * math.log(16))
-    via_field = solve_field(field, 0.8, ell=6)
-    assert via_field.value == direct.value
-    assert via_field.indices == direct.indices
-    # explicit kappa overrides the log(n)/2 default
-    assert solve_field(field, 0.8, ell=6, kappa=0.0).value >= via_field.value
+    priced = solve(top_sites(field, 6), 0.8, kappa=site_price(16))
+    # a free site can only raise the optimum over the priced one
+    assert solve(top_sites(field, 6), 0.8, kappa=0.0).value >= priced.value
 
 
 def heavy_site_rows(field, beta, first_row=1, half_width=None):

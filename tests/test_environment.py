@@ -70,6 +70,13 @@ def test_tailparams_validation():
     assert t.edge > 1e3
 
 
+def test_log_power_is_b_only_for_the_logpower_law():
+    assert logpow(0.5, b=1.5).log_power == 1.5
+    assert env.TailParams(alpha=1.2, b=1.5).log_power == 0.0  # b unused by a constant L
+    with pytest.raises(AttributeError):
+        env.TailParams(alpha=1.2).log_power = 1.0
+
+
 def test_quantile_pareto_closed_form():
     assert env.quantile(pareto(2.0), 16.0) == pytest.approx(4.0, rel=1e-15)
     assert env.quantile(pareto(1.0), 1000.0) == pytest.approx(1000.0, rel=1e-15)

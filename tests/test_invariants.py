@@ -26,7 +26,10 @@ filter is one (lo, hi] window, ``ANY`` is ``at_least(0)``, the walk
 kernel is exact at every size, the path entropy is one function, a
 pathway's text follows its identity, zero coupling is decided once,
 ``classify`` has no Monte Carlo knobs, and no module swaps the global
-``warnings.showwarning``.
+``warnings.showwarning``.  Each decision has one owner: ``elpp`` solves
+point sets and imports no other package module (a field's problem is
+composed by its caller, so ``solve_field`` stays gone), and only
+``environment`` branches on the weight law's family.
 """
 
 import ast
@@ -291,3 +294,19 @@ def test_one_rule_per_option():
     with pytest.raises(ValueError, match="unknown cardinality kind"):
         Cardinality("any", 0)
     assert not {"replicas", "top"} & set(inspect.signature(classify).parameters)
+
+
+def test_one_owner_per_decision():
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    for name, tree in trees.items():
+        assert "solve_field" not in _defined_names(tree), name
+    relative = [node.lineno for node in ast.walk(trees["elpp"])
+                if isinstance(node, ast.ImportFrom) and node.level > 0]
+    assert relative == []
+    law_compares = [
+        name for name, tree in trees.items()
+        for node in ast.walk(tree) if isinstance(node, ast.Compare)
+        for side in [node.left, *node.comparators]
+        if isinstance(side, ast.Attribute) and side.attr == "law"
+    ]
+    assert law_compares and set(law_compares) == {"environment"}

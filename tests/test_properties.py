@@ -1,6 +1,7 @@
 """Seeded property tests of the one transfer kernel against the 2^n path
-enumeration, of the first chaos term alone against the full terms, of
-the heavy-site sum identities, and of the chain solver against both
+enumeration (partition sums, site marginals and band-window
+probabilities), of the first chaos term alone against the full terms,
+of the heavy-site sum identities, and of the chain solver against both
 brute-force routes.
 
 Hypothesis (MacIver et al., JOSS 2019) draws small boxes, edge boxes
@@ -51,7 +52,7 @@ from polymerlab.polymer import (
     heavy_site_decomposition,
     log_partition,
 )
-from test_polymer import enum_log_partition
+from test_polymer import enum_log_partition, enum_site_marginals
 
 SEEDED = settings(derandomize=True, deadline=None, max_examples=300)
 
@@ -140,6 +141,41 @@ def test_site_marginal_rows_sum_to_one(case):
     rows = gibbs_site_marginals(field, beta).sum(axis=1)
     log_z = log_partition(field, beta, FREE)
     np.testing.assert_allclose(rows, 1.0, rtol=0.0, atol=rounding(log_z))
+
+
+@SEEDED
+@given(fields())
+def test_site_marginals_match_enumeration(case):
+    field, beta = case
+    log_z = log_partition(field, beta, FREE)
+    np.testing.assert_allclose(gibbs_site_marginals(field, beta),
+                               enum_site_marginals(field, beta), rtol=0.0, atol=rounding(log_z))
+
+
+@st.composite
+def windowed(draw):
+    """A field, a coupling and 1 to 4 windows [lo, hi) of max |S_i| with
+    0 <= lo < hi <= n + 1; windows may overlap."""
+    field, beta = draw(fields())
+    n = field.n
+    window = st.integers(0, n).flatmap(
+        lambda lo: st.tuples(st.just(lo), st.integers(lo + 1, n + 1)))
+    return field, beta, draw(st.lists(window, min_size=1, max_size=4))
+
+
+@SEEDED
+@given(windowed())
+def test_band_probabilities_match_enumeration(case):
+    field, beta, windows = case
+    log_z, probs = gibbs_band_probabilities(field, beta, windows)
+    log_free = enum_log_partition(field, beta, FREE)
+    for window, p in zip(windows, probs):
+        log_win = enum_log_partition(field, beta, PathConstraint(band_window=window))
+        if log_win == -math.inf:
+            assert p == 0.0  # no path has its maximum in the window
+        else:
+            assert p == pytest.approx(math.exp(log_win - log_free), rel=0.0,
+                                      abs=rounding(log_z))
 
 
 @st.composite
