@@ -34,9 +34,12 @@ from .elpp import (
     ANY,
     ENTROPY_LIPSCHITZ,
     ENTROPY_QUADRATIC,
+    MAX_GEOMETRY_POINTS,
     Cardinality,
     ChainGeometry,
+    at_least,
     prepare_geometry,
+    select_top,
     solve,
     top_geometry,
 )
@@ -50,6 +53,8 @@ DEFAULT_TOP = 256
 BRACKET_LOW = 1e-4
 BRACKET_HIGH = 1e4
 RATIO_STEP_CAP = 64
+#: Rounding margin of the ratio cut, per unit of the heaviest weight (see _above).
+CUT_MARGIN = 1e-9
 #: Resamples of the threshold estimate's percentile-bootstrap interval.
 BOOTSTRAP = 200
 
@@ -214,6 +219,26 @@ def lipschitz_chain_value(points, beta: float) -> float:
     return result.value / beta
 
 
+def _above(points: np.ndarray, kappa: float) -> np.ndarray:
+    """Rows of the points a chain optimal at price kappa per point can
+    hold: weight above kappa - delta, delta = CUT_MARGIN * max(1, max w).
+
+    Skipping a point never raises the quadratic entropy ((a+b)^2/(s+t)
+    <= a^2/s + b^2/t), so a point with w < kappa only lowers a chain's
+    value; one with w = kappa can tie, so it is kept.  delta covers the
+    rounding: on a chain of positive value every partial value, leg cost
+    and gain is at most L * max w, L <= MAX_GEOMETRY_POINTS, so the few
+    roundings that could favour a detour through a dropped point over
+    skipping it total under 100 * 2^-53 * 4096 * max w, delta / 20.
+    """
+    return np.flatnonzero(points[:, 2] > kappa - _margin(points))
+
+
+def _margin(points: np.ndarray) -> float:
+    """delta of ``_above``: CUT_MARGIN * max(1, max w)."""
+    return CUT_MARGIN * float(points[:, 2].max(initial=1.0))
+
+
 def _threshold(geometry: ChainGeometry, start: float | None = None):
     """Exact critical coupling of one point set, and the ratio behind it.
 
@@ -222,18 +247,26 @@ def _threshold(geometry: ChainGeometry, start: float | None = None):
     beta_c is the min over chains of entropy / weight.  Dinkelbach's
     iteration solves at the current ratio and moves to the returned
     chain's ratio until the empty chain comes back or the ratio stops
-    improving.  ``start`` must be no better than the optimum.  beta_c is
-    nan at or above BRACKET_HIGH and at least BRACKET_LOW.
+    improving.  A tilde solve sees only the points ``_above`` its price,
+    the ratio (a handful after the first solve), through
+    ``top_geometry``, whose top points are exactly those since equal
+    weights fall on one side of the cut; the chain is mapped back and
+    its ratio summed from ``geometry``.  Hat prices points at 0 and
+    cuts nothing.  ``start`` must be no better than the optimum.
+    beta_c is nan at or above BRACKET_HIGH and at least BRACKET_LOW.
     """
     rises = geometry.entropy_kind == ENTROPY_QUADRATIC
     ratio = start if start is not None else (0.0 if rises else BRACKET_HIGH)
+    every = np.arange(len(geometry.points))
     for _ in range(RATIO_STEP_CAP):
         kappa, beta = (ratio, 1.0) if rises else (0.0, ratio)
-        found = solve(geometry, beta, kappa=kappa)
+        rows = _above(geometry.points, kappa) if rises else every
+        cut = geometry if rows.size == every.size else top_geometry(geometry, rows.size)
+        found = solve(cut, beta, kappa=kappa)
         if not found.indices:
             break
         # the chain's terms from the geometry's own steps, as the DP adds them
-        idx = np.asarray(found.indices)
+        idx = rows[list(found.indices)]
         weight = float(geometry.points[idx, 2].sum())
         ent = float(geometry.origin_step[idx[0]] + geometry.into_step[idx[1:], idx[:-1]].sum())
         new = (weight - ent) / idx.size if rises else ent / weight
@@ -249,6 +282,48 @@ def _threshold(geometry: ChainGeometry, start: float | None = None):
     if beta >= BRACKET_HIGH:
         return math.nan, ratio
     return max(beta, BRACKET_LOW), ratio
+
+
+def _tilde_threshold(points: np.ndarray, start: float | None = None):
+    """Tilde ``_threshold`` from ``start`` on the quadratic geometry of
+    only the points above its cut.
+
+    The default start is the best one-point ratio floored at 0, a lower
+    bound since one point is a chain.  From any lower bound the
+    iteration ends on a chain of the best ratio, to rounding; only when
+    two such chains tie can the one it ends on, and so the rounded
+    ratio, depend on where it started (4 - 16/6 against the 4/3 of a
+    three-point chain).  So a one-point start stands only if
+    ``_tied`` finds no second chain, else the iteration is redone from 0.
+    """
+    one_point = start is None
+    if one_point:
+        start = max(0.0, single_point_max(points, 1.0).value)
+    found = _threshold(prepare_geometry(points[_above(points, start)]), start)
+    if one_point and start > 0.0 and _tied(points, found[1]):
+        return _tilde_threshold(points, 0.0)
+    return found
+
+
+def _tied(points: np.ndarray, ratio: float) -> bool:
+    """Whether a second chain of ``points`` beats ``ratio`` - delta.
+
+    Every iteration ends on a chain within rounding of the best ratio,
+    and such a chain has a value well above rounding at that price.  If
+    only one chain has a positive value there, every start ends on it.
+    Any other such chain misses a point of the best chain there or
+    holds more points than it.
+    """
+    kappa = ratio - _margin(points)
+    kept = points[_above(points, kappa)]
+    if len(kept) < 2:
+        return False
+    geometry = prepare_geometry(kept)
+    best = solve(geometry, 1.0, kappa=kappa).indices
+    if solve(geometry, 1.0, kappa=kappa, cardinality=at_least(len(best) + 1)).value > 0.0:
+        return True
+    return any(solve(np.delete(geometry.points, j, axis=0), 1.0, kappa=kappa).indices
+               for j in best)
 
 
 @dataclass(frozen=True)
@@ -286,15 +361,20 @@ def critical_coupling(
 ) -> CriticalCouplingEstimate:
     """Estimate the coupling where the chain value first turns positive.
 
-    Per replica, a top-mode sample with 2*``top`` weights is drawn once
-    and its chain geometry built once; the exact threshold is found by
-    the ratio iteration on its ``top`` largest weights (their geometry
-    cut out of the full one) and again on the full sample.  Doubling the
+    Per replica, a top-mode sample with 2*``top`` weights is drawn once;
+    the exact threshold is found by the ratio iteration on its ``top``
+    largest weights and again on the full sample.  Doubling the
     truncation is coupled point-set inclusion, and the full sample's
     iteration starts from the primary ratio, so per-replica thresholds
-    can only shrink.  Reports the median over replicas with a
-    percentile-bootstrap interval.  alpha sets the flavor: tilde (default
-    q 8) on (1/2, 2), hat (default q 1) on (0, 1/2).
+    can only shrink.  Tilde builds each geometry only over the points
+    above the cut of the ratio its iteration starts from: the best
+    one-point ratio for the primary, the primary ratio for the doubled
+    sample.  Hat cuts nothing, so it builds the doubled sample's geometry
+    once and cuts the primary's out of it.  ``top`` is capped at
+    MAX_GEOMETRY_POINTS / 2 before any solve.  Reports the median over
+    replicas with a percentile-bootstrap interval.  alpha sets the
+    flavor: tilde (default q 8) on (1/2, 2), hat (default q 1) on
+    (0, 1/2).
     """
     if 0.5 < alpha < 2.0:
         flavor, entropy_kind, q = "tilde", ENTROPY_QUADRATIC, (8.0 if q is None else q)
@@ -306,17 +386,23 @@ def critical_coupling(
         raise ValueError("replicas must be positive")
     if top < 1:
         raise ValueError("top must be positive")
+    if 2 * top > MAX_GEOMETRY_POINTS:
+        raise ValueError(f"top capped at {MAX_GEOMETRY_POINTS // 2}: a doubled "
+                         f"sample's geometry may need all {2 * top} points")
 
     root = np.random.SeedSequence(seed)
     sample_seeds = root.spawn(replicas + 1)
     primary = np.empty(replicas)
     doubled = np.empty(replicas)
     for r in range(replicas):
-        full = prepare_geometry(
-            sample_ppp(alpha, q, top=2 * top, seed=sample_seeds[r]), entropy_kind
-        )
-        primary[r], ratio = _threshold(top_geometry(full, top))
-        doubled[r], _ = _threshold(full, ratio)
+        sample = sample_ppp(alpha, q, top=2 * top, seed=sample_seeds[r])
+        if flavor == "tilde":
+            primary[r], ratio = _tilde_threshold(select_top(sample, top))
+            doubled[r], _ = _tilde_threshold(sample, ratio)
+        else:
+            full = prepare_geometry(sample, entropy_kind)
+            primary[r], ratio = _threshold(top_geometry(full, top))
+            doubled[r], _ = _threshold(full, ratio)
 
     finite = primary[np.isfinite(primary)]
     failures = replicas - finite.size

@@ -42,7 +42,7 @@ ENTROPY_QUADRATIC = "quadratic"
 ENTROPY_LIPSCHITZ = "lipschitz"
 
 _MAX_POINTS = 50_000
-_MAX_GEOMETRY_POINTS = 4096
+MAX_GEOMETRY_POINTS = 4096
 _MAX_BRUTE_LOOP = 14
 _MAX_BRUTE_TABLE = 22
 # |dx| <= dt up to rounding: a slope-1 leg between rescaled points
@@ -57,8 +57,10 @@ NEG_INF = -math.inf
 
 
 def _rate(s: np.ndarray) -> np.ndarray:
-    """e(s) on [-1, 1]; xlogy handles the 0 log 0 endpoints exactly."""
-    return 0.5 * (xlogy(1.0 + s, 1.0 + s) + xlogy(1.0 - s, 1.0 - s))
+    """e(s) on [-1, 1]; xlogy handles the 0 log 0 endpoints exactly.  Near
+    s = 0 the two terms cancel to rounding, which may fall below e's
+    minimum 0 (-5.6e-17 at s = 4e-12), so the rate is floored there."""
+    return np.maximum(0.5 * (xlogy(1.0 + s, 1.0 + s) + xlogy(1.0 - s, 1.0 - s)), 0.0)
 
 
 def _step_cost(kind: str, dt, dx) -> np.ndarray:
@@ -183,8 +185,8 @@ def prepare_geometry(points, entropy_kind: str = ENTROPY_QUADRATIC) -> ChainGeom
     cuts the heaviest points' geometry out of this one)."""
     pts = _as_sorted_points(points)
     m = len(pts)
-    if m > _MAX_GEOMETRY_POINTS:
-        raise ValueError(f"geometry matrix capped at {_MAX_GEOMETRY_POINTS} points")
+    if m > MAX_GEOMETRY_POINTS:
+        raise ValueError(f"geometry matrix capped at {MAX_GEOMETRY_POINTS} points")
     t, x = pts[:, 0], pts[:, 1]
     origin = _step_cost(entropy_kind, t, x)
     dt, dx = np.subtract.outer(t, t), np.subtract.outer(x, x)  # [j, i]: leg i -> j

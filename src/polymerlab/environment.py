@@ -26,7 +26,6 @@ from typing import Optional
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy import integrate
 
 LAW_CONSTANT = "constant"
 LAW_LOGPOWER = "logpower"
@@ -192,6 +191,8 @@ def quantile(tail: TailParams, x):
 
 def _survival_integral(tail: TailParams, upper: float) -> float:
     """Integral of the survival from the support edge to ``upper``."""
+    from scipy import integrate  # loaded only where it integrates
+
     body, _ = integrate.quad(
         lambda u: _raw_survival(tail, u),
         tail.edge, upper, epsabs=1e-12, epsrel=1e-12, limit=200,

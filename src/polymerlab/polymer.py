@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammaln, logsumexp
 
 from .elpp import chain_lattice
@@ -394,7 +393,12 @@ def log_mgf_truncated(tail: TailParams, t: float, cutoff: float) -> float:
     truncation puts at zero.  The integrand is positive and at most 1 up
     to the density factor, so nothing overflows or cancels at any t.
     Below cutoff - 700/t the integrand is under exp(-700) and is dropped.
+    A span many decades long can hide the density's peak at its low end
+    from one quadrature (at tiny t the body then comes back <= 0); the
+    body is then redone over pieces of u spaced by factors of 2.
     """
+    from scipy import integrate  # loaded only where it integrates
+
     if t == 0.0:
         return 0.0
     if t < 0.0:
@@ -404,16 +408,21 @@ def log_mgf_truncated(tail: TailParams, t: float, cutoff: float) -> float:
     # integrate in the offset v = cutoff - u so the exponent is exact
     # even when cutoff is astronomically large
     span = min(cutoff - tail.edge, 700.0 / t)
-    body, _ = integrate.quad(
-        lambda v: math.exp(-t * v) * float(weight_density(tail, cutoff - v)),
-        0.0,
-        span,
-        epsabs=1e-300,
-        epsrel=1e-11,
-        limit=500,
-    )
+
+    def quad(f, lo, hi):
+        return integrate.quad(f, lo, hi, epsabs=1e-300, epsrel=1e-11, limit=500)[0]
+
+    body = quad(lambda v: math.exp(-t * v) * float(weight_density(tail, cutoff - v)), 0.0, span)
     exp_shift = math.exp(-t * cutoff) if t * cutoff < 700.0 else 0.0
-    val = body + survival(tail, cutoff) * exp_shift
+    atom = survival(tail, cutoff) * exp_shift
+    if body + atom <= 0.0:
+        low = cutoff - span
+        edges = np.geomspace(low, cutoff, max(1, math.ceil(math.log2(cutoff / low))) + 1)
+        body = math.fsum(
+            quad(lambda u: math.exp(-t * (cutoff - u)) * float(weight_density(tail, u)), a, b)
+            for a, b in zip(edges[:-1], edges[1:])
+        )
+    val = body + atom
     if val <= 0.0:
         raise ValueError("truncated mgf underflowed; cutoff too extreme")
     return t * cutoff + math.log(val)

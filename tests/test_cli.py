@@ -250,10 +250,18 @@ def test_spec_grammar_parity(spec):
 
 
 def test_cli_import_loads_no_scipy_stats():
-    # only `experiment run` needs scipy.stats, and it imports experiments itself
+    # only `experiment run` needs scipy.stats, and it imports experiments
+    # itself; scipy.integrate loads only where a quadrature runs, which
+    # `ppp` and `elpp` never reach
     src = str(Path(polymerlab.__file__).parent.parent)
-    probe = (f"import sys; sys.path.insert(0, {src!r}); import polymerlab.cli; "
-             "print('scipy.stats' in sys.modules)")
+    probe = (f"import sys; sys.path.insert(0, {src!r}); import polymerlab.cli as cli; "
+             "loaded = lambda: ['scipy.stats' in sys.modules, 'scipy.integrate' in sys.modules]; "
+             "print(loaded()); "
+             "cli.main(['ppp', '--alpha', '1.2', '--op', 'beta_c', '--top', '16', '--replicas', '2']); "
+             "cli.main(['ppp', '--alpha', '1.2', '--op', 'W0', '--top', '16']); "
+             "cli.main(['elpp', '--from-field', '16,4,1.2,3,8', '--beta', '1']); "
+             "print(loaded())")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True, timeout=120)
-    assert done.stdout.strip() == "False"
+    lines = done.stdout.strip().splitlines()
+    assert lines[0] == lines[-1] == "[False, False]"

@@ -415,9 +415,11 @@ def test_threshold_bracket_ends():
 
 
 def test_threshold_inconsistent_chain_raises(monkeypatch):
-    pts = np.array([[0.5, 0.0, 3.0], [0.9, 0.0, 0.5]])
+    # the second point is heavier, so it survives the cut at the first
+    # point's ratio 3, and far, so its own ratio 4 - 4/1.8 is lower
+    pts = np.array([[0.5, 0.0, 3.0], [0.9, 2.0, 4.0]])
     geometry = elpp.prepare_geometry(pts, elpp.ENTROPY_QUADRATIC)
-    # the heavy point first, then a positive-value chain of lower ratio
+    # the first point, then a positive-value chain of lower ratio
     answers = iter([(0,), (1,)])
 
     def inconsistent(geom, beta, kappa=0.0, **kwargs):
@@ -465,8 +467,9 @@ def test_threshold_brackets_sign_change(flavor, alpha, kind):
 
 @pytest.mark.parametrize("flavor, alpha", [("tilde", 1.2), ("hat", 0.3)])
 def test_critical_coupling_solve_count(monkeypatch, flavor, alpha):
-    # each threshold is a ratio iteration of a few solves (2.2 on average
-    # in the beta_c benchmark), far below a bisection's 42
+    # each threshold is a ratio iteration of a few solves (in the beta_c
+    # benchmark 1.03 on average, and 1.06 more that check a one-point
+    # start for a tie), far below a bisection's 42
     calls = []
     inner = continuum.solve
 
@@ -481,17 +484,31 @@ def test_critical_coupling_solve_count(monkeypatch, flavor, alpha):
 
 
 @pytest.mark.parametrize("flavor, alpha", [("tilde", 1.2), ("hat", 0.3)])
-def test_critical_coupling_one_geometry_per_replica(monkeypatch, flavor, alpha):
-    built = []
-    inner = continuum.prepare_geometry
+def test_critical_coupling_geometries_per_replica(monkeypatch, flavor, alpha):
+    built, started = [], []
+    inner_build, inner_threshold = continuum.prepare_geometry, continuum._threshold
 
-    def counted(points, *args, **kwargs):
+    def build(points, *args, **kwargs):
         built.append(len(points))
-        return inner(points, *args, **kwargs)
+        return inner_build(points, *args, **kwargs)
 
-    monkeypatch.setattr(continuum, "prepare_geometry", counted)
+    def threshold(geometry, start=None):
+        started.append((geometry, start))
+        return inner_threshold(geometry, start)
+
+    monkeypatch.setattr(continuum, "prepare_geometry", build)
+    monkeypatch.setattr(continuum, "_threshold", threshold)
     critical_coupling(alpha, replicas=3, top=16, seed=5)
-    assert built == [32, 32, 32]  # the full sample; the primary is cut from it
+    if flavor == "hat":
+        assert built == [32, 32, 32]  # the full sample; the primary is cut from it
+        return
+    # tilde: a geometry per iteration, holding no point at or below the
+    # cut of the ratio the iteration starts from
+    assert len(started) == 6
+    assert sum(len(geo.points) for geo, _ in started) < 3 * (16 + 32)
+    for geometry, start in started:
+        m = len(geometry.points)
+        np.testing.assert_array_equal(continuum._above(geometry.points, start), np.arange(m))
 
 
 def test_critical_coupling_geometry_cap_before_any_solve(monkeypatch):

@@ -447,6 +447,19 @@ def test_log_mgf_extreme_cutoff():
     assert math.isfinite(val)
 
 
+def test_log_mgf_tiny_coupling_redoes_the_body_in_pieces():
+    # one quadrature over u in [1, 1.2e7] misses the density's peak at the
+    # edge and its body came back <= 0; split by factors of 2 it is found
+    tail = TailParams(0.201171875)
+    t = 9.856652288117412e-17
+    cut = quantile(tail, 6**1.5 * math.log(6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        val = log_mgf_truncated(tail, t, cut)
+    assert math.isfinite(val)
+    assert val == pytest.approx(t * truncated_mean_weight(tail, cut), rel=1e-4)
+
+
 def test_chaos_identity_against_enumeration():
     # coupling kept small against the default cutoff, the regime the
     # expansion is built for

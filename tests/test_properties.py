@@ -1,28 +1,34 @@
 """Seeded property tests of the one transfer kernel against the 2^n path
 enumeration (partition sums, site marginals and band-window
 probabilities), of the first chaos term alone against the full terms,
-of the heavy-site sum identities, and of the chain solver against both
-brute-force routes.
+of the heavy-site sum identities, of the chain solver against both
+brute-force routes, and of the exact threshold's ratio cut and
+one-point start against the iteration that solves on every point
+from ratio 0.
 
 Hypothesis (MacIver et al., JOSS 2019) draws small boxes, edge boxes
 included (h = 0, h >= n, band > h), couplings with log10(beta * max
 omega) in [-3, 6], and every constraint kind: band, band window, each
 weight filter, each centering, and negative beta with the atmost1
 filter.  Chain problems are drawn on continuous points and on a small
-integer lattice whose weights (signed zeros included) make ties.
+integer lattice whose weights (signed zeros included) make ties;
+threshold point sets also on lines of equal speed from the origin
+(where skipping a point costs no entropy) and with weights up to 1e9
+against origin costs as large.
 ``derandomize=True`` makes every run draw the same examples.
 """
 
+import contextlib
 import math
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polymerlab import polymer
+from polymerlab import continuum, polymer
 from polymerlab.elpp import (
     ANY,
     ENTROPY_LIPSCHITZ,
@@ -32,7 +38,10 @@ from polymerlab.elpp import (
     brute_force,
     chain_lattice,
     exactly,
+    prepare_geometry,
+    select_top,
     solve,
+    top_geometry,
 )
 from polymerlab.environment import TailParams, sample_field
 from polymerlab.polymer import (
@@ -55,6 +64,8 @@ from polymerlab.polymer import (
 from test_polymer import enum_log_partition, enum_site_marginals
 
 SEEDED = settings(derandomize=True, deadline=None, max_examples=300)
+# each threshold draw runs several whole iterations; fewer keep the module under 20 s
+SEEDED_THRESHOLDS = settings(SEEDED, max_examples=150)
 
 
 def rounding(log_z):
@@ -195,8 +206,7 @@ def chaos_cases(draw):
 def test_chaos_v_n_is_the_full_terms_v_n_bit_for_bit(case):
     field, beta, band, cutoff = case
     # v_n is formed before lam enters chaos_terms, so lam's quadrature is
-    # stubbed out: it is not what is compared, and at some tiny couplings
-    # it fails outright (a negative quadrature body at alpha near 0.2)
+    # stubbed out: it is not what is compared, and it is most of the time
     with warnings.catch_warnings(), mock.patch.object(polymer, "log_mgf_truncated",
                                                       lambda tail, t, cutoff: 0.0):
         warnings.simplefilter("ignore", RuntimeWarning)  # expm1 overflow at huge couplings
@@ -278,3 +288,108 @@ def test_solve_matches_both_brute_force_routes(case):
             assert got.value == pytest.approx(want.value, rel=0.0, abs=1e-12)
         if clear:
             assert got.indices == want.indices
+
+
+@st.composite
+def threshold_sets(draw):
+    """1 to 12 distinct (t, x, w) points of one kind: an integer lattice
+    with integer weights, a line x = v t of equal speed with lattice
+    points off it, continuous points, heavy points whose weights (up to
+    1e9) nearly pay their origin costs, or signed zeros."""
+    kind = draw(st.sampled_from(["lattice", "line", "continuous", "heavy", "zeros"]))
+    if kind == "lattice":
+        row = st.tuples(st.integers(1, 5), st.integers(-4, 4), st.integers(-1, 4))
+    elif kind == "line":
+        speed = draw(st.sampled_from([0.0, 0.5, 1.0, -2.0]))
+        on_line = st.integers(1, 16).map(lambda k: (k / 4, speed * k / 4))
+        off_line = st.tuples(st.integers(1, 4), st.integers(-4, 4))
+        row = st.tuples(st.one_of(on_line, off_line), st.integers(0, 5)).map(
+            lambda r: (*r[0], r[1]))
+    elif kind == "continuous":
+        row = st.tuples(st.floats(0.01, 1.0), st.floats(-2.0, 2.0), st.floats(-0.5, 10.0))
+    elif kind == "heavy":
+        speed = draw(st.floats(1e3, 4e4))
+
+        def heavy(r):
+            t, x = r[0], speed * r[0] + r[1]
+            return t, x, min(1e9, x * x / (2.0 * t) + r[2])
+
+        row = st.tuples(st.floats(0.01, 1.0), st.floats(-1.0, 1.0),
+                        st.floats(-50.0, 50.0)).map(heavy)
+    else:
+        row = st.tuples(st.integers(1, 4), st.sampled_from([-0.0, 0.0, 1.0, -1.0]),
+                        st.sampled_from([-0.0, 0.0, 0.5, 1.0]))
+    rows = draw(st.lists(row, min_size=1, max_size=12, unique_by=lambda r: r[:2]))
+    return np.array(rows, dtype=float)
+
+
+def full_threshold(geometry, start=None):
+    """The ratio iteration with every solve on the whole geometry."""
+    rises = geometry.entropy_kind == ENTROPY_QUADRATIC
+    ratio = start if start is not None else (0.0 if rises else continuum.BRACKET_HIGH)
+    for _ in range(continuum.RATIO_STEP_CAP):
+        kappa, beta = (ratio, 1.0) if rises else (0.0, ratio)
+        found = solve(geometry, beta, kappa=kappa)
+        if not found.indices:
+            break
+        idx = np.asarray(found.indices)
+        weight = float(geometry.points[idx, 2].sum())
+        ent = float(geometry.origin_step[idx[0]] + geometry.into_step[idx[1:], idx[:-1]].sum())
+        new = (weight - ent) / idx.size if rises else ent / weight
+        gain = new - ratio if rises else ratio - new
+        if gain < -1e-9 * abs(ratio):
+            raise RuntimeError(f"positive-value chain at ratio {ratio!r} worsens the ratio")
+        if gain <= 0.0:
+            break
+        ratio = new
+    else:
+        raise RuntimeError(f"ratio iteration did not settle in {continuum.RATIO_STEP_CAP} solves")
+    beta = (0.5 / ratio if ratio > 0.0 else math.inf) if rises else ratio
+    if beta >= continuum.BRACKET_HIGH:
+        return math.nan, ratio
+    return max(beta, continuum.BRACKET_LOW), ratio
+
+
+def bits(threshold):
+    """(beta_c, ratio) as bytes, or the error the iteration raised."""
+    try:
+        return np.array(threshold(), dtype=float).tobytes()
+    except RuntimeError as err:
+        return str(err)
+
+
+@SEEDED_THRESHOLDS
+@given(threshold_sets())
+def test_ratio_cut_leaves_every_solve_unchanged(pts):
+    # at 0, at each weight (a point of weight equal to the price can tie)
+    # and at each ratio of the full iteration
+    geometry = prepare_geometry(pts)
+    prices = {0.0, *pts[:, 2].tolist()}
+    with contextlib.suppress(RuntimeError):
+        prices.add(full_threshold(geometry)[1])
+    for kappa in prices:
+        rows = continuum._above(geometry.points, kappa)
+        cut = solve(top_geometry(geometry, rows.size), 1.0, kappa=kappa)
+        assert tuple(rows[list(cut.indices)]) == solve(geometry, 1.0, kappa=kappa).indices
+
+
+# two single points tied at ratio 1/3 whose rounded ratios differ, and one
+# point tied with a three-point chain at 4/3 (4 - 16/6 rounds above 4/3)
+@example(np.array([[3.0, -2.0, 1.0], [3.0, 4.0, 3.0], [1.0, -1.0, 0.0]]), ENTROPY_QUADRATIC)
+@example(np.array([[2.0, 4.0, 2.0], [4.0, 1.0, -1.0], [4.0, -2.0, -1.0], [3.0, 4.0, 4.0],
+                   [4.0, 3.0, 1.0], [2.0, 1.0, 1.0], [1.0, 3.0, 3.0]]), ENTROPY_QUADRATIC)
+# a zero weight whose tiny Lipschitz origin cost once rounded below 0
+@example(np.array([[0.25, 1e-12, 0.0]]), ENTROPY_LIPSCHITZ)
+@SEEDED_THRESHOLDS
+@given(threshold_sets(), st.sampled_from([ENTROPY_QUADRATIC, ENTROPY_LIPSCHITZ]))
+def test_threshold_cut_and_starts_match_the_full_iteration_bit_for_bit(pts, kind):
+    geometry = prepare_geometry(pts, kind)
+    want = bits(lambda: full_threshold(geometry))
+    assert bits(lambda: continuum._threshold(geometry)) == want
+    # a doubled sample's iteration starts from the ratio of its top half
+    start = full_threshold(prepare_geometry(select_top(pts, (len(pts) + 1) // 2), kind))[1]
+    want_doubled = bits(lambda: full_threshold(geometry, start))
+    assert bits(lambda: continuum._threshold(geometry, start)) == want_doubled
+    if kind == ENTROPY_QUADRATIC:
+        assert bits(lambda: continuum._tilde_threshold(pts)) == want
+        assert bits(lambda: continuum._tilde_threshold(pts, start)) == want_doubled
