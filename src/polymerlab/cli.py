@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -65,6 +67,17 @@ from .polymer import (
 from .regimes import PowerLawSchedule, classify, fluctuation_scale
 
 
+def _finite(text: str) -> float:
+    """A number flag's value: nan, inf and numbers past the float range exit 2."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _tail_from_args(args) -> TailParams:
     return TailParams(args.alpha, law=args.law, c=args.c, b=args.b)
 
@@ -74,9 +87,9 @@ def _add_law_flags(parser: argparse.ArgumentParser):
         "--law", choices=(LAW_CONSTANT, LAW_LOGPOWER), default=LAW_CONSTANT,
         help="weight tail family (default constant L = c)",
     )
-    parser.add_argument("--c", type=float, default=1.0, help="constant L value")
+    parser.add_argument("--c", type=_finite, default=1.0, help="constant L value")
     parser.add_argument(
-        "--b", type=float, default=1.0, help="logpower exponent of L"
+        "--b", type=_finite, default=1.0, help="logpower exponent of L"
     )
 
 
@@ -294,6 +307,7 @@ def _cmd_experiment(args) -> int:
 # parser
 
 
+@functools.cache  # one parser per process, built on first use; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polymerlab",
@@ -304,13 +318,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("polymer", help="exact log partition of one field")
     p.add_argument("--n", type=int, required=True, help="number of steps")
     p.add_argument("--h", type=int, required=True, help="field half-width")
-    p.add_argument("--alpha", type=float, required=True, help="tail exponent")
+    p.add_argument("--alpha", type=_finite, required=True, help="tail exponent")
     coupling = p.add_mutually_exclusive_group(required=True)
-    coupling.add_argument("--beta", type=float, help="coupling, fixed")
+    coupling.add_argument("--beta", type=_finite, help="coupling, fixed")
     coupling.add_argument(
-        "--gamma", type=float, help="coupling exponent: beta_hat * n^(-gamma)"
+        "--gamma", type=_finite, help="coupling exponent: beta_hat * n^(-gamma)"
     )
-    p.add_argument("--beta-hat", type=float, default=1.0)
+    p.add_argument("--beta-hat", type=_finite, default=1.0)
     p.add_argument("--band", type=int, default=None, help="max |S_i| <= band")
     p.add_argument(
         "--window", type=int, nargs=2, metavar=("H1", "H2"), default=None,
@@ -338,9 +352,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--from-field", default=None, metavar="N,H,ALPHA,SEED,ELL",
         help="solve on the ELL heaviest reachable sites of a sampled field",
     )
-    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--beta", type=_finite, required=True)
     p.add_argument(
-        "--kappa", type=float, default=None,
+        "--kappa", type=_finite, default=None,
         help="per-point price (default 0 for files, log(n)/2 for fields)",
     )
     p.add_argument(
@@ -354,29 +368,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_elpp)
 
     p = sub.add_parser("ppp", help="point-process sample functionals")
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_finite, required=True)
     p.add_argument(
-        "--q", type=float, default=None,
+        "--q", type=_finite, default=None,
         help="box half-width (default 1; 8 for W0; flavor default for beta_c)",
     )
-    p.add_argument("--eps", type=float, default=None, help="weight floor")
+    p.add_argument("--eps", type=_finite, default=None, help="weight floor")
     p.add_argument(
         "--top", type=int, default=None,
         help=f"keep this many heaviest points (default {DEFAULT_TOP})",
     )
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--op", required=True, choices=(*_PPP_OPS, "beta_c"))
-    p.add_argument("--nu", type=float, default=1.0, help="weight prefactor")
-    p.add_argument("--beta", type=float, default=None)
+    p.add_argument("--nu", type=_finite, default=1.0, help="weight prefactor")
+    p.add_argument("--beta", type=_finite, default=None)
     p.add_argument(
         "--replicas", type=int, default=100, help="beta_c sample size"
     )
     p.set_defaults(handler=_cmd_ppp)
 
     p = sub.add_parser("regime", help="classify a coupling schedule")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--beta-hat", type=float, default=1.0)
+    p.add_argument("--alpha", type=_finite, required=True)
+    p.add_argument("--gamma", type=_finite, required=True)
+    p.add_argument("--beta-hat", type=_finite, default=1.0)
     p.add_argument(
         "--n", type=int, default=1_000_000, help="probe size for the scale"
     )

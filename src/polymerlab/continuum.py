@@ -41,7 +41,6 @@ from .elpp import (
     prepare_geometry,
     select_top,
     solve,
-    top_geometry,
 )
 
 NEG_INF = -np.inf
@@ -53,7 +52,7 @@ DEFAULT_TOP = 256
 BRACKET_LOW = 1e-4
 BRACKET_HIGH = 1e4
 RATIO_STEP_CAP = 64
-#: Rounding margin of the ratio cut, per unit of the heaviest weight (see _above).
+#: Rounding margin of the point cuts (see _above and _hat_threshold).
 CUT_MARGIN = 1e-9
 #: Resamples of the threshold estimate's percentile-bootstrap interval.
 BOOTSTRAP = 200
@@ -230,6 +229,8 @@ def _above(points: np.ndarray, kappa: float) -> np.ndarray:
     and gain is at most L * max w, L <= MAX_GEOMETRY_POINTS, so the few
     roundings that could favour a detour through a dropped point over
     skipping it total under 100 * 2^-53 * 4096 * max w, delta / 20.
+    A tilde geometry holds the rows above its iteration's starting price,
+    so every row that any later, higher price keeps.
     """
     return np.flatnonzero(points[:, 2] > kappa - _margin(points))
 
@@ -247,26 +248,20 @@ def _threshold(geometry: ChainGeometry, start: float | None = None):
     beta_c is the min over chains of entropy / weight.  Dinkelbach's
     iteration solves at the current ratio and moves to the returned
     chain's ratio until the empty chain comes back or the ratio stops
-    improving.  A tilde solve sees only the points ``_above`` its price,
-    the ratio (a handful after the first solve), through
-    ``top_geometry``, whose top points are exactly those since equal
-    weights fall on one side of the cut; the chain is mapped back and
-    its ratio summed from ``geometry``.  Hat prices points at 0 and
-    cuts nothing.  ``start`` must be no better than the optimum.
+    improving.  Every solve runs on ``geometry`` as given; the callers
+    build it over only the points a chain can use (``_tilde_threshold``,
+    ``_hat_threshold``).  ``start`` must be no better than the optimum.
     beta_c is nan at or above BRACKET_HIGH and at least BRACKET_LOW.
     """
     rises = geometry.entropy_kind == ENTROPY_QUADRATIC
     ratio = start if start is not None else (0.0 if rises else BRACKET_HIGH)
-    every = np.arange(len(geometry.points))
     for _ in range(RATIO_STEP_CAP):
         kappa, beta = (ratio, 1.0) if rises else (0.0, ratio)
-        rows = _above(geometry.points, kappa) if rises else every
-        cut = geometry if rows.size == every.size else top_geometry(geometry, rows.size)
-        found = solve(cut, beta, kappa=kappa)
+        found = solve(geometry, beta, kappa=kappa)
         if not found.indices:
             break
         # the chain's terms from the geometry's own steps, as the DP adds them
-        idx = rows[list(found.indices)]
+        idx = np.asarray(found.indices)
         weight = float(geometry.points[idx, 2].sum())
         ent = float(geometry.origin_step[idx[0]] + geometry.into_step[idx[1:], idx[:-1]].sum())
         new = (weight - ent) / idx.size if rises else ent / weight
@@ -326,6 +321,21 @@ def _tied(points: np.ndarray, ratio: float) -> bool:
                for j in best)
 
 
+def _hat_threshold(points: np.ndarray, start: float | None = None):
+    """Hat ``_threshold`` from ``start`` on the Lipschitz geometry of only
+    the points inside the origin's slope-1 cone, |x| <= t (1 + CUT_MARGIN).
+
+    A Lipschitz leg is finite only if |dx| <= dt * _SLOPE_SLACK to
+    rounding, and the dt of a chain's legs sum to its last point's t, so
+    every point of a finite chain has |x| <= t (1 + 1e-12)(1 + 4u), u the
+    unit roundoff: inside the margin.  A dropped point has value -inf in
+    the solver's dynamic program, and removing it keeps the time order
+    of the rest, so every chain, value and index tie-break is the same.
+    """
+    inside = np.abs(points[:, 1]) <= points[:, 0] * (1.0 + CUT_MARGIN)
+    return _threshold(prepare_geometry(points[inside], ENTROPY_LIPSCHITZ), start)
+
+
 @dataclass(frozen=True)
 class CriticalCouplingEstimate:
     """Monte Carlo estimate of the positive-value coupling threshold.
@@ -366,20 +376,19 @@ def critical_coupling(
     largest weights and again on the full sample.  Doubling the
     truncation is coupled point-set inclusion, and the full sample's
     iteration starts from the primary ratio, so per-replica thresholds
-    can only shrink.  Tilde builds each geometry only over the points
-    above the cut of the ratio its iteration starts from: the best
-    one-point ratio for the primary, the primary ratio for the doubled
-    sample.  Hat cuts nothing, so it builds the doubled sample's geometry
-    once and cuts the primary's out of it.  ``top`` is capped at
-    MAX_GEOMETRY_POINTS / 2 before any solve.  Reports the median over
-    replicas with a percentile-bootstrap interval.  alpha sets the
-    flavor: tilde (default q 8) on (1/2, 2), hat (default q 1) on
-    (0, 1/2).
+    can only shrink.  Each iteration builds one geometry, over only the
+    points a chain at its starting ratio can use: tilde keeps the points
+    above that ratio's cut (the best one-point ratio for the primary,
+    the primary ratio for the doubled sample), hat the points inside the
+    origin's slope-1 cone.  ``top`` is capped at MAX_GEOMETRY_POINTS / 2
+    before any solve.  Reports the median over replicas with a
+    percentile-bootstrap interval.  alpha sets the flavor: tilde
+    (default q 8) on (1/2, 2), hat (default q 1) on (0, 1/2).
     """
     if 0.5 < alpha < 2.0:
-        flavor, entropy_kind, q = "tilde", ENTROPY_QUADRATIC, (8.0 if q is None else q)
+        flavor, threshold, q = "tilde", _tilde_threshold, (8.0 if q is None else q)
     elif 0.0 < alpha < 0.5:
-        flavor, entropy_kind, q = "hat", ENTROPY_LIPSCHITZ, (1.0 if q is None else q)
+        flavor, threshold, q = "hat", _hat_threshold, (1.0 if q is None else q)
     else:
         raise ValueError("critical coupling needs alpha in (0, 1/2) or (1/2, 2)")
     if replicas < 1:
@@ -396,13 +405,8 @@ def critical_coupling(
     doubled = np.empty(replicas)
     for r in range(replicas):
         sample = sample_ppp(alpha, q, top=2 * top, seed=sample_seeds[r])
-        if flavor == "tilde":
-            primary[r], ratio = _tilde_threshold(select_top(sample, top))
-            doubled[r], _ = _tilde_threshold(sample, ratio)
-        else:
-            full = prepare_geometry(sample, entropy_kind)
-            primary[r], ratio = _threshold(top_geometry(full, top))
-            doubled[r], _ = _threshold(full, ratio)
+        primary[r], ratio = threshold(select_top(sample, top))
+        doubled[r], _ = threshold(sample, ratio)
 
     finite = primary[np.isfinite(primary)]
     failures = replicas - finite.size

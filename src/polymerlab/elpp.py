@@ -181,8 +181,7 @@ def _as_sorted_points(points) -> np.ndarray:
 
 def prepare_geometry(points, entropy_kind: str = ENTROPY_QUADRATIC) -> ChainGeometry:
     """Precompute all entropy steps; worth it when solving the same point
-    set at many couplings, or at several truncations (``top_geometry``
-    cuts the heaviest points' geometry out of this one)."""
+    set at many couplings."""
     pts = _as_sorted_points(points)
     m = len(pts)
     if m > MAX_GEOMETRY_POINTS:
@@ -201,15 +200,6 @@ def prepare_geometry(points, entropy_kind: str = ENTROPY_QUADRATIC) -> ChainGeom
     else:
         into = _step_cost(entropy_kind, dt, dx)
     return ChainGeometry(entropy_kind, pts, origin, into)
-
-
-def top_geometry(geo: ChainGeometry, ell: int) -> ChainGeometry:
-    """``prepare_geometry(select_top(geo.points, ell))``, cut out of geo."""
-    rows = _top_rows(geo.points, ell)
-    return ChainGeometry(
-        geo.entropy_kind, geo.points[rows], geo.origin_step[rows],
-        geo.into_step[np.ix_(rows, rows)],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -424,17 +414,12 @@ def brute_force(
 # ---------------------------------------------------------------------------
 
 
-def _top_rows(pts: np.ndarray, ell: int) -> np.ndarray:
-    """Rows of the ell heaviest points (ties by smaller (t, x)), in time order."""
-    if ell < 0:
-        raise ValueError(f"ell must be >= 0, got {ell}")
-    return np.sort(np.lexsort((pts[:, 1], pts[:, 0], -pts[:, 2]))[:ell])
-
-
 def select_top(points, ell: int) -> np.ndarray:
     """The ell heaviest points (ties by smaller (t, x)), time-sorted."""
     pts = _as_sorted_points(points)
-    return pts[_top_rows(pts, ell)]
+    if ell < 0:
+        raise ValueError(f"ell must be >= 0, got {ell}")
+    return pts[np.sort(np.lexsort((pts[:, 1], pts[:, 0], -pts[:, 2]))[:ell])]
 
 
 def site_price(n: int) -> float:

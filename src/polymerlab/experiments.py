@@ -251,7 +251,12 @@ def _typed(key: str, value):
     if scalar == "int":
         items = [int(v) for v in items]
     elif scalar == "float":
-        items = [float(v) for v in items]
+        try:
+            items = [float(v) for v in items]
+        except OverflowError:  # an integer past the float range
+            items = [math.inf]
+        if not all(map(math.isfinite, items)):
+            raise ValueError(f"config key {key!r} must be finite: {value!r}")
     return tuple(items) if is_list else items[0]
 
 

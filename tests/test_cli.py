@@ -217,6 +217,54 @@ def test_experiment_run_names_missing_config_key(capsys, tmp_path):
     assert not (tmp_path / "res").exists()
 
 
+def test_in_process_calls_share_one_parser_and_no_state(capsys):
+    # main() reuses one parser; no parsed value carries into the next call
+    cli._build_parser.cache_clear()
+    assert main(["ppp", "--alpha", "1.0", "--op", "W", "--beta", "0.5"]) == 0
+    assert main(["ppp", "--alpha", "1.0", "--op", "W"]) == 2
+    assert "W needs --beta" in capsys.readouterr().err
+    polymer = ["polymer", "--n", "8", "--h", "4", "--alpha", "1.2"]
+    code, rec = run_cli(capsys, *polymer, "--beta", "0.3")
+    assert code == 0 and rec["normalizers"]["beta"] == 0.3
+    code, rec = run_cli(capsys, *polymer, "--gamma", "1.0")
+    assert code == 0 and rec["normalizers"]["beta"] == 1.0 / 8.0
+    assert cli._build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("argv", [
+    "polymer --n 8 --h 4 --alpha 1.2 --beta nan",
+    "polymer --n 8 --h 4 --alpha 1.2 --gamma 1 --beta-hat inf",
+    "elpp --from-field 16,4,1.2,3,8 --beta nan",
+    "ppp --alpha 1.2 --op T --nu nan",
+    "ppp --alpha 1.2 --op W0 --q inf",
+    "ppp --alpha 1.2 --op W --beta 1e400",
+    "regime --alpha 1.2 --gamma nan",
+    "regime --alpha 1.2 --gamma 1 --c=-inf",
+])
+def test_non_finite_flag_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exited:
+        main(argv.split())
+    assert exited.value.code == 2
+    assert "expected a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    '"beta_hat": NaN',
+    pytest.param('"alpha": 1' + "0" * 400, id="alpha-401-digits"),  # past the float range
+    '"kernel_cutoff": Infinity',
+    '"a_values": [1, Infinity]',
+])
+def test_experiment_run_rejects_non_finite_config(capsys, tmp_path, text):
+    raw = json.dumps({"schema": 1, "kind": "small_alpha", "alpha": 0.4, "gamma": 5.0,
+                      "sizes": [16], "replicas": 2, "seed": 9})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(raw[:-1] + ", " + text + "}")
+    code = main(["experiment", "run", str(cfg), "--out", str(tmp_path / "res")])
+    assert code == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+
+
 # each spec parses to the object it parsed to before the one spec grammar,
 # or is still rejected; None marks a ValueError
 SPECS = {
@@ -252,16 +300,17 @@ def test_spec_grammar_parity(spec):
 def test_cli_import_loads_no_scipy_stats():
     # only `experiment run` needs scipy.stats, and it imports experiments
     # itself; scipy.integrate loads only where a quadrature runs, which
-    # `ppp` and `elpp` never reach
+    # `ppp` and `elpp` never reach; nor does import build the parser
     src = str(Path(polymerlab.__file__).parent.parent)
     probe = (f"import sys; sys.path.insert(0, {src!r}); import polymerlab.cli as cli; "
              "loaded = lambda: ['scipy.stats' in sys.modules, 'scipy.integrate' in sys.modules]; "
-             "print(loaded()); "
+             "print(loaded(), cli._build_parser.cache_info().misses); "
              "cli.main(['ppp', '--alpha', '1.2', '--op', 'beta_c', '--top', '16', '--replicas', '2']); "
              "cli.main(['ppp', '--alpha', '1.2', '--op', 'W0', '--top', '16']); "
              "cli.main(['elpp', '--from-field', '16,4,1.2,3,8', '--beta', '1']); "
-             "print(loaded())")
+             "print(loaded(), cli._build_parser.cache_info().misses)")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True, timeout=120)
     lines = done.stdout.strip().splitlines()
-    assert lines[0] == lines[-1] == "[False, False]"
+    # the parser is built by the first call, not at import, and only once
+    assert (lines[0], lines[-1]) == ("[False, False] 0", "[False, False] 1")

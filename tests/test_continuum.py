@@ -498,17 +498,33 @@ def test_critical_coupling_geometries_per_replica(monkeypatch, flavor, alpha):
 
     monkeypatch.setattr(continuum, "prepare_geometry", build)
     monkeypatch.setattr(continuum, "_threshold", threshold)
-    critical_coupling(alpha, replicas=3, top=16, seed=5)
+    est = critical_coupling(alpha, replicas=3, top=16, seed=5)
+    assert len(started) == 6  # a primary and a doubled iteration per replica
     if flavor == "hat":
-        assert built == [32, 32, 32]  # the full sample; the primary is cut from it
+        # one geometry per iteration: the in-cone rows of the primary
+        # truncation, then of the whole sample
+        assert len(built) == 6
+        seeds = np.random.SeedSequence(5).spawn(4)
+        for r in range(3):
+            sample = sample_ppp(alpha, est.q, top=32, seed=seeds[r])
+            for (geometry, _), points in zip(started[2 * r: 2 * r + 2],
+                                             (elpp.select_top(sample, 16), sample)):
+                points = elpp.select_top(points, len(points))  # time-sorted
+                inside = np.abs(points[:, 1]) <= points[:, 0] * (1.0 + continuum.CUT_MARGIN)
+                assert geometry.entropy_kind == elpp.ENTROPY_LIPSCHITZ
+                assert geometry.points.tobytes() == points[inside].tobytes()
         return
-    # tilde: a geometry per iteration, holding no point at or below the
-    # cut of the ratio the iteration starts from
-    assert len(started) == 6
+    # tilde: no point at or below the cut of the ratio the iteration starts from
     assert sum(len(geo.points) for geo, _ in started) < 3 * (16 + 32)
     for geometry, start in started:
         m = len(geometry.points)
         np.testing.assert_array_equal(continuum._above(geometry.points, start), np.arange(m))
+
+
+def test_cone_cut_margin_covers_the_slope_slack():
+    # every point of a finite Lipschitz chain has |x| <= t * _SLOPE_SLACK to
+    # rounding, far inside the cone cut |x| <= t (1 + CUT_MARGIN)
+    assert elpp._SLOPE_SLACK - 1.0 <= continuum.CUT_MARGIN / 100
 
 
 def test_critical_coupling_geometry_cap_before_any_solve(monkeypatch):

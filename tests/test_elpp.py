@@ -27,7 +27,6 @@ from polymerlab.elpp import (
     select_top,
     site_price,
     solve,
-    top_geometry,
 )
 from polymerlab.continuum import single_point_max
 from polymerlab.environment import TailParams, sample_field, top_sites
@@ -215,23 +214,6 @@ def test_into_step_is_transposed_pair_legs(kind):
         assert not geo.into_step.flags.writeable
 
 
-@pytest.mark.parametrize("kind", [ENTROPY_QUADRATIC, ENTROPY_LIPSCHITZ])
-def test_top_geometry_equals_rebuilt_selection(kind):
-    rng = np.random.default_rng(41)
-    for m in (1, 2, 7, 30):
-        pts = legs_test_points(rng, m)
-        pts[:, 2] = rng.integers(1, 4, m)  # many tied weights
-        geo = prepare_geometry(pts, kind)
-        for ell in sorted({1, max(m - 1, 1), m, m + 3}):
-            cut = top_geometry(geo, ell)
-            built = prepare_geometry(select_top(pts, ell), kind)
-            assert cut.entropy_kind == built.entropy_kind
-            for name in ("points", "origin_step", "into_step"):
-                a, b = getattr(cut, name), getattr(built, name)
-                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (m, ell, name)
-            assert not cut.into_step.flags.writeable
-
-
 def test_tie_scan_prefers_later_predecessor_with_smaller_prefix():
     # into point 2, chain (0, 1, 2) ties chain (0, 2) at value 3; the
     # later predecessor 1 carries the prefix (0, 1), smaller than (0,)
@@ -412,15 +394,10 @@ def test_select_top():
 def test_negative_ell_is_rejected():
     # a slice [:ell] at ell < 0 would keep all but the lightest |ell| points
     pts = np.array([(0.1 * k, 0.0, float(k)) for k in range(1, 7)])
-    geo = prepare_geometry(pts)
     for ell in (-1, -2):
         with pytest.raises(ValueError, match="ell must be >= 0"):
             select_top(pts, ell)
-        with pytest.raises(ValueError, match="ell must be >= 0"):
-            top_geometry(geo, ell)
     assert select_top(pts, 0).shape == (0, 3)
-    assert top_geometry(geo, 0).points.shape == (0, 3)
-    assert top_geometry(geo, 9).points.shape == (6, 3)
 
 
 # ---------------------------------------------------------------------------

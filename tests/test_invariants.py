@@ -29,7 +29,9 @@ pathway's text follows its identity, zero coupling is decided once,
 ``warnings.showwarning``.  Each decision has one owner: ``elpp`` solves
 point sets and imports no other package module (a field's problem is
 composed by its caller, so ``solve_field`` stays gone), and only
-``environment`` branches on the weight law's family.
+``environment`` branches on the weight law's family.  Each threshold
+iteration builds one geometry, so ``elpp.top_geometry`` and its row
+helper stay gone and ``continuum`` takes no ``np.ix_`` sub-block.
 """
 
 import ast
@@ -310,3 +312,12 @@ def test_one_owner_per_decision():
         if isinstance(side, ast.Attribute) and side.attr == "law"
     ]
     assert law_compares and set(law_compares) == {"environment"}
+
+
+def test_one_geometry_per_threshold_iteration():
+    # each threshold iteration builds its own geometry over the points a
+    # chain can use; no geometry is cut out of another one
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    for name, tree in trees.items():
+        assert not _defined_names(tree) & {"top_geometry", "_top_rows"}, name
+    assert _functions_calling(trees["continuum"], "ix_") == []

@@ -2,9 +2,9 @@
 enumeration (partition sums, site marginals and band-window
 probabilities), of the first chaos term alone against the full terms,
 of the heavy-site sum identities, of the chain solver against both
-brute-force routes, and of the exact threshold's ratio cut and
-one-point start against the iteration that solves on every point
-from ratio 0.
+brute-force routes, and of the exact threshold's point cuts (tilde by
+weight, hat by the slope-1 cone) and one-point start against the
+iteration that solves on every point from ratio 0.
 
 Hypothesis (MacIver et al., JOSS 2019) draws small boxes, edge boxes
 included (h = 0, h >= n, band > h), couplings with log10(beta * max
@@ -13,8 +13,8 @@ weight filter, each centering, and negative beta with the atmost1
 filter.  Chain problems are drawn on continuous points and on a small
 integer lattice whose weights (signed zeros included) make ties;
 threshold point sets also on lines of equal speed from the origin
-(where skipping a point costs no entropy) and with weights up to 1e9
-against origin costs as large.
+(where skipping a point costs no entropy), with weights up to 1e9
+against origin costs as large, and on and next to the slope-1 cone.
 ``derandomize=True`` makes every run draw the same examples.
 """
 
@@ -41,7 +41,6 @@ from polymerlab.elpp import (
     prepare_geometry,
     select_top,
     solve,
-    top_geometry,
 )
 from polymerlab.environment import TailParams, sample_field
 from polymerlab.polymer import (
@@ -295,8 +294,9 @@ def threshold_sets(draw):
     """1 to 12 distinct (t, x, w) points of one kind: an integer lattice
     with integer weights, a line x = v t of equal speed with lattice
     points off it, continuous points, heavy points whose weights (up to
-    1e9) nearly pay their origin costs, or signed zeros."""
-    kind = draw(st.sampled_from(["lattice", "line", "continuous", "heavy", "zeros"]))
+    1e9) nearly pay their origin costs, points on and next to the
+    origin's slope-1 cone, or signed zeros."""
+    kind = draw(st.sampled_from(["lattice", "line", "continuous", "heavy", "cone", "zeros"]))
     if kind == "lattice":
         row = st.tuples(st.integers(1, 5), st.integers(-4, 4), st.integers(-1, 4))
     elif kind == "line":
@@ -316,6 +316,11 @@ def threshold_sets(draw):
 
         row = st.tuples(st.floats(0.01, 1.0), st.floats(-1.0, 1.0),
                         st.floats(-50.0, 50.0)).map(heavy)
+    elif kind == "cone":
+        # |x| = t, one ulp either side, and past the slope slack
+        slope = st.sampled_from([1.0, 1.0 + 2.0 ** -52, 1.0 - 2.0 ** -52, 1.0 + 2e-12])
+        row = st.tuples(st.integers(1, 8), slope, st.sampled_from([-1.0, 1.0]),
+                        st.integers(1, 4)).map(lambda r: (r[0] / 8, r[2] * r[1] * r[0] / 8, r[3]))
     else:
         row = st.tuples(st.integers(1, 4), st.sampled_from([-0.0, 0.0, 1.0, -1.0]),
                         st.sampled_from([-0.0, 0.0, 0.5, 1.0]))
@@ -369,7 +374,7 @@ def test_ratio_cut_leaves_every_solve_unchanged(pts):
         prices.add(full_threshold(geometry)[1])
     for kappa in prices:
         rows = continuum._above(geometry.points, kappa)
-        cut = solve(top_geometry(geometry, rows.size), 1.0, kappa=kappa)
+        cut = solve(prepare_geometry(geometry.points[rows]), 1.0, kappa=kappa)
         assert tuple(rows[list(cut.indices)]) == solve(geometry, 1.0, kappa=kappa).indices
 
 
@@ -380,6 +385,10 @@ def test_ratio_cut_leaves_every_solve_unchanged(pts):
                    [4.0, 3.0, 1.0], [2.0, 1.0, 1.0], [1.0, 3.0, 3.0]]), ENTROPY_QUADRATIC)
 # a zero weight whose tiny Lipschitz origin cost once rounded below 0
 @example(np.array([[0.25, 1e-12, 0.0]]), ENTROPY_LIPSCHITZ)
+# best hat chains through a point one ulp, and 5e-13, outside |x| = t: a
+# cone cut with no margin, or one under the slope slack, would drop it
+@example(np.array([[0.375, 0.375 * (1 + 2 ** -52), 4.0], [1.0, 1.0, 1.0]]), ENTROPY_LIPSCHITZ)
+@example(np.array([[0.5, 0.5 * (1 + 5e-13), 4.0], [1.0, 1.0, 1.0]]), ENTROPY_LIPSCHITZ)
 @SEEDED_THRESHOLDS
 @given(threshold_sets(), st.sampled_from([ENTROPY_QUADRATIC, ENTROPY_LIPSCHITZ]))
 def test_threshold_cut_and_starts_match_the_full_iteration_bit_for_bit(pts, kind):
@@ -390,6 +399,7 @@ def test_threshold_cut_and_starts_match_the_full_iteration_bit_for_bit(pts, kind
     start = full_threshold(prepare_geometry(select_top(pts, (len(pts) + 1) // 2), kind))[1]
     want_doubled = bits(lambda: full_threshold(geometry, start))
     assert bits(lambda: continuum._threshold(geometry, start)) == want_doubled
-    if kind == ENTROPY_QUADRATIC:
-        assert bits(lambda: continuum._tilde_threshold(pts)) == want
-        assert bits(lambda: continuum._tilde_threshold(pts, start)) == want_doubled
+    point_set_threshold = (continuum._tilde_threshold if kind == ENTROPY_QUADRATIC
+                           else continuum._hat_threshold)
+    assert bits(lambda: point_set_threshold(pts)) == want
+    assert bits(lambda: point_set_threshold(pts, start)) == want_doubled
