@@ -155,11 +155,16 @@ def survival(tail: TailParams, x):
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
-def _quantile_from_survival(tail: TailParams, p):
-    """Solve survival(m) = p for p in (0, 1]; vectorized bisection."""
+def _quantile_from_survival(tail: TailParams, p, out=None):
+    """Solve survival(m) = p for p in (0, 1]; vectorized bisection.  The
+    constant law's closed form is written into ``out`` when given (which
+    may be ``p`` itself); the in-place ``**=`` keeps the scalar-power
+    fast paths of ``**``, so the bits are those of (c / p) ** (1/alpha)."""
     p = np.asarray(p, dtype=float)
     if tail.law == LAW_CONSTANT:
-        return (tail.c / p) ** (1.0 / tail.alpha)
+        q = np.divide(tail.c, p, out=out)
+        q **= 1.0 / tail.alpha
+        return q
     lo = np.full(p.shape, tail.edge)
     hi = np.full(p.shape, max(2.0 * tail.edge, 2.0))
     # Expand hi until survival(hi) <= p everywhere.
@@ -251,14 +256,16 @@ def sample_field(n: int, h: int, tail: TailParams, seed: int) -> DisorderField:
     """Sample the disorder field on {1..n} x {-h..h}.
 
     Inverse-transform sampling omega = quantile(1/U') with U' = 1 - U in
-    (0, 1].  See the module docstring for the stream layout guaranteeing
+    (0, 1], drawn in the one array of uniforms when the law has a closed
+    form.  See the module docstring for the stream layout guaranteeing
     that nested boxes share weights.
     """
     if n < 1 or h < 0:
         raise ValueError("need n >= 1 and h >= 0")
     if not 0 <= seed < (1 << 64):
         raise ValueError("seed must fit in 64 bits")
-    w = _quantile_from_survival(tail, 1.0 - _uniforms(seed, n, h))
+    u = _uniforms(seed, n, h)
+    w = _quantile_from_survival(tail, np.subtract(1.0, u, out=u), out=u)
     w.flags.writeable = False
     return DisorderField(n=n, h=h, tail=tail, seed=seed, weights=w)
 

@@ -20,7 +20,10 @@ the i+1 sites of its parity inside the light cone |x| <= min(i, width)
 in preallocated buffers, and the windows of gibbs_band_probabilities
 advance together with the free pass.  Each final log-sum is taken
 over the pass's full-width row, so the results are bit for bit those
-of a full-width recursion.
+of a full-width recursion.  A window's rules (merge the paths that
+reach |x| >= h1 into its second layer, kill those past hw) act only on
+each step's edge sites |x| in {h1, h1+1} and |x| = hw+1: elsewhere the
+layer they read is -inf, and logaddexp(-inf, y) == y bit for bit.
 """
 
 from __future__ import annotations
@@ -62,10 +65,16 @@ class WeightFilter:
     beta*w is kept when lo < beta*w <= hi and replaced by 0 otherwise;
     the default window keeps every energy.  Thresholds compare against
     beta*w at the coupling actually passed to the partition function.
+    An infinite edge is a meaningful window; a nan edge keeps nothing and
+    is refused.
     """
 
     lo: float = -math.inf
     hi: float = math.inf
+
+    def __post_init__(self):
+        if math.isnan(self.lo) or math.isnan(self.hi):
+            raise ValueError("energy filter edges must not be nan")
 
     def apply(self, energies: np.ndarray) -> np.ndarray:
         if self.lo == -math.inf and self.hi == math.inf:
@@ -192,6 +201,35 @@ def _logsumexp(sites: np.ndarray, r: int, half_width: int) -> float:
     return float(logsumexp(row))
 
 
+def _window_edges(windows, n: int, half_width: int):
+    """Flat offsets into ``_transfer``'s buffer pair of every forward
+    step's window edge sites.  Row i of (src, dst, clear) merges layer 0
+    of the site of i's parity among |x| in {h1, h1+1} into layer 1 and
+    clears it, and clears both layers of |x| = hw+1 when it has i's
+    parity.  A site past the reach points at offset 0, a pad that is -inf
+    in both buffers; a merge past hw is cleared as dead or merges -inf
+    into -inf.  ``active[i]`` says whether step i has any site.
+    """
+    k = len(windows)
+    width = half_width + 3
+    h1, hw = np.array(windows, dtype=np.int64).reshape(-1, 2).T
+    i = np.arange(n + 1)[:, None]
+    r = np.minimum(i, half_width - (i - half_width) % 2)
+    # x = -r, layer 0 of window k in pair[i % 2], the buffer that holds step i
+    column = (i % 2) * (2 * k * width) + np.arange(k) * width + 1
+
+    def at(x, ok):  # offsets of -x and x, layer 0, where ok
+        off = column[..., None] + (r[..., None] + np.array([-1, 1]) * x[..., None]) // 2
+        return np.where(ok[..., None], off, 0).reshape(n + 1, -1)
+
+    a = h1 + (h1 + i) % 2
+    src = at(a, a <= r)
+    dead = at(hw + 1, (hw + 1 <= r) & ((hw + 1 + i) % 2 == 0))
+    dst = np.where(src > 0, src + k * width, 0)
+    clear = np.concatenate((src, dead, np.where(dead > 0, dead + k * width, 0)), axis=1)
+    return src, dst, clear, clear.any(axis=1).tolist()
+
+
 def _transfer(weights, h, beta, filt, center, half_width, windows=(), store=None,
               backward=False):
     """The log-domain transfer pass that every pass of this module runs on.
@@ -203,16 +241,24 @@ def _transfer(weights, h, beta, filt, center, half_width, windows=(), store=None
     starts from 0 at step n and adds step i+1's energy before the step.
     Each (h1, hw) of ``windows`` is a two-layer pass for max_i |S_i| in
     [h1, hw]: layer 1 holds the paths that reached |x| >= h1, and sites
-    past hw are -inf after every step; all windows advance together.
+    past hw are -inf after every step; all windows advance together,
+    forward only.  Each rule touches only the <= 2 edge sites per step
+    that ``_window_edges`` names.  Layer 0 was cleared at every |x| >= h1
+    one step back (the origin alone is never merged), so after the step
+    it can be finite there only at |x| = h1 or h1+1, and past hw only
+    |x| = hw+1 can be finite.  At every other site the full-row rule
+    leaves every bit as it is: the layer it reads is -inf, and
+    logaddexp(-inf, y) == y + log1p(0.0) == y, as no pass value is -0.0.
     ``store`` gets each step's sites in row i-1 (backward: log B_i).
     Returns the last reach and sites, shape (1, r+1) or (2, K, r+1).
     """
     n = weights.shape[0]
     lead = (2, len(windows)) if windows else (1,)
-    cur, nxt = np.full((2,) + lead + (half_width + 3,), NEG_INF)
-    bounds = np.array(windows, dtype=np.int64).reshape(-1, 2)
-    ruler = np.abs(np.arange(-half_width, half_width + 1))
-    flag, dead = ruler >= bounds[:, :1], ruler > bounds[:, 1:]
+    pair = np.full((2,) + lead + (half_width + 3,), NEG_INF)
+    cur, nxt = pair
+    if windows:
+        whole = pair.reshape(-1)
+        src, dst, clear, active = _window_edges(windows, n, half_width)
     r = _reach(n if backward else 0, half_width)
     cur[0, ..., 1 : r + 2] = 0.0
 
@@ -232,11 +278,9 @@ def _transfer(weights, h, beta, filt, center, half_width, windows=(), store=None
         cur, nxt = nxt, cur
         v = cur[..., 1 : m + 1]
         v += LOG_HALF
-        if windows:
-            cols = slice(half_width - r, half_width + r + 1, 2)
-            np.logaddexp(v[0], v[1], out=v[1], where=flag[:, cols])
-            np.copyto(v[0], NEG_INF, where=flag[:, cols])
-            np.copyto(v, NEG_INF, where=dead[:, cols])
+        if windows and active[i]:
+            whole[dst[i]] = np.logaddexp(whole[src[i]], whole[dst[i]])
+            whole[clear[i]] = NEG_INF
         if not backward:
             add_energy(cur, i, r)
             if center:

@@ -1,6 +1,7 @@
 """CLI smoke tests: each subcommand against the library it fronts."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -103,6 +104,26 @@ def test_polymer_rejects_bad_filter(capsys):
     ])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, want", [
+    ("above:nan", None), ("between:nan:3", None), ("between:-1:nan", None),
+    ("above:inf", filter_above(math.inf)), ("between:-inf:3", filter_between(-math.inf, 3.0)),
+])
+def test_polymer_rejects_nan_filter_edge(capsys, spec, want):
+    # no energy exceeds nan, so a nan edge would keep nothing and report a
+    # log Z of about 0: the library refuses it and the CLI exits 2; an
+    # infinite edge is a window
+    argv = ["polymer", "--n", "8", "--h", "4", "--alpha", "1.2", "--beta", "0.5", "--filter", spec]
+    if want is None:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
+    else:
+        code, rec = run_cli(capsys, *argv)
+        field = sample_field(8, 4, TailParams(1.2), 0)
+        assert code == 0
+        assert rec["logZ"] == log_partition(field, 0.5, PathConstraint(weight_filter=want))
 
 
 def test_elpp_points_file(capsys, tmp_path):

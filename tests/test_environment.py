@@ -1,5 +1,7 @@
 """Tests for the disorder environment: law, sampling, ordered statistics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
@@ -225,6 +227,19 @@ def test_field_readonly_and_domain():
         env.sample_field(3, -1, pareto(1.0), seed=1)
     with pytest.raises(ValueError):
         env.sample_field(3, 2, pareto(1.0), seed=1 << 64)
+
+
+@pytest.mark.parametrize("alpha", [0.75, 1.0, 2.0])
+def test_closed_form_field_is_drawn_in_one_box(alpha):
+    # the uniforms become the weights in place: 1 - u, c / p and the
+    # power are never box-sized arrays of their own
+    tracemalloc.start()
+    try:
+        f = env.sample_field(256, 256, pareto(alpha), seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * f.weights.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,18 @@ def test_weight_filter_is_one_window():
         assert log_partition(field, 0.5, PathConstraint(weight_filter=WeightFilter(lo=t))) == want
 
 
+def test_weight_filter_refuses_nan_edges():
+    # infinite edges are windows; a nan edge would keep no energy at all
+    for lo, hi in ((math.nan, math.inf), (-math.inf, math.nan), (math.nan, math.nan),
+                   (np.nan, 1.0)):
+        with pytest.raises(ValueError, match="nan"):
+            WeightFilter(lo, hi)
+    with pytest.raises(ValueError):
+        filter_above(math.nan)
+    assert WeightFilter(lo=math.inf).apply(np.array([1e308])).tolist() == [0.0]
+    assert filter_between(-math.inf, 3.0) == WeightFilter(-math.inf, 3.0)
+
+
 def test_log_partition_centerings_match_enumeration():
     field = sample_field(8, 8, PARETO_15, 7)
     for centering in (CENTER_MEAN, CENTER_TRUNCATED):

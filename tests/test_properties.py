@@ -1,6 +1,8 @@
 """Seeded property tests of the one transfer kernel against the 2^n path
 enumeration (partition sums, site marginals and band-window
-probabilities), of the first chaos term alone against the full terms,
+probabilities) and, byte for byte, against a full-row recursion that
+applies the window rules as masks at every site, of the first chaos
+term alone against the full terms,
 of the heavy-site sum identities, of the chain solver against both
 brute-force routes, and of the exact threshold's point cuts (tilde by
 weight, hat by the slope-1 cone) and one-point start against the
@@ -186,6 +188,89 @@ def test_band_probabilities_match_enumeration(case):
         else:
             assert p == pytest.approx(math.exp(log_win - log_free), rel=0.0,
                                       abs=rounding(log_z))
+
+
+def full_row_transfer(weights, h, beta, filt, center, half_width, windows):
+    """Each step's state of the transfer pass over the whole row
+    -half_width..half_width, the window rules applied as full-row
+    flag/dead masks: shape (n, 1, width) or (n, 2, K, width)."""
+    n, width = weights.shape[0], 2 * half_width + 1
+    ruler = np.abs(np.arange(-half_width, half_width + 1))
+    bounds = np.array(windows, dtype=np.int64).reshape(-1, 2)
+    flag, dead = ruler >= bounds[:, :1], ruler > bounds[:, 1:]
+    cur = np.full(((2, len(windows)) if windows else (1,)) + (width + 2,), -np.inf)
+    cur[0, ..., half_width + 1] = 0.0
+    box = ruler <= h
+    rows = []
+    for i in range(1, n + 1):
+        nxt = np.full_like(cur, -np.inf)
+        v = nxt[..., 1:-1]
+        np.logaddexp(cur[..., :-2], cur[..., 2:], out=v)
+        v += polymer.LOG_HALF
+        if windows:
+            np.logaddexp(v[0], v[1], out=v[1], where=flag)
+            np.copyto(v[0], -np.inf, where=flag)
+            np.copyto(v, -np.inf, where=dead)
+        x = np.flatnonzero(box & ((ruler + i) % 2 == 0))  # columns of i's parity on the box
+        v[..., x] += filt.apply(beta * weights[i - 1, x - half_width + h])
+        if center:
+            v -= center
+        rows.append(v.copy())
+        cur = nxt
+    return np.array(rows)
+
+
+@st.composite
+def transfer_cases(draw):
+    """A pass of n <= 40 steps at half width <= n, centered or not, with
+    any energy filter, and none or 1 to 3 windows (h1, hw): h1 = 0,
+    hw = 0, h1 = hw, h1 > hw (what a band below a band window's H1
+    gives) and hw past the reach among them."""
+    n = draw(st.integers(1, 40))
+    h = draw(st.integers(0, n + 2))
+    half_width = draw(st.integers(0, n))
+    field = sample_field(n, h, TailParams(draw(st.floats(0.3, 1.9))), draw(st.integers(0, 2**32)))
+    beta = 10.0 ** draw(st.floats(-3.0, 6.0)) / float(field.weights.max())
+    top = beta * float(field.weights.max())
+    filt = draw(st.sampled_from([WeightFilter(), filter_above(0.3 * top),
+                                 filter_between(0.1 * top, 0.7 * top)]))
+    center = draw(st.sampled_from([0.0, 0.75 * beta]))
+    edge = st.integers(0, n + 1)
+    shapes = {
+        "h1=0": st.tuples(st.just(0), edge),
+        "hw=0": st.tuples(edge, st.just(0)),
+        "h1=hw": edge.map(lambda e: (e, e)),
+        "h1>hw": st.integers(1, n + 1).flatmap(
+            lambda a: st.tuples(st.just(a), st.integers(0, a - 1))),
+        "past": st.tuples(edge, st.integers(half_width, n + 2)),
+        "any": st.tuples(edge, edge),
+    }
+    window = st.sampled_from(sorted(shapes)).flatmap(shapes.get)
+    windows = draw(st.one_of(st.just([]), st.lists(window, min_size=1, max_size=3)))
+    return field, beta, filt, center, half_width, windows
+
+
+@SEEDED
+@given(transfer_cases())
+def test_transfer_edges_match_full_row_masks_byte_for_byte(case):
+    # every step's sites and stored rows are the full-row recursion's
+    # bytes, whose off-cone, off-parity and dead sites are all -inf
+    field, beta, filt, center, half_width, windows = case
+    n, h = field.n, field.h
+    want = full_row_transfer(field.weights, h, beta, filt, center, half_width, windows)
+    for i in range(1, n + 1):
+        r = polymer._reach(i, half_width)
+        sites = want[i - 1][..., half_width - r : half_width + r + 1 : 2]
+        rest = want[i - 1].copy()
+        rest[..., half_width - r : half_width + r + 1 : 2] = -np.inf
+        assert np.all(rest == -np.inf)
+        got_r, got = polymer._transfer(field.weights[:i], h, beta, filt, center, half_width,
+                                       windows)
+        assert got_r == r and got.tobytes() == np.ascontiguousarray(sites).tobytes()
+    if not windows:
+        store = np.full((n, 2 * half_width + 1), -np.inf)
+        polymer._transfer(field.weights, h, beta, filt, center, half_width, store=store)
+        assert store.tobytes() == want[:, 0].tobytes()
 
 
 @st.composite
