@@ -47,6 +47,9 @@ NEG_INF = -np.inf
 
 #: Default number of retained top weights for truncated estimates.
 DEFAULT_TOP = 256
+#: Cap on the points of one sample: 240 MB as (t, x, w) rows, about 0.5 GB
+#: while it is drawn.  alpha 1.9 at eps 1e-3 on [-8, 8] means 4e6 points.
+MAX_SAMPLE_POINTS = 10_000_000
 
 #: Coupling bracket of the threshold estimate; solve cap of its ratio iteration.
 BRACKET_LOW = 1e-4
@@ -98,7 +101,9 @@ def sample_ppp(
     Exactly one of ``eps`` (floor mode, weights above eps) and ``top``
     (top mode, the ``top`` largest weights) must be given.  Returns an
     (m, 3) array of (t, x, w) rows with t uniform on [0, 1] and x
-    uniform on [-q, q].  ``eps=inf`` returns an empty sample.
+    uniform on [-q, q].  ``eps=inf`` returns an empty sample.  A floor
+    mode mean q * eps**(-alpha) or a ``top`` above MAX_SAMPLE_POINTS is
+    refused before anything is drawn.
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (0, 2)")
@@ -111,6 +116,8 @@ def sample_ppp(
     if eps is not None:
         if eps <= 0.0:
             raise ValueError("eps must be positive")
+        if math.log(q) - alpha * math.log(eps) > math.log(MAX_SAMPLE_POINTS):
+            raise ValueError(f"floor mode mean q * eps**(-alpha) is over {MAX_SAMPLE_POINTS}")
         count = int(rng.poisson(q * eps ** (-alpha)))
         # Pareto above the floor: P(w > u) = (eps/u)^alpha for u >= eps.
         weights = eps * rng.random(count) ** (-1.0 / alpha)
@@ -120,6 +127,8 @@ def sample_ppp(
         count = int(top)
         if count < 0:
             raise ValueError("top must be nonnegative")
+        if count > MAX_SAMPLE_POINTS:
+            raise ValueError(f"top exceeds {MAX_SAMPLE_POINTS} points")
         gaps = rng.standard_exponential(count)
         # Partial sums of unit exponentials give the ranked weights.
         weights = q ** (1.0 / alpha) * np.cumsum(gaps) ** (-1.0 / alpha)
@@ -382,8 +391,10 @@ def critical_coupling(
     the primary ratio for the doubled sample), hat the points inside the
     origin's slope-1 cone.  ``top`` is capped at MAX_GEOMETRY_POINTS / 2
     before any solve.  Reports the median over replicas with a
-    percentile-bootstrap interval.  alpha sets the flavor: tilde
-    (default q 8) on (1/2, 2), hat (default q 1) on (0, 1/2).
+    percentile-bootstrap interval; raises ValueError when no replica has
+    a threshold inside the bracket, an outcome of the inputs alone.
+    alpha sets the flavor: tilde (default q 8) on (1/2, 2), hat (default
+    q 1) on (0, 1/2).
     """
     if 0.5 < alpha < 2.0:
         flavor, threshold, q = "tilde", _tilde_threshold, (8.0 if q is None else q)
@@ -411,7 +422,7 @@ def critical_coupling(
     finite = primary[np.isfinite(primary)]
     failures = replicas - finite.size
     if finite.size == 0:
-        raise RuntimeError("no replica produced a threshold inside the bracket")
+        raise ValueError("no replica produced a threshold inside the bracket")
     median = float(np.median(finite))
 
     boot_rng = np.random.default_rng(sample_seeds[replicas])

@@ -64,21 +64,22 @@ def _rate(s: np.ndarray) -> np.ndarray:
 
 
 def _step_cost(kind: str, dt, dx) -> np.ndarray:
-    """Per-leg entropy cost; inf on equal-time moves and steep slopes."""
+    """Per-leg entropy cost, the one leg-cost rule of every route: 0
+    standing still, inf on equal-time moves and steep slopes, and the
+    kind's cost evaluated only on the legs that can be finite."""
     dt = np.asarray(dt, dtype=float)
     dx = np.asarray(dx, dtype=float)
-    still = (dt == 0.0) & (dx == 0.0)
-    if kind == ENTROPY_QUADRATIC:  # a subnormal dt overflows the cost to inf
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            cost = np.where(dt > 0.0, dx * dx / (2.0 * dt), math.inf)
-    elif kind == ENTROPY_LIPSCHITZ:
-        ok = (dt > 0.0) & (np.abs(dx) <= dt * _SLOPE_SLACK)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.where(ok, np.clip(np.divide(dx, np.where(ok, dt, 1.0)), -1.0, 1.0), 0.0)
-            cost = np.where(ok, dt * _rate(s), math.inf)
-    else:
+    cost = np.where((dt == 0.0) & (dx == 0.0), 0.0, math.inf)
+    ok = dt > 0.0
+    if kind == ENTROPY_LIPSCHITZ:
+        ok &= np.abs(dx) <= dt * _SLOPE_SLACK
+    elif kind != ENTROPY_QUADRATIC:
         raise ValueError(f"unknown entropy kind {kind!r}")
-    return np.where(still, 0.0, cost)
+    dt, dx = dt[ok], dx[ok]
+    quadratic = kind == ENTROPY_QUADRATIC
+    with np.errstate(over="ignore", invalid="ignore"):  # a subnormal dt overflows dx^2 / 2dt
+        cost[ok] = dx * dx / (2.0 * dt) if quadratic else dt * _rate(np.clip(dx / dt, -1.0, 1.0))
+    return cost
 
 
 def entropy(delta, kind: str = ENTROPY_QUADRATIC) -> float:
@@ -188,17 +189,8 @@ def prepare_geometry(points, entropy_kind: str = ENTROPY_QUADRATIC) -> ChainGeom
         raise ValueError(f"geometry matrix capped at {MAX_GEOMETRY_POINTS} points")
     t, x = pts[:, 0], pts[:, 1]
     origin = _step_cost(entropy_kind, t, x)
-    dt, dx = np.subtract.outer(t, t), np.subtract.outer(x, x)  # [j, i]: leg i -> j
-    if entropy_kind == ENTROPY_QUADRATIC:
-        # _step_cost in place; points are distinct, so only i = j stands still
-        into = np.square(dx, out=dx)
-        np.multiply(dt, 2.0, out=dt)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            np.divide(into, dt, out=into)
-        into[dt <= 0.0] = math.inf
-        np.fill_diagonal(into, 0.0)
-    else:
-        into = _step_cost(entropy_kind, dt, dx)
+    # [j, i]: leg i -> j
+    into = _step_cost(entropy_kind, np.subtract.outer(t, t), np.subtract.outer(x, x))
     return ChainGeometry(entropy_kind, pts, origin, into)
 
 

@@ -53,12 +53,7 @@ import scipy
 from scipy.integrate import IntegrationWarning
 from scipy.stats import ks_2samp
 
-from .continuum import (
-    chain_value,
-    lipschitz_chain_value,
-    sample_heat_kernel_sum,
-    sample_ppp,
-)
+from .continuum import sample_ppp
 from .elpp import ENTROPY_LIPSCHITZ, ENTROPY_QUADRATIC, solve
 from .environment import (
     TailParams,
@@ -79,6 +74,7 @@ from .regimes import (
     LABEL_R4,
     LABEL_SMALL_N,
     LABEL_SMALL_SPLIT,
+    LABEL_SMALL_SQRT,
     LABEL_ZERO,
     LINEAR,
     RECORDS,
@@ -473,14 +469,15 @@ def _regime_size(config: ExperimentConfig, fields, n: int, beta: float) -> dict:
 
 
 def _regime_replica(t, field) -> dict:
-    """Rescaled exact free energy, an independent truncated sample of
-    the matching limit object, and the exact discrete to continuum
-    coupling identity on the top-ell weights: the discrete chain value
-    in continuum units vs the continuum solver on the same rescaled
-    points, exact up to rounding because the costs scale covariantly
-    under (i, x, w) -> (i/n, x/h, w/m(nh)).
+    """Rescaled exact free energy, the companion its regime record draws
+    (an independent truncated sample of the matching limit object), and
+    the exact discrete to continuum coupling identity on the top-ell
+    weights: the discrete chain value in continuum units vs the continuum
+    solver on the same rescaled points, exact up to rounding because the
+    costs scale covariantly under (i, x, w) -> (i/n, x/h, w/m(nh)).
     A replica of the zero-value branch whose own companion sample sits
-    above its critical coupling is flagged, never dropped."""
+    above its critical coupling (the R3b companion, its best non-empty
+    chain, is positive) is flagged, never dropped."""
     n, h, beta, config, fields = t.n, t.h, t.beta, t.config, t.fields
     record, beta_limit = RECORDS[fields["label"]], fields["beta_limit"]
     logz = log_partition(field, beta, FREE)
@@ -495,21 +492,10 @@ def _regime_replica(t, field) -> dict:
     discrete = chain / n if record.pathway is LINEAR else chain * n / (h * h)
     cont = solve(lattice / t.units, t.nu, 0.0, t.entropy).value
 
-    pts = np.empty((0, 3))
-    if record.companion is not None:
-        pts = sample_ppp(config.alpha, 1.0, top=config.ell, seed=t.seed_ppp)
-        companion = record.companion(pts, beta_limit, t.nu)
-    elif beta_limit == 0.0:
-        companion = 2.0 * sample_heat_kernel_sum(
-            config.alpha, config.eps, half_width=config.kernel_cutoff, seed=t.seed_ppp
-        )
-    else:
-        # the stable functional at positive coupling is out of scope;
-        # only the zero-coupling heat-kernel limit is sampled
-        companion = math.nan
-    # the sample sits above its own critical coupling
-    flagged = int(fields["label"] == LABEL_R3B and len(pts) > 0
-                  and chain_value(pts, 1.0, beta=beta_limit) > 0.0)
+    companion = record.draw_companion(config, beta_limit, t.nu, t.seed_ppp)
+    # the sample sits above its own critical coupling: its best non-empty
+    # chain, the R3b companion, has a positive value
+    flagged = int(fields["label"] == LABEL_R3B and companion > 0.0)
 
     diff = abs(discrete - cont)
     failures = int(diff > COUPLING_TOL * max(1.0, abs(cont)))
@@ -632,9 +618,10 @@ def _small_alpha_size(config: ExperimentConfig, fields, n: int, beta: float) -> 
 def _small_alpha_replica(t, field) -> dict:
     """Conditional diffusive-scale law for tail index below 1/2.
 
-    A truncated Lipschitz-value proxy decides whether the linear-scale
-    mechanism is dormant; on those replicas the rescaled free energy is
-    paired with an independent doubled heat-kernel sample.  The exact
+    A truncated Lipschitz-value proxy, the linear record's functional,
+    decides whether the linear-scale mechanism is dormant; on those
+    replicas the rescaled free energy is paired with the diffusive
+    record's companion, an independent doubled heat-kernel sample.  The exact
     Gibbs tail beyond C sqrt(n) and the occupancy of the intermediate
     band [C sqrt(n), band_fraction * n) are swept over c_values.
     """
@@ -648,16 +635,11 @@ def _small_alpha_replica(t, field) -> dict:
     # way, zero-slope lattice sites carry exactly zero entropy, so a
     # hair-thin positive proxy is common while the top weights still
     # cover a sizable share of the box (small n).
-    if t.beta_run > 0.0:
-        pts = _top_lattice(field, HAT_PROXY_TOP) / t.units
-        proxy = lipschitz_chain_value(pts, t.beta_run)
-    else:
-        proxy = 0.0
+    pts = _top_lattice(field, HAT_PROXY_TOP) / t.units
+    proxy = RECORDS[LABEL_SMALL_N].companion(pts, t.beta_run, t.beta_run)
     conditioned = int(proxy == 0.0)
 
-    companion = 2.0 * sample_heat_kernel_sum(
-        t.config.alpha, t.config.eps, half_width=t.config.kernel_cutoff, seed=t.seed_ppp,
-    )
+    companion = RECORDS[LABEL_SMALL_SQRT].draw_companion(t.config, 0.0, 0.0, t.seed_ppp)
 
     found = iter(probs)
     tails = [next(found) if lo <= n else 0.0 for lo in los]

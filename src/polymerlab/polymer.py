@@ -43,7 +43,6 @@ from .environment import (
     mean_weight,
     reachable_count,
     reachable_mask,
-    survival,
     top_sites,
     truncated_mean_weight,
     quantile,
@@ -430,16 +429,21 @@ class ChaosTerms(NamedTuple):
 
 
 def log_mgf_truncated(tail: TailParams, t: float, cutoff: float) -> float:
-    """log E[exp(t * omega * 1{omega <= cutoff})], quadrature to ~1e-10.
+    """log E[exp(t * omega * 1{omega <= cutoff})], quadrature to ~1e-11.
 
-    Computed in shifted form throughout: exp(-t*cutoff) E equals the
-    integral of exp(t(u - cutoff)) against the density plus the atom the
-    truncation puts at zero.  The integrand is positive and at most 1 up
-    to the density factor, so nothing overflows or cancels at any t.
-    Below cutoff - 700/t the integrand is under exp(-700) and is dropped.
-    A span many decades long can hide the density's peak at its low end
-    from one quadrature (at tiny t the body then comes back <= 0); the
-    body is then redone over pieces of u spaced by factors of 2.
+    A weight above the cutoff counts exp(0) = 1, so the mgf is 1 + J with
+    J = int_edge^cutoff expm1(t u) f(u) du >= 0, f the density, and the
+    result is log1p(J): no cancellation however small J is.  The body is
+    J exp(-t cutoff) / s = int (e^(-t (cutoff - u)) - e^(-t cutoff)) f(u) du / s,
+    s = 1 - e^(-t edge); its integrand is positive, overflows at no t and
+    is of the order of f at the edge.  Its top half, u >= cutoff / 2, is
+    integrated in the offset v = cutoff - u, so the exponent is exact
+    however large the cutoff; the rest in pieces of u spaced by factors of
+    2 up from the support edge, so the density's mass there is never lost
+    in a span many decades long.  Each piece is resolved to 1e-11 of
+    itself or 1e-15 of the pieces below it.  Below cutoff - 700/t the
+    integrand is under e^-700 f and is dropped.  Where e^(t cutoff) would
+    overflow, the result is t cutoff + log(e^(-t cutoff) + s body).
     """
     from scipy import integrate  # loaded only where it integrates
 
@@ -449,27 +453,27 @@ def log_mgf_truncated(tail: TailParams, t: float, cutoff: float) -> float:
         raise ValueError("need t >= 0")
     if cutoff < tail.edge:
         return 0.0  # truncated weight is 0 almost surely
-    # integrate in the offset v = cutoff - u so the exponent is exact
-    # even when cutoff is astronomically large
-    span = min(cutoff - tail.edge, 700.0 / t)
+    scale = -math.expm1(-t * tail.edge)
 
-    def quad(f, lo, hi):
-        return integrate.quad(f, lo, hi, epsabs=1e-300, epsrel=1e-11, limit=500)[0]
+    def body(u, v):  # the integrand at u = cutoff - v
+        return math.exp(-t * v) * (math.expm1(-t * u) / -scale) * float(weight_density(tail, u))
 
-    body = quad(lambda v: math.exp(-t * v) * float(weight_density(tail, cutoff - v)), 0.0, span)
-    exp_shift = math.exp(-t * cutoff) if t * cutoff < 700.0 else 0.0
-    atom = survival(tail, cutoff) * exp_shift
-    if body + atom <= 0.0:
-        low = cutoff - span
-        edges = np.geomspace(low, cutoff, max(1, math.ceil(math.log2(cutoff / low))) + 1)
-        body = math.fsum(
-            quad(lambda u: math.exp(-t * (cutoff - u)) * float(weight_density(tail, u)), a, b)
-            for a, b in zip(edges[:-1], edges[1:])
-        )
-    val = body + atom
+    low = max(tail.edge, cutoff - 700.0 / t)
+    mid = max(low, 0.5 * cutoff)
+    edges = np.geomspace(low, mid, math.ceil(math.log2(mid / low)) + 1)
+    spans = [(lambda u: body(u, cutoff - u), a, b) for a, b in zip(edges[:-1], edges[1:])]
+    spans.append((lambda v: body(cutoff - v, v), 0.0, cutoff - mid))
+    parts = [0.0]
+    for f, a, b in spans:
+        floor = max(1e-300, 1e-15 * sum(parts))
+        parts.append(integrate.quad(f, a, b, epsabs=floor, epsrel=1e-11, limit=500)[0])
+    shift, total = t * cutoff, scale * math.fsum(parts)
+    if shift < 700.0:
+        return math.log1p(math.exp(shift) * total)
+    val = math.exp(-shift) + total
     if val <= 0.0:
         raise ValueError("truncated mgf underflowed; cutoff too extreme")
-    return t * cutoff + math.log(val)
+    return shift + math.log(val)
 
 
 def _kernel_sum(energy: np.ndarray, grid: np.ndarray) -> float:

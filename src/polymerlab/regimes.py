@@ -31,6 +31,8 @@ from .continuum import (
     chain_value,
     critical_coupling,
     lipschitz_chain_value,
+    sample_heat_kernel_sum,
+    sample_ppp,
     single_point_max,
 )
 from .elpp import at_least
@@ -302,7 +304,8 @@ class RegimeRecord:
     ``companion(points, beta_limit, nu)`` evaluates the limit functional
     on a top-ell Poisson sample, nu being the replica's effective
     coupling; it is None on the diffusive pathway, whose companion is the
-    doubled heat-kernel sum.
+    doubled heat-kernel sum.  ``draw_companion`` draws every label's
+    companion, the diffusive one included.
     """
 
     pathway: Pathway
@@ -317,6 +320,20 @@ class RegimeRecord:
         if beta == 0.0 or self.centering == CENTER_NONE or tail.alpha < self.center_from:
             return 0.0
         return n * beta * centering_moment(tail, self.centering, self.pathway.cutoff(n, beta, tail))
+
+    def draw_companion(self, config, beta_limit: float, nu: float, seed) -> float:
+        """A replica's companion on a limit sample drawn with ``seed``: the
+        functional on a top-``config.ell`` sample or, on the diffusive
+        pathway, twice the heat-kernel sum above ``config.eps`` at zero
+        coupling (nan above it).  A term the centering rule sets goes here."""
+        if self.companion is not None:
+            pts = sample_ppp(config.alpha, 1.0, top=config.ell, seed=seed)
+            return self.companion(pts, beta_limit, nu)
+        if beta_limit == 0.0:
+            return 2.0 * sample_heat_kernel_sum(
+                config.alpha, config.eps, half_width=config.kernel_cutoff, seed=seed
+            )
+        return math.nan  # the stable functional at positive coupling is out of scope
 
     def recipe(self, beta_limit: float, alpha: float) -> Tuple[str, str]:
         """Normalizer description and limit object at the limiting coupling."""

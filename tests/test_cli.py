@@ -188,6 +188,21 @@ def test_ppp_beta_c_record(capsys):
     assert rec["truncation"]["doubled_top"] == 48
 
 
+@pytest.mark.parametrize("alpha, top", [("1.2", "1"), ("0.01", "2")])
+def test_ppp_beta_c_with_no_threshold_in_the_bracket_exits_2(capsys, alpha, top):
+    # the outcome depends on the inputs alone, so it is an input error
+    argv = ["ppp", "--alpha", alpha, "--op", "beta_c", "--top", top, "--replicas", "1",
+            "--seed", "1"]
+    assert main(argv) == 2
+    assert "error: no replica produced a threshold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [("--eps", "1e-300"), ("--top", "10000001")])
+def test_ppp_sample_over_the_point_cap_exits_2(capsys, flags):
+    assert main(["ppp", "--alpha", "1.2", "--op", "T", *flags, "--seed", "1"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_regime_report_fields(capsys):
     code, rec = run_cli(capsys, "regime", "--alpha", "1.0", "--gamma", "1.25")
     assert code == 0

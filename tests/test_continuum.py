@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,6 +50,23 @@ def test_sample_ppp_validation():
         sample_ppp(1.0, 1.0, top=True)
     with pytest.raises(ValueError):
         sample_ppp(1.0, 1.0, top=-2)
+
+
+def test_sample_ppp_refuses_samples_over_the_cap_before_drawing():
+    tracemalloc.start()
+    try:
+        cap = continuum.MAX_SAMPLE_POINTS
+        with pytest.raises(ValueError, match="over"):
+            sample_ppp(1.2, 8.0, eps=1e-300, seed=1)  # the mean overflows a float
+        with pytest.raises(ValueError, match="over"):
+            sample_ppp(0.75, 8.0, eps=1e-12, seed=1)  # 8e9 points
+        with pytest.raises(ValueError, match="top exceeds"):
+            sample_ppp(1.2, 1.0, top=cap + 1, seed=1)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+    # the largest floor mean a campaign default reaches stays under the cap
+    assert 8.0 * 1e-3 ** -1.99 < continuum.MAX_SAMPLE_POINTS
 
 
 def test_sample_ppp_infinite_floor_is_empty():
@@ -568,6 +586,12 @@ def test_critical_coupling_deterministic():
     b = critical_coupling(1.0, **kwargs)
     np.testing.assert_array_equal(a.samples, b.samples)
     assert a.median == b.median and a.ci_low == b.ci_low
+
+
+@pytest.mark.parametrize("alpha, top", [(1.2, 1), (0.01, 2)])
+def test_critical_coupling_with_no_threshold_in_the_bracket_is_an_input_error(alpha, top):
+    with pytest.raises(ValueError, match="inside the bracket"):
+        critical_coupling(alpha, replicas=1, top=top, seed=1)
 
 
 def test_critical_coupling_flavor_domains():

@@ -11,6 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import xlogy
+
+from polymerlab import elpp
 
 from polymerlab.elpp import (
     ANY,
@@ -22,7 +25,7 @@ from polymerlab.elpp import (
     brute_force,
     entropy,
     exactly,
-    _step_cost,
+    _SLOPE_SLACK,
     prepare_geometry,
     select_top,
     site_price,
@@ -182,25 +185,49 @@ def test_solve_with_geometry_matches_plain():
         solve(geo, 1.0, entropy_kind=ENTROPY_LIPSCHITZ)
 
 
+def full_matrix_legs(kind, dt, dx):
+    """Leg costs priced on every leg, finite or not: the quadratic np.where
+    formula and the masked Lipschitz formula, with e(s) written out."""
+    still = (dt == 0.0) & (dx == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if kind == ENTROPY_QUADRATIC:
+            cost = np.where(dt > 0.0, dx * dx / (2.0 * dt), math.inf)
+        else:
+            ok = (dt > 0.0) & (np.abs(dx) <= dt * _SLOPE_SLACK)
+            s = np.where(ok, np.clip(np.divide(dx, np.where(ok, dt, 1.0)), -1.0, 1.0), 0.0)
+            rate = np.maximum(0.5 * (xlogy(1.0 + s, 1.0 + s) + xlogy(1.0 - s, 1.0 - s)), 0.0)
+            cost = np.where(ok, dt * rate, math.inf)
+    return np.where(still, 0.0, cost)
+
+
 def legs_oracle(kind, pts):
-    """[i, j] the leg i -> j, every pair through _step_cost at once."""
+    """The origin legs, and [i, j] the leg i -> j, every pair at once."""
     t, x = pts[:, 0], pts[:, 1]
-    return _step_cost(kind, t[None, :] - t[:, None], x[None, :] - x[:, None])
+    return full_matrix_legs(kind, t, x), full_matrix_legs(kind, t - t[:, None], x - x[:, None])
 
 
 def legs_test_points(rng, m):
-    """Time-sorted rows with equal times, points at t <= 0 and unit-slope
-    legs, so every branch of the leg cost shows up."""
+    """Time-sorted distinct rows with equal times, points at t <= 0, an
+    exact origin copy, subnormal times (so subnormal dt) and legs of slope
+    +-1 and at either side of the slope slack, so every branch of the leg
+    cost shows up."""
     t = rng.choice([-0.5, 0.0, 0.25, 0.5, 1.0], m)
     t += rng.integers(0, 2, m) * rng.uniform(0.0, 1.0, m)
     x = rng.normal(0.0, 0.5, m)
+    tiny = rng.random(m) < 0.15
+    t[tiny] = rng.integers(1, 1 << 20, tiny.sum()) * 5e-324
+    x[tiny] *= rng.choice([1.0, 5e-324], tiny.sum())
+    if rng.random() < 0.3:
+        t[0], x[0] = 0.0, 0.0
     pts = np.column_stack([t, x, rng.exponential(1.0, m)])
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    slopes = [1.0, _SLOPE_SLACK, _SLOPE_SLACK * (1.0 + 2.0**-52), _SLOPE_SLACK * (1.0 - 2.0**-52)]
     for i in range(1, m):
         dt = pts[i, 0] - pts[i - 1, 0]
-        if dt > 0.0 and rng.random() < 0.3:  # a slope +-1 leg from the previous point
-            pts[i, 1] = pts[i - 1, 1] + rng.choice([-1.0, 1.0]) * dt
-    return pts
+        if dt > 0.0 and rng.random() < 0.4:  # a steep leg from the previous point
+            pts[i, 1] = pts[i - 1, 1] + rng.choice([-1.0, 1.0]) * dt * rng.choice(slopes)
+    _, first = np.unique(pts[:, :2], axis=0, return_index=True)
+    return pts[np.sort(first)]
 
 
 @pytest.mark.parametrize("kind", [ENTROPY_QUADRATIC, ENTROPY_LIPSCHITZ])
@@ -209,9 +236,28 @@ def test_into_step_is_transposed_pair_legs(kind):
     for m in range(1, 41):
         pts = legs_test_points(rng, m)
         geo = prepare_geometry(pts, kind)
-        want = legs_oracle(kind, geo.points)
-        assert geo.into_step.tobytes() == np.ascontiguousarray(want.T).tobytes(), m
+        origin, legs = legs_oracle(kind, geo.points)
+        assert geo.origin_step.tobytes() == origin.tobytes(), m
+        assert geo.into_step.tobytes() == np.ascontiguousarray(legs.T).tobytes(), m
         assert not geo.into_step.flags.writeable
+
+
+def test_rate_prices_only_legs_that_can_be_finite(monkeypatch):
+    priced = []
+    rate = elpp._rate
+    monkeypatch.setattr(elpp, "_rate", lambda s: priced.append(s.size) or rate(s))
+    rng = np.random.default_rng(41)
+    for m in range(1, 41):
+        geo = prepare_geometry(legs_test_points(rng, m), ENTROPY_LIPSCHITZ)
+        origin, legs = legs_oracle(ENTROPY_LIPSCHITZ, geo.points)
+        t, x = geo.points[:, 0], geo.points[:, 1]
+        dt = np.concatenate([t, (t - t[:, None]).ravel()])
+        dx = np.concatenate([x, (x - x[:, None]).ravel()])
+        can = (dt > 0.0) & (np.abs(dx) <= dt * _SLOPE_SLACK)
+        assert sum(priced) == np.count_nonzero(can), m
+        still = (dt == 0.0) & (dx == 0.0)
+        assert np.all(np.isinf(np.concatenate([origin, legs.ravel()])[~can & ~still]))
+        priced.clear()
 
 
 def test_tie_scan_prefers_later_predecessor_with_smaller_prefix():

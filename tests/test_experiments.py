@@ -368,6 +368,13 @@ def test_regime_small_alpha_diffusive_pathway():
     assert res.invariant_failures == 0
 
 
+def test_regime_companion_over_the_point_cap_is_refused():
+    # 8e9 points above eps 1e-12 on [-8, 8]: refused before any is drawn
+    cfg = make_config(alpha=0.75, gamma=3.0, sizes=(4,), replicas=1, eps=1e-12)
+    with pytest.raises(ValueError, match="over"):
+        run_experiment(cfg)
+
+
 def test_regime_boundary_alpha_rejected():
     with pytest.raises(ValueError, match="undecided"):
         run_experiment(make_config(alpha=0.5, gamma=2.0, sizes=(16,)))

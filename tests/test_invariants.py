@@ -31,7 +31,11 @@ point sets and imports no other package module (a field's problem is
 composed by its caller, so ``solve_field`` stays gone), and only
 ``environment`` branches on the weight law's family.  Each threshold
 iteration builds one geometry, so ``elpp.top_geometry`` and its row
-helper stay gone and ``continuum`` takes no ``np.ix_`` sub-block.
+helper stay gone and ``continuum`` takes no ``np.ix_`` sub-block.  Each
+functional is written once: ``elpp._step_cost`` alone prices a chain leg
+(``_rate`` has no other caller and ``prepare_geometry`` only forms the
+differences), and every campaign companion is drawn by its regime
+record, so ``experiments`` names no continuum functional.
 """
 
 import ast
@@ -321,3 +325,18 @@ def test_one_geometry_per_threshold_iteration():
     for name, tree in trees.items():
         assert not _defined_names(tree) & {"top_geometry", "_top_rows"}, name
     assert _functions_calling(trees["continuum"], "ix_") == []
+
+
+def test_each_functional_written_once():
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    assert [(name, caller) for name, tree in trees.items()
+            for caller in _calls(tree, "_rate")] == [("elpp", "_step_cost")]
+    (prepare,) = [node for node in trees["elpp"].body
+                  if isinstance(node, ast.FunctionDef) and node.name == "prepare_geometry"]
+    called = [getattr(call.func, "id", getattr(call.func, "attr", None))
+              for call in ast.walk(prepare) if isinstance(call, ast.Call)]
+    assert called.count("_step_cost") == 2
+    assert not [node.lineno for node in ast.walk(prepare) if isinstance(node, ast.BinOp)]
+    assert not set(called) & {"square", "divide", "multiply", "where", "fill_diagonal", "_rate"}
+    functionals = {"sample_heat_kernel_sum", "chain_value", "lipschitz_chain_value"}
+    assert not _identifiers(trees["experiments"]) & functionals

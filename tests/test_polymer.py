@@ -472,6 +472,41 @@ def test_log_mgf_tiny_coupling_redoes_the_body_in_pieces():
     assert val == pytest.approx(t * truncated_mean_weight(tail, cut), rel=1e-4)
 
 
+def pareto_log_mgf(alpha, t, cutoff):
+    """log E[exp(t w 1{w <= cutoff})] for P(w > u) = u^-alpha, u >= 1, by
+    the power series 1 + sum_k t^k / k! E[w^k; w <= cutoff], where
+    E[w^k; w <= c] = alpha (c^(k - alpha) - 1) / (k - alpha); t cutoff <= 1."""
+    terms = []
+    for k in range(1, 40):
+        at_cutoff = math.exp(k * math.log(t) + (k - alpha) * math.log(cutoff) - math.lgamma(k + 1))
+        at_edge = math.exp(k * math.log(t) - math.lgamma(k + 1))
+        terms.append(alpha / (k - alpha) * (at_cutoff - at_edge))
+    return math.log1p(math.fsum(terms))
+
+
+@pytest.mark.parametrize("alpha, n, power", [
+    (0.75, 512, 3), (0.75, 2048, 3), (0.75, 4096, 3), (0.3, 4096, 6),
+])
+def test_log_mgf_truncated_matches_the_pareto_series(alpha, n, power):
+    # the chaos cutoff quantile(n^(3/2) log n) at t = n^-power: the mass at
+    # the support edge sits decades below the cutoff, and J is about t * mean
+    tail = TailParams(alpha)
+    t, cut = float(n) ** -power, quantile(tail, n**1.5 * math.log(n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        got = log_mgf_truncated(tail, t, cut)
+    assert got > 0.0
+    assert got == pytest.approx(pareto_log_mgf(alpha, t, cut), rel=1e-9)
+
+
+def test_log_mgf_truncated_at_float_extremes():
+    # a cutoff 2^53 times the edge once cancelled the start of its pieces
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        got = log_mgf_truncated(PARETO_12, 1e-300, 1e300)
+    assert got == pytest.approx(pareto_log_mgf(1.2, 1e-300, 1e300), rel=1e-9)
+
+
 def test_chaos_identity_against_enumeration():
     # coupling kept small against the default cutoff, the regime the
     # expansion is built for

@@ -381,3 +381,19 @@ def test_centering_truncated_closed_form_pareto():
     expected = 2.0 * (1.0 - 1.0 / 4.0)
     assert value == pytest.approx(expected, rel=1e-12)
     assert value == pytest.approx(truncated_mean_weight(tail, 4.0), rel=1e-15)
+
+
+def test_r3b_companion_sign_is_the_floored_chain_value_sign():
+    # campaigns flag an R3b replica on its companion's sign: the best
+    # non-empty chain is positive exactly when the floored value is
+    from polymerlab.continuum import chain_value, sample_ppp
+
+    record = regimes.RECORDS[regimes.LABEL_R3B]
+    signs = set()
+    for seed in range(20):
+        pts = sample_ppp(1.2, 1.0, top=8, seed=seed)
+        for beta in np.geomspace(0.02, 50.0, 7):
+            positive = record.companion(pts, beta, 1.0) > 0.0
+            assert positive == (chain_value(pts, 1.0, beta=beta) > 0.0)
+            signs.add(positive)
+    assert signs == {True, False}
