@@ -103,7 +103,8 @@ def sample_ppp(
     (m, 3) array of (t, x, w) rows with t uniform on [0, 1] and x
     uniform on [-q, q].  ``eps=inf`` returns an empty sample.  A floor
     mode mean q * eps**(-alpha) or a ``top`` above MAX_SAMPLE_POINTS is
-    refused before anything is drawn.
+    refused before anything is drawn, and a weight past the float range
+    (alpha near 0 makes w**alpha tiny) raises ValueError once drawn.
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (0, 2)")
@@ -120,7 +121,8 @@ def sample_ppp(
             raise ValueError(f"floor mode mean q * eps**(-alpha) is over {MAX_SAMPLE_POINTS}")
         count = int(rng.poisson(q * eps ** (-alpha)))
         # Pareto above the floor: P(w > u) = (eps/u)^alpha for u >= eps.
-        weights = eps * rng.random(count) ** (-1.0 / alpha)
+        with np.errstate(all="ignore"):  # refused below if not finite
+            weights = eps * rng.random(count) ** (-1.0 / alpha)
     else:
         if isinstance(top, bool) or int(top) != top:
             raise ValueError("top must be an integer")
@@ -131,7 +133,10 @@ def sample_ppp(
             raise ValueError(f"top exceeds {MAX_SAMPLE_POINTS} points")
         gaps = rng.standard_exponential(count)
         # Partial sums of unit exponentials give the ranked weights.
-        weights = q ** (1.0 / alpha) * np.cumsum(gaps) ** (-1.0 / alpha)
+        with np.errstate(all="ignore"):
+            weights = np.float64(q) ** (1.0 / alpha) * np.cumsum(gaps) ** (-1.0 / alpha)
+    if not np.all(np.isfinite(weights)):
+        raise ValueError(f"alpha {alpha!r} draws weights past the float range")
 
     t = rng.random(count)
     x = rng.uniform(-q, q, count)
@@ -238,8 +243,11 @@ def _above(points: np.ndarray, kappa: float) -> np.ndarray:
     and gain is at most L * max w, L <= MAX_GEOMETRY_POINTS, so the few
     roundings that could favour a detour through a dropped point over
     skipping it total under 100 * 2^-53 * 4096 * max w, delta / 20.
-    A tilde geometry holds the rows above its iteration's starting price,
-    so every row that any later, higher price keeps.
+    A row under the cut costs a chain through it delta or more, far above
+    rounding, so a lower cut that keeps some of them solves to the same
+    chain.  A tilde geometry is cut at its iteration's start less delta:
+    it holds every row that a later, higher price keeps, and every row
+    that the tie check keeps at the final ratio less delta.
     """
     return np.flatnonzero(points[:, 2] > kappa - _margin(points))
 
@@ -290,7 +298,7 @@ def _threshold(geometry: ChainGeometry, start: float | None = None):
 
 def _tilde_threshold(points: np.ndarray, start: float | None = None):
     """Tilde ``_threshold`` from ``start`` on the quadratic geometry of
-    only the points above its cut.
+    only the points above start - 2 delta (see ``_above``).
 
     The default start is the best one-point ratio floored at 0, a lower
     bound since one point is a chain.  From any lower bound the
@@ -298,36 +306,48 @@ def _tilde_threshold(points: np.ndarray, start: float | None = None):
     two such chains tie can the one it ends on, and so the rounded
     ratio, depend on where it started (4 - 16/6 against the 4/3 of a
     three-point chain).  So a one-point start stands only if
-    ``_tied`` finds no second chain, else the iteration is redone from 0.
+    ``_tied`` finds no second chain in the same geometry, else the
+    iteration is redone from 0.
     """
     one_point = start is None
     if one_point:
         start = max(0.0, single_point_max(points, 1.0).value)
-    found = _threshold(prepare_geometry(points[_above(points, start)]), start)
-    if one_point and start > 0.0 and _tied(points, found[1]):
+    geometry = prepare_geometry(points[_above(points, start - _margin(points))])
+    found = _threshold(geometry, start)
+    if one_point and start > 0.0 and _tied(geometry, found[1]):
         return _tilde_threshold(points, 0.0)
     return found
 
 
-def _tied(points: np.ndarray, ratio: float) -> bool:
-    """Whether a second chain of ``points`` beats ``ratio`` - delta.
+def _tied(geometry: ChainGeometry, ratio: float) -> bool:
+    """Whether a second chain of the geometry's points beats ``ratio`` - delta.
 
     Every iteration ends on a chain within rounding of the best ratio,
     and such a chain has a value well above rounding at that price.  If
     only one chain has a positive value there, every start ends on it.
     Any other such chain misses a point of the best chain there or
-    holds more points than it.
+    holds more points than it.  The ratio is at least the iteration's
+    start, so the geometry holds every point above ratio - 2 delta, the
+    heaviest too (so delta is that of the whole sample), and each solve
+    runs on a row selection of it (``_rows``).
     """
-    kappa = ratio - _margin(points)
-    kept = points[_above(points, kappa)]
-    if len(kept) < 2:
+    kappa = ratio - _margin(geometry.points)
+    kept = _rows(geometry, _above(geometry.points, kappa))
+    if len(kept.points) < 2:
         return False
-    geometry = prepare_geometry(kept)
-    best = solve(geometry, 1.0, kappa=kappa).indices
-    if solve(geometry, 1.0, kappa=kappa, cardinality=at_least(len(best) + 1)).value > 0.0:
+    best = solve(kept, 1.0, kappa=kappa).indices
+    if solve(kept, 1.0, kappa=kappa, cardinality=at_least(len(best) + 1)).value > 0.0:
         return True
-    return any(solve(np.delete(geometry.points, j, axis=0), 1.0, kappa=kappa).indices
-               for j in best)
+    others = np.arange(len(kept.points))
+    return any(solve(_rows(kept, np.delete(others, j)), 1.0, kappa=kappa).indices for j in best)
+
+
+def _rows(geometry: ChainGeometry, rows: np.ndarray) -> ChainGeometry:
+    """The geometry of some rows of ``geometry``, in their order.  Leg
+    costs are elementwise in (dt, dx) and time-sorted rows stay sorted,
+    so these are the floats ``prepare_geometry`` gives for those points."""
+    return ChainGeometry(geometry.entropy_kind, geometry.points[rows],
+                         geometry.origin_step[rows], geometry.into_step[np.ix_(rows, rows)])
 
 
 def _hat_threshold(points: np.ndarray, start: float | None = None):

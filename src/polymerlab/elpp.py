@@ -407,11 +407,12 @@ def brute_force(
 
 
 def select_top(points, ell: int) -> np.ndarray:
-    """The ell heaviest points (ties by smaller (t, x)), time-sorted."""
+    """The ell heaviest points (ties by smaller (t, x)), time-sorted: a
+    stable sort by weight of the (t, x)-sorted rows breaks ties so."""
     pts = _as_sorted_points(points)
     if ell < 0:
         raise ValueError(f"ell must be >= 0, got {ell}")
-    return pts[np.sort(np.lexsort((pts[:, 1], pts[:, 0], -pts[:, 2]))[:ell])]
+    return pts[np.sort(np.argsort(-pts[:, 2], kind="stable")[:ell])]
 
 
 def site_price(n: int) -> float:

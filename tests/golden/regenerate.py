@@ -98,6 +98,8 @@ CLI_ARGVS = [
     "ppp --alpha 1.2 --op beta_c --top 64 --replicas 3 --seed 5",
     "ppp --alpha 0.3 --op beta_c --top 64 --replicas 3 --seed 5",
     "ppp --alpha 1.2 --op beta_c --eps 0.05 --seed 5",
+    "ppp --alpha 0.01 --op beta_c --top 2 --seed 1",
+    "ppp --alpha 0.01 --op W0 --eps 1.0 --seed 130",
     "regime --alpha 1.2 --gamma 1.0",
     "regime --alpha 0.4 --gamma 4.0 --seed 3",
     "regime --alpha 1.2 --gamma 1.25 --law logpower --b 0.7 --seed 3",

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -195,6 +196,15 @@ def test_ppp_beta_c_with_no_threshold_in_the_bracket_exits_2(capsys, alpha, top)
             "--seed", "1"]
     assert main(argv) == 2
     assert "error: no replica produced a threshold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", ["ppp --alpha 0.01 --op beta_c --top 2 --seed 1",
+                                  "ppp --alpha 0.01 --op W0 --eps 1.0 --seed 130"])
+def test_ppp_weights_past_the_float_range_exit_2(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        assert main(argv.split()) == 2
+    assert capsys.readouterr().err == "error: alpha 0.01 draws weights past the float range\n"
 
 
 @pytest.mark.parametrize("flags", [("--eps", "1e-300"), ("--top", "10000001")])

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +68,18 @@ def test_sample_ppp_refuses_samples_over_the_cap_before_drawing():
         tracemalloc.stop()
     # the largest floor mean a campaign default reaches stays under the cap
     assert 8.0 * 1e-3 ** -1.99 < continuum.MAX_SAMPLE_POINTS
+
+
+def test_sample_ppp_refuses_weights_past_the_float_range():
+    # at alpha 0.01, u**(-100) overflows in 3 of the samples at seeds 0..199 (130 first)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="alpha 0.01 draws weights past the float range"):
+            sample_ppp(0.01, 8.0, eps=1.0, seed=130)
+        with pytest.raises(ValueError, match="alpha 0.001"):
+            sample_ppp(0.001, 8.0, top=3, seed=1)  # 8**1000 overflows on its own
+        points = sample_ppp(0.01, 8.0, eps=1.0, seed=131)
+    assert len(points) and np.all(np.isfinite(points))
 
 
 def test_sample_ppp_infinite_floor_is_empty():
@@ -532,11 +545,57 @@ def test_critical_coupling_geometries_per_replica(monkeypatch, flavor, alpha):
                 assert geometry.entropy_kind == elpp.ENTROPY_LIPSCHITZ
                 assert geometry.points.tobytes() == points[inside].tobytes()
         return
-    # tilde: no point at or below the cut of the ratio the iteration starts from
+    # tilde: one geometry per iteration, the tie check reading the primary
+    # one, and no point at or below start - 2 delta of the iteration's start
+    assert len(built) == 6
     assert sum(len(geo.points) for geo, _ in started) < 3 * (16 + 32)
     for geometry, start in started:
-        m = len(geometry.points)
-        np.testing.assert_array_equal(continuum._above(geometry.points, start), np.arange(m))
+        m, cut = len(geometry.points), start - continuum._margin(geometry.points)
+        np.testing.assert_array_equal(continuum._above(geometry.points, cut), np.arange(m))
+
+
+# (points, tied, solves of the tie check): two single points tied at ratio
+# 1/3, and a point tied with a three-point chain at 4/3 (as in
+# test_properties), each found by a deletion; a point just under the start
+# that only the start - 2 delta cut keeps, whose chain with the best point
+# lies within delta of the best ratio; and a clear best point
+TIE_SETS = [
+    ([[3.0, -2.0, 1.0], [3.0, 4.0, 3.0], [1.0, -1.0, 0.0]], True, 3),
+    ([[2.0, 4.0, 2.0], [4.0, 1.0, -1.0], [4.0, -2.0, -1.0], [3.0, 4.0, 4.0],
+      [4.0, 3.0, 1.0], [2.0, 1.0, 1.0], [1.0, 3.0, 3.0]], True, 3),
+    ([[1.0, 0.0, 2.0], [0.5, 0.0, 2.0 - 3e-9]], True, 2),
+    ([[1.0, 0.0, 2.0], [0.5, 1.0, 2.5]], False, 3),
+]
+
+
+@pytest.mark.parametrize("points, tied, solves", TIE_SETS)
+def test_tie_check_reads_its_iteration_geometry(monkeypatch, points, tied, solves):
+    points = np.array(points)
+    checks, solved = [], []
+    inner_tied, inner_solve = continuum._tied, continuum.solve
+
+    def record(geometry, ratio):
+        checks.append((geometry, ratio))
+        return inner_tied(geometry, ratio)
+
+    monkeypatch.setattr(continuum, "_tied", record)
+    continuum._tilde_threshold(points)
+    ((geometry, ratio),) = checks  # the redo from 0 checks nothing
+    assert ratio == max(0.0, single_point_max(points, 1.0).value)  # the start's ratio
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the tie check priced a leg or built a geometry")
+
+    def count(*args, **kwargs):
+        solved.append(args)
+        return inner_solve(*args, **kwargs)
+
+    for module in (continuum, elpp):
+        monkeypatch.setattr(module, "prepare_geometry", no_build)
+    monkeypatch.setattr(elpp, "_step_cost", no_build)
+    monkeypatch.setattr(continuum, "solve", count)
+    assert inner_tied(geometry, ratio) is tied
+    assert len(solved) == solves
 
 
 def test_cone_cut_margin_covers_the_slope_slack():

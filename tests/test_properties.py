@@ -4,9 +4,12 @@ probabilities) and, byte for byte, against a full-row recursion that
 applies the window rules as masks at every site, of the first chaos
 term alone against the full terms,
 of the heavy-site sum identities, of the chain solver against both
-brute-force routes, and of the exact threshold's point cuts (tilde by
+brute-force routes, of the exact threshold's point cuts (tilde by
 weight, hat by the slope-1 cone) and one-point start against the
-iteration that solves on every point from ratio 0.
+iteration that solves on every point from ratio 0, of geometry row
+selections against fresh builds, byte for byte, of the tie check on its
+iteration's geometry against the check that rebuilt it from raw points,
+and of ``select_top`` against the three-key sort it replaced.
 
 Hypothesis (MacIver et al., JOSS 2019) draws small boxes, edge boxes
 included (h = 0, h >= n, band > h), couplings with log10(beta * max
@@ -488,3 +491,73 @@ def test_threshold_cut_and_starts_match_the_full_iteration_bit_for_bit(pts, kind
                            else continuum._hat_threshold)
     assert bits(lambda: point_set_threshold(pts)) == want
     assert bits(lambda: point_set_threshold(pts, start)) == want_doubled
+
+
+@st.composite
+def geometry_sets(draw):
+    """threshold_sets() rows, at will with an exact origin copy and points
+    a subnormal time from the origin and from each other, and a
+    time-sorted selection of their rows."""
+    pts = draw(threshold_sets())
+    extra = draw(st.lists(st.sampled_from([(0.0, 0.0, 1.0), (5e-324, 1e-300, 2.0),
+                                           (1e-323, 0.0, 3.0), (1e-323, 1.0, 0.5)]), unique=True))
+    pts = np.concatenate([pts, np.array(extra).reshape(-1, 3)])
+    keep = draw(st.lists(st.booleans(), min_size=len(pts), max_size=len(pts)))
+    return pts, np.flatnonzero(keep)
+
+
+@SEEDED
+@given(geometry_sets(), st.sampled_from([ENTROPY_QUADRATIC, ENTROPY_LIPSCHITZ]))
+def test_geometry_row_selection_is_the_geometry_of_the_rows(case, kind):
+    pts, rows = case
+    geometry = prepare_geometry(pts, kind)
+    got, want = continuum._rows(geometry, rows), prepare_geometry(geometry.points[rows], kind)
+    assert got.entropy_kind == kind
+    for name in ("points", "origin_step", "into_step"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def raw_point_tied(points, ratio):
+    """The tie check that rebuilt its geometry from the raw points and
+    solved each deletion on raw rows."""
+    kappa = ratio - continuum._margin(points)
+    kept = points[continuum._above(points, kappa)]
+    if len(kept) < 2:
+        return False
+    geometry = prepare_geometry(kept)
+    best = solve(geometry, 1.0, kappa=kappa).indices
+    if solve(geometry, 1.0, kappa=kappa, cardinality=at_least(len(best) + 1)).value > 0.0:
+        return True
+    return any(solve(np.delete(geometry.points, j, axis=0), 1.0, kappa=kappa).indices
+               for j in best)
+
+
+# the two tie sets above (ratios 1/3 and 4/3, each the start's), and a
+# point of weight in (start - 2 delta, start - delta], kept only by the
+# geometry's wider cut
+@example(np.array([[3.0, -2.0, 1.0], [3.0, 4.0, 3.0], [1.0, -1.0, 0.0]]))
+@example(np.array([[2.0, 4.0, 2.0], [4.0, 1.0, -1.0], [4.0, -2.0, -1.0], [3.0, 4.0, 4.0],
+                   [4.0, 3.0, 1.0], [2.0, 1.0, 1.0], [1.0, 3.0, 3.0]]))
+@example(np.array([[1.0, 0.0, 2.0], [0.5, 0.0, 2.0 - 3e-9]]))
+@SEEDED_THRESHOLDS
+@given(threshold_sets())
+def test_tie_check_on_the_iteration_geometry_matches_the_raw_point_check(pts):
+    # at the ratio the one-point-start iteration ends on
+    with mock.patch.object(continuum, "_tied", wraps=continuum._tied) as tied:
+        bits(lambda: continuum._tilde_threshold(pts))
+    for (geometry, ratio), _ in tied.call_args_list:
+        assert continuum._tied(geometry, ratio) == raw_point_tied(pts, ratio)
+
+
+@SEEDED
+@given(st.lists(st.tuples(st.integers(1, 3), st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]),
+                          st.sampled_from([-0.0, 0.0, 1.0, 2.0])),
+                min_size=1, max_size=12, unique_by=lambda r: r[:2]))
+def test_select_top_is_the_weight_then_time_then_space_rule(rows):
+    # ties at the ell-th weight and equal times with different x
+    pts = np.array(rows, dtype=float)
+    by_time = pts[np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))]
+    m = len(pts)
+    for ell in (0, 1, m - 1, m, m + 3):
+        want = by_time[np.sort(np.lexsort((by_time[:, 1], by_time[:, 0], -by_time[:, 2]))[:ell])]
+        assert select_top(pts, ell).tobytes() == want.tobytes()
