@@ -299,7 +299,7 @@ def _cmd_regime(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    from .experiments import run_from_file  # the one command that needs scipy.stats
+    from .experiments import run_from_file  # the one command that runs campaigns
     return run_from_file(args.config, out_dir=args.out, threads=args.threads)
 
 

@@ -75,10 +75,12 @@ def _step_cost(kind: str, dt, dx) -> np.ndarray:
         ok &= np.abs(dx) <= dt * _SLOPE_SLACK
     elif kind != ENTROPY_QUADRATIC:
         raise ValueError(f"unknown entropy kind {kind!r}")
-    dt, dx = dt[ok], dx[ok]
-    quadratic = kind == ENTROPY_QUADRATIC
-    with np.errstate(over="ignore", invalid="ignore"):  # a subnormal dt overflows dx^2 / 2dt
-        cost[ok] = dx * dx / (2.0 * dt) if quadratic else dt * _rate(np.clip(dx / dt, -1.0, 1.0))
+    # a subnormal dt overflows dx^2 / 2dt; the quadratic divide writes the ok legs in place
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if kind == ENTROPY_QUADRATIC:
+            return np.divide(dx * dx, 2.0 * dt, out=cost, where=ok)
+        dt, dx = dt[ok], dx[ok]
+        cost[ok] = dt * _rate(np.clip(dx / dt, -1.0, 1.0))
     return cost
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import math
 import multiprocessing
@@ -40,6 +41,7 @@ import platform
 import re
 import statistics
 import subprocess
+import sys
 import time
 import warnings
 from dataclasses import dataclass
@@ -50,8 +52,6 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy
-from scipy.integrate import IntegrationWarning
-from scipy.stats import ks_2samp
 
 from .continuum import sample_ppp
 from .elpp import ENTROPY_LIPSCHITZ, ENTROPY_QUADRATIC, solve
@@ -311,17 +311,30 @@ def _sized(kind, config: ExperimentConfig, fields: dict) -> Tuple[List[dict], in
     """Each size's task constants (config, fields, the weight law built
     once, n, beta_n and the kind's size step) and the count of the scipy
     quadrature warnings the size steps raised, counted instead of shown;
-    other warnings show after."""
+    other warnings show after, as the active filters say: a filter
+    naming their module applies, and a ``default`` one shows each
+    location once.
+
+    A quadrature warning needs ``scipy.integrate``, which the size steps
+    import only where they integrate, so its class is looked up once they
+    have run: if the module is not loaded, none was raised."""
     sizes, tail = [], config.tail()
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", IntegrationWarning)
+        warnings.simplefilter("always")
         for n in config.sizes:
             beta = config.beta_at(n)
             sizes.append(dict(config=config, fields=fields, tail=tail, n=n, beta=beta,
                               **kind.size(config, fields, n, beta)))
-    others = [w for w in caught if not issubclass(w.category, IntegrationWarning)]
+    quadrature = getattr(sys.modules.get("scipy.integrate"), "IntegrationWarning", ())
+    others = [w for w in caught if not issubclass(w.category, quadrature)]
+    # as warn would: its module (a file's first name, not __mp_main__), one registry each
+    modules = {getattr(m, "__file__", None): name
+               for name, m in reversed(list(sys.modules.items()))} if others else {}
+    registries: Dict[str, dict] = {}
     for w in others:
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
+                               module=modules.get(w.filename),
+                               registry=registries.setdefault(w.filename, {}), source=w.source)
     return sizes, len(caught) - len(others)
 
 
@@ -336,13 +349,17 @@ def _processes(config: ExperimentConfig) -> int:
     return config.threads if len(config.sizes) * config.replicas > 1 else 1
 
 
+@functools.cache  # the code a process runs cannot change once imported
 def _git_describe() -> str:
+    """``git describe`` of the tree this package is loaded from, whatever
+    the working directory."""
     try:
         done = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
             capture_output=True,
             text=True,
             timeout=10,
+            cwd=Path(__file__).parent,
         )
     except OSError:
         return "unknown"
@@ -361,10 +378,23 @@ def _classified(config: ExperimentConfig, seed=None) -> Tuple[str, float, str, s
 
 
 def _ks(sample, reference) -> float:
-    """Two-sample KS distance; nan below two samples."""
-    if len(sample) < 2:
+    """Two-sample KS distance, bit for bit ``scipy.stats.ks_2samp``'s
+    statistic; nan below two samples or with a nan in either.
+
+    The empirical CDFs of n1 and n2 points differ by h / lcm(n1, n2) for
+    a whole h, taken here from the two ``searchsorted`` counts.
+    ``ks_2samp`` rounds its float gap to that rational while max(n1, n2)
+    <= 10000 (its exact p-value range) and keeps the float gap above, as
+    this does."""
+    a, b = np.sort(sample), np.sort(reference)
+    if len(a) < 2 or not len(b) or np.isnan(a[-1]) or np.isnan(b[-1]):
         return math.nan
-    return float(ks_2samp(sample, reference).statistic)
+    both = np.concatenate([a, b])
+    count_a, count_b = (np.searchsorted(s, both, side="right") for s in (a, b))
+    if max(len(a), len(b)) > 10000:
+        return float(np.abs(count_a / len(a) - count_b / len(b)).max())
+    lcm = math.lcm(len(a), len(b))
+    return int(np.abs(count_a * (lcm // len(a)) - count_b * (lcm // len(b))).max()) / lcm
 
 
 def _top_lattice(field, ell: int) -> np.ndarray:

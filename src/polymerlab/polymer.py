@@ -481,7 +481,8 @@ def _kernel_sum(energy: np.ndarray, grid: np.ndarray) -> float:
     grid is 0) is redone over the sites with kernel mass, where only an
     overflow that counts warns."""
     with np.errstate(over="ignore", invalid="ignore"):
-        total = float(np.sum(np.expm1(energy) * grid))
+        terms = np.expm1(energy)
+        total = float(np.sum(np.multiply(terms, grid, out=terms)))
     if not math.isfinite(total):
         total = float(np.sum(np.expm1(energy[grid > 0.0]) * grid[grid > 0.0]))
     return total
@@ -513,7 +514,8 @@ def chaos_v_n(
     """The first chaos term ``chaos_terms(...).v_n`` alone, bit for bit,
     without the truncated-mgf quadrature or the truncated transfer pass."""
     _, _, box, grid = _truncated_band(field, beta, band, cutoff)
-    return _kernel_sum(beta * box, grid)
+    box *= beta  # in the truncated copy, which nothing else here reads
+    return _kernel_sum(box, grid)
 
 
 def chaos_terms(

@@ -344,9 +344,10 @@ def test_spec_grammar_parity(spec):
 
 
 def test_cli_import_loads_no_scipy_stats():
-    # only `experiment run` needs scipy.stats, and it imports experiments
-    # itself; scipy.integrate loads only where a quadrature runs, which
-    # `ppp` and `elpp` never reach; nor does import build the parser
+    # no command needs scipy.stats, and `experiment run` imports
+    # experiments itself; scipy.integrate loads only where a quadrature
+    # runs, which `ppp` and `elpp` never reach; nor does import build the
+    # parser
     src = str(Path(polymerlab.__file__).parent.parent)
     probe = (f"import sys; sys.path.insert(0, {src!r}); import polymerlab.cli as cli; "
              "loaded = lambda: ['scipy.stats' in sys.modules, 'scipy.integrate' in sys.modules]; "

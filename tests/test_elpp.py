@@ -230,16 +230,31 @@ def legs_test_points(rng, m):
     return pts[np.sort(first)]
 
 
+def gathered_quadratic_legs(dt, dx):
+    """The quadratic legs as a gather of the legs that can be finite, the
+    quotient on those, and a scatter back."""
+    cost = np.where((dt == 0.0) & (dx == 0.0), 0.0, math.inf)
+    ok = dt > 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost[ok] = dx[ok] * dx[ok] / (2.0 * dt[ok])
+    return cost
+
+
 @pytest.mark.parametrize("kind", [ENTROPY_QUADRATIC, ENTROPY_LIPSCHITZ])
 def test_into_step_is_transposed_pair_legs(kind):
     rng = np.random.default_rng(37)
-    for m in range(1, 41):
+    for m in [*range(1, 41), 64, 512]:
         pts = legs_test_points(rng, m)
         geo = prepare_geometry(pts, kind)
         origin, legs = legs_oracle(kind, geo.points)
         assert geo.origin_step.tobytes() == origin.tobytes(), m
         assert geo.into_step.tobytes() == np.ascontiguousarray(legs.T).tobytes(), m
         assert not geo.into_step.flags.writeable
+        if kind == ENTROPY_QUADRATIC:  # the in-place divide has the gathered form's bytes
+            t, x = geo.points[:, 0], geo.points[:, 1]
+            gathered = gathered_quadratic_legs(t - t[:, None], x - x[:, None])
+            assert geo.into_step.tobytes() == np.ascontiguousarray(gathered.T).tobytes(), m
+            assert geo.origin_step.tobytes() == gathered_quadratic_legs(t, x).tobytes(), m
 
 
 def test_rate_prices_only_legs_that_can_be_finite(monkeypatch):

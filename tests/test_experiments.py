@@ -6,8 +6,11 @@ import json
 import math
 import os
 import platform
+import subprocess
+import sys
 import warnings
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -526,6 +529,24 @@ def test_manifest_provenance(tmp_path):
     assert experiments._processes(dataclasses.replace(cfg, threads=1, replicas=2)) == 1
 
 
+def test_manifest_git_describes_the_package_tree(tmp_path, monkeypatch):
+    # a campaign started from a directory outside any repository records
+    # the code's commit, as one started from the repository root does,
+    # and asks git once per process
+    res = run_experiment(make_config(sizes=(16,), replicas=1))
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+    recorded = []
+    for cwd in (Path(experiments.__file__).parents[2], tmp_path):
+        experiments._git_describe.cache_clear()
+        monkeypatch.chdir(cwd)
+        write_outputs(res, tmp_path / "out")
+        recorded.append(json.loads((tmp_path / "out" / "manifest.json").read_text())["git"])
+    monkeypatch.setattr(experiments.subprocess, "run", None)  # a second call would fail
+    write_outputs(res, tmp_path / "again")
+    recorded.append(json.loads((tmp_path / "again" / "manifest.json").read_text())["git"])
+    assert recorded[0] == recorded[1] == recorded[2]
+
+
 def test_numpy_float_config_writes_its_manifest(tmp_path):
     # scalar float keys are stored as Python floats, so the manifest's
     # JSON echo takes numpy scalars, and integer-valued floats echo as 1.0
@@ -584,6 +605,55 @@ def test_size_step_quadrature_warnings_counted_once_per_size(monkeypatch, recwar
     # the other warning is shown as usual, under the active filters
     shown = [w for w in recwarn if str(w.message) == "forced other warning"]
     assert shown and all(w.category is UserWarning for w in shown)
+
+
+def test_size_step_other_warnings_show_as_the_filters_say(monkeypatch):
+    # under a "default" filter a warning raised from one line in every
+    # size step shows once, and a filter naming the warning's module
+    # applies, as they would outside the count
+    inner = experiments.fluctuation_scale
+
+    def warning_scale(*args):
+        warnings.warn("forced other warning", UserWarning)
+        warnings.warn("ignored in this module", UserWarning)
+        return inner(*args)
+
+    monkeypatch.setattr(experiments, "fluctuation_scale", warning_scale)
+    cfg = make_config(kind=KIND_FLUCTUATION, alpha=1.0, gamma=1.25, beta_hat=0.22,
+                      sizes=(16, 32), replicas=1, a_values=(1.0,))
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("default")
+        warnings.filterwarnings("ignore", "ignored in this module", module=f"{__name__}$")
+        run_experiment(cfg)
+    assert [str(w.message) for w in shown] == ["forced other warning"]
+
+
+def test_campaigns_load_neither_scipy_stats_nor_scipy_integrate(tmp_path):
+    # the KS distance is numpy's, and the quadrature-warning class is
+    # looked up only after the size steps, which import scipy.integrate
+    # only where they integrate; a log-power size step does, and its
+    # count is the one the eager import gave (one warning per size)
+    src = str(Path(experiments.__file__).parent.parent)
+    probe = f"""
+import sys
+sys.path.insert(0, {src!r})
+import polymerlab.cli
+from polymerlab.experiments import ExperimentConfig, run_experiment, write_outputs
+loaded = lambda: [m for m in ("scipy.stats", "scipy.integrate") if m in sys.modules]
+print(loaded())
+for kind in (dict(kind="fluctuation", alpha=1.0, gamma=1.25, beta_hat=0.22, a_values=(2.0,)),
+             dict(kind="regime_convergence", alpha=1.2, gamma=1.0)):
+    result = run_experiment(ExperimentConfig(sizes=(16,), replicas=2, seed=7, ell=4, **kind))
+    write_outputs(result, {str(tmp_path)!r})
+print(loaded())
+result = run_experiment(ExperimentConfig(kind="regime_convergence", law="logpower", b=0.35,
+                                         alpha=1.5, gamma=0.5, sizes=(16, 32, 64), replicas=2,
+                                         seed=3, ell=4))
+print(result.meta["quadrature_warnings"], loaded())
+"""
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, timeout=120)
+    assert done.stdout.splitlines() == ["[]", "[]", "3 ['scipy.integrate']"]
 
 
 def test_run_from_file_exit_code(tmp_path):

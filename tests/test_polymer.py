@@ -6,6 +6,7 @@ route at n <= 11.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -626,6 +627,21 @@ def test_chaos_v_n_raises_as_chaos_terms_does(case):
     with pytest.raises(ValueError) as alone:
         chaos_v_n(*case)
     assert str(alone.value) == str(full.value)
+
+
+def test_chaos_v_n_holds_one_box_sized_temporary():
+    # beta multiplies the truncated copy in place and the kernel grid
+    # multiplies expm1's output in place: beyond that copy, one array of
+    # the band box (here the whole box)
+    field = sample_field(256, 64, PARETO_12, 76)
+    kernel_grid(256, 64)  # the cached grid is built once per process, not per call
+    tracemalloc.start()
+    try:
+        chaos_v_n(field, 0.01, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * field.weights.nbytes
 
 
 def test_chaos_v_n_runs_no_quadrature(monkeypatch):

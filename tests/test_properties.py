@@ -9,7 +9,8 @@ weight, hat by the slope-1 cone) and one-point start against the
 iteration that solves on every point from ratio 0, of geometry row
 selections against fresh builds, byte for byte, of the tie check on its
 iteration's geometry against the check that rebuilt it from raw points,
-and of ``select_top`` against the three-key sort it replaced.
+of ``select_top`` against the three-key sort it replaced, and of the
+campaigns' KS distance against ``scipy.stats.ks_2samp``, bit for bit.
 
 Hypothesis (MacIver et al., JOSS 2019) draws small boxes, edge boxes
 included (h = 0, h >= n, band > h), couplings with log10(beta * max
@@ -32,6 +33,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 from polymerlab import continuum, polymer
 from polymerlab.elpp import (
@@ -48,6 +50,7 @@ from polymerlab.elpp import (
     solve,
 )
 from polymerlab.environment import TailParams, sample_field
+from polymerlab.experiments import _ks
 from polymerlab.polymer import (
     CENTER_MEAN,
     CENTER_NONE,
@@ -561,3 +564,37 @@ def test_select_top_is_the_weight_then_time_then_space_rule(rows):
     for ell in (0, 1, m - 1, m, m + 3):
         want = by_time[np.sort(np.lexsort((by_time[:, 1], by_time[:, 0], -by_time[:, 2]))[:ell])]
         assert select_top(pts, ell).tobytes() == want.tobytes()
+
+
+@st.composite
+def ks_samples(draw):
+    """Two samples of 2 to 60 values, unequal sizes included, with ties
+    from a small integer grid, +-inf, and a nan in neither, the first or
+    the second."""
+    value = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3),
+                      st.sampled_from([-math.inf, math.inf]))
+    samples = [draw(st.lists(value, min_size=2, max_size=60)) for _ in range(2)]
+    spoiled = draw(st.sampled_from([None, 0, 1]))
+    if spoiled is not None:
+        samples[spoiled][draw(st.integers(0, len(samples[spoiled]) - 1))] = math.nan
+    return samples
+
+
+# above 10000 samples ks_2samp keeps the float gap, which here is not the
+# nearest h / lcm(n1, n2); at 10000 it still rounds to it
+_WIDE = [np.round(np.random.default_rng(5).normal(shift, 1.0, size), 2)
+         for shift, size in ((0.0, 10001), (0.05, 20000))]
+
+
+@example(_WIDE)
+@example(_WIDE[::-1])
+@example([_WIDE[1][:10000], _WIDE[0][:5]])
+@SEEDED
+@given(ks_samples())
+def test_ks_distance_is_the_ks_2samp_statistic(samples):
+    a, b = samples
+    with warnings.catch_warnings():  # some exact p-values fail; the statistic is still h / lcm
+        warnings.simplefilter("ignore", RuntimeWarning)
+        want = float(ks_2samp(a, b).statistic)
+    assert _ks(a, b).hex() == want.hex()
+    assert math.isnan(_ks(a[:1], b))  # one replica has no distance
