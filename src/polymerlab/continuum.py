@@ -37,8 +37,8 @@ from .elpp import (
     MAX_GEOMETRY_POINTS,
     Cardinality,
     ChainGeometry,
-    at_least,
     prepare_geometry,
+    second_value,
     select_top,
     solve,
 )
@@ -247,7 +247,8 @@ def _above(points: np.ndarray, kappa: float) -> np.ndarray:
     rounding, so a lower cut that keeps some of them solves to the same
     chain.  A tilde geometry is cut at its iteration's start less delta:
     it holds every row that a later, higher price keeps, and every row
-    that the tie check keeps at the final ratio less delta.
+    that the tie check's top-two pass reads at the final ratio less
+    delta.
     """
     return np.flatnonzero(points[:, 2] > kappa - _margin(points))
 
@@ -306,7 +307,8 @@ def _tilde_threshold(points: np.ndarray, start: float | None = None):
     two such chains tie can the one it ends on, and so the rounded
     ratio, depend on where it started (4 - 16/6 against the 4/3 of a
     three-point chain).  So a one-point start stands only if
-    ``_tied`` finds no second chain in the same geometry, else the
+    ``_tied`` finds no second chain of positive value at the final ratio
+    in the same geometry, by one top-two pass and no solve, else the
     iteration is redone from 0.
     """
     one_point = start is None
@@ -325,27 +327,24 @@ def _tied(geometry: ChainGeometry, ratio: float) -> bool:
     Every iteration ends on a chain within rounding of the best ratio,
     and such a chain has a value well above rounding at that price.  If
     only one chain has a positive value there, every start ends on it.
-    Any other such chain misses a point of the best chain there or
-    holds more points than it.  The ratio is at least the iteration's
-    start, so the geometry holds every point above ratio - 2 delta, the
-    heaviest too (so delta is that of the whole sample), and each solve
-    runs on a row selection of it (``_rows``).
+    So the check is whether the second largest chain value at that
+    price is positive: one top-two pass (``second_value``), no solve.
+    The ratio is at least the iteration's start, so the geometry holds
+    every point above ratio - 2 delta, the heaviest too (so delta is
+    that of the whole sample), and the pass reads the rows above
+    ratio - delta (``_rows``), or the whole geometry when it is all.
     """
     kappa = ratio - _margin(geometry.points)
-    kept = _rows(geometry, _above(geometry.points, kappa))
-    if len(kept.points) < 2:
-        return False
-    best = solve(kept, 1.0, kappa=kappa).indices
-    if solve(kept, 1.0, kappa=kappa, cardinality=at_least(len(best) + 1)).value > 0.0:
-        return True
-    others = np.arange(len(kept.points))
-    return any(solve(_rows(kept, np.delete(others, j)), 1.0, kappa=kappa).indices for j in best)
+    rows = _above(geometry.points, kappa)
+    kept = geometry if rows.size == len(geometry.points) else _rows(geometry, rows)
+    return second_value(kept, 1.0, kappa) > 0.0
 
 
 def _rows(geometry: ChainGeometry, rows: np.ndarray) -> ChainGeometry:
-    """The geometry of some rows of ``geometry``, in their order.  Leg
-    costs are elementwise in (dt, dx) and time-sorted rows stay sorted,
-    so these are the floats ``prepare_geometry`` gives for those points."""
+    """The geometry of some rows of ``geometry``, in their order, for the
+    tie check's top-two pass.  Leg costs are elementwise in (dt, dx) and
+    time-sorted rows stay sorted, so these are the floats
+    ``prepare_geometry`` gives for those points."""
     return ChainGeometry(geometry.entropy_kind, geometry.points[rows],
                          geometry.origin_step[rows], geometry.into_step[np.ix_(rows, rows)])
 

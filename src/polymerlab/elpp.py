@@ -19,10 +19,11 @@ both measured from (0, 0), infinite over equal-time displacements and
 Chains may hold exactly k or at least r points; ANY is at_least(0).
 
 solve() is an exact layered dynamic program, O(layers * m^2) time and
-O(layers * m) memory; brute_force() enumerates subsets two independent
-ways for cross-checking.  Ties in value are broken toward the chain
-whose time-sorted index sequence is lexicographically smallest, the
-empty chain smallest of all.
+O(layers * m) memory; second_value() is the runner-up chain value, by
+one top-two pass of the same float operations; brute_force() enumerates
+subsets two independent ways for cross-checking.  Ties in value are
+broken toward the chain whose time-sorted index sequence is
+lexicographically smallest, the empty chain smallest of all.
 
 The solver works on point sets alone; a sampled field's problem is
 solve(environment.top_sites(field, ell), beta, kappa=site_price(n)).
@@ -301,6 +302,40 @@ def solve(
         return _solution(pts, NEG_INF)
     best_value = max(v for v, _ in candidates)
     return _solution(pts, best_value, min(ch for v, ch in candidates if v == best_value))
+
+
+def second_value(geometry: ChainGeometry, beta: float, kappa: float = 0.0) -> float:
+    """The second largest value over the non-empty chains of the geometry's
+    points, counting equal values apart; -inf if fewer than two are feasible.
+
+    The k = 2 case of the k-best-paths dynamic program on a DAG (Eppstein,
+    SIAM J. Comput. 28, 1998): for each end point j, the two largest values
+    of distinct chains ending there, from the origin leg and both values of
+    every earlier point, each formed as ``solve`` forms it,
+    gain[j] + (prev - into_step[j, i]).  x -> gain + (x - step) is monotone
+    in IEEE arithmetic, so these are the floats ``solve`` gives the same
+    chains, and the value is that of the best chain other than its own.
+    """
+    m = len(geometry.points)
+    gain = beta * geometry.points[:, 2] - kappa
+    best, second = np.full(m, NEG_INF), np.full(m, NEG_INF)
+    for j in range(m):
+        top, runner = -geometry.origin_step[j], NEG_INF
+        if j:
+            step = geometry.into_step[j, :j]
+            cand = best[:j] - step
+            k = cand.argmax()
+            lead = cand[k]
+            # second <= best at every point, so the runner-up leg value is
+            # the best of the rest with k's best replaced by k's second
+            cand[k] = second[k] - step[k]
+            top, runner = (lead, max(cand.max(), top)) if lead >= top else (top, lead)
+        best[j], second[j] = gain[j] + top, gain[j] + runner
+    if not m:
+        return NEG_INF
+    k = best.argmax()
+    best[k] = second[k]
+    return float(best.max())
 
 
 # ---------------------------------------------------------------------------

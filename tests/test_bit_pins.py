@@ -1,7 +1,8 @@
-"""Bit pins: the exact float bytes of the transfer passes, and the
-float and stdout bytes of the critical-coupling estimate and of chain
-solves on tied point sets.  Campaign CSV bytes are pinned in
-tests/golden/campaign_digests.json (tests/test_golden.py).
+"""Bit pins: the exact float bytes of the transfer passes and of the
+walk-kernel grid, and the float and stdout bytes of the
+critical-coupling estimate and of chain solves on tied point sets.
+Campaign CSV bytes are pinned in tests/golden/campaign_digests.json
+(tests/test_golden.py).
 
 The transfer digests were taken before the transfer passes were folded
 into one light-cone kernel, and the threshold and chain digests before
@@ -31,6 +32,7 @@ from polymerlab.polymer import (
     filter_between,
     gibbs_band_probability,
     gibbs_site_marginals,
+    kernel_grid,
     log_partition,
     sample_gibbs_path,
 )
@@ -195,3 +197,12 @@ def test_beta_c_stdout_bytes_pinned(capsys):
     assert cli.main(BETA_C_ARGV) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == BETA_C_STDOUT
+
+
+KERNEL_GRID = "c94b218fe050b31ea870514a307ff7971dfe1a486ce4374459f8c56b4d343eec"
+
+
+def test_kernel_grid_bits_pinned():
+    # rows past the half width, both parities and the unreachable zeros
+    grid = kernel_grid.__wrapped__(257, 40)
+    assert hashlib.sha256(grid.tobytes()).hexdigest() == KERNEL_GRID

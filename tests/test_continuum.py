@@ -554,25 +554,25 @@ def test_critical_coupling_geometries_per_replica(monkeypatch, flavor, alpha):
         np.testing.assert_array_equal(continuum._above(geometry.points, cut), np.arange(m))
 
 
-# (points, tied, solves of the tie check): two single points tied at ratio
-# 1/3, and a point tied with a three-point chain at 4/3 (as in
-# test_properties), each found by a deletion; a point just under the start
-# that only the start - 2 delta cut keeps, whose chain with the best point
-# lies within delta of the best ratio; and a clear best point
+# (points, tied): two single points tied at ratio 1/3, and a point tied
+# with a three-point chain at 4/3 (as in test_properties); a point just
+# under the start that only the start - 2 delta cut keeps, whose chain
+# with the best point lies within delta of the best ratio; and a clear
+# best point
 TIE_SETS = [
-    ([[3.0, -2.0, 1.0], [3.0, 4.0, 3.0], [1.0, -1.0, 0.0]], True, 3),
+    ([[3.0, -2.0, 1.0], [3.0, 4.0, 3.0], [1.0, -1.0, 0.0]], True),
     ([[2.0, 4.0, 2.0], [4.0, 1.0, -1.0], [4.0, -2.0, -1.0], [3.0, 4.0, 4.0],
-      [4.0, 3.0, 1.0], [2.0, 1.0, 1.0], [1.0, 3.0, 3.0]], True, 3),
-    ([[1.0, 0.0, 2.0], [0.5, 0.0, 2.0 - 3e-9]], True, 2),
-    ([[1.0, 0.0, 2.0], [0.5, 1.0, 2.5]], False, 3),
+      [4.0, 3.0, 1.0], [2.0, 1.0, 1.0], [1.0, 3.0, 3.0]], True),
+    ([[1.0, 0.0, 2.0], [0.5, 0.0, 2.0 - 3e-9]], True),
+    ([[1.0, 0.0, 2.0], [0.5, 1.0, 2.5]], False),
 ]
 
 
-@pytest.mark.parametrize("points, tied, solves", TIE_SETS)
-def test_tie_check_reads_its_iteration_geometry(monkeypatch, points, tied, solves):
+@pytest.mark.parametrize("points, tied", TIE_SETS)
+def test_tie_check_reads_its_iteration_geometry(monkeypatch, points, tied):
     points = np.array(points)
-    checks, solved = [], []
-    inner_tied, inner_solve = continuum._tied, continuum.solve
+    checks = []
+    inner_tied = continuum._tied
 
     def record(geometry, ratio):
         checks.append((geometry, ratio))
@@ -583,19 +583,25 @@ def test_tie_check_reads_its_iteration_geometry(monkeypatch, points, tied, solve
     ((geometry, ratio),) = checks  # the redo from 0 checks nothing
     assert ratio == max(0.0, single_point_max(points, 1.0).value)  # the start's ratio
 
-    def no_build(*args, **kwargs):
-        raise AssertionError("the tie check priced a leg or built a geometry")
-
-    def count(*args, **kwargs):
-        solved.append(args)
-        return inner_solve(*args, **kwargs)
+    def no_call(*args, **kwargs):
+        raise AssertionError("the tie check solved, priced a leg or built a geometry")
 
     for module in (continuum, elpp):
-        monkeypatch.setattr(module, "prepare_geometry", no_build)
-    monkeypatch.setattr(elpp, "_step_cost", no_build)
-    monkeypatch.setattr(continuum, "solve", count)
+        monkeypatch.setattr(module, "prepare_geometry", no_call)
+        monkeypatch.setattr(module, "solve", no_call)
+    monkeypatch.setattr(elpp, "_step_cost", no_call)
     assert inner_tied(geometry, ratio) is tied
-    assert len(solved) == solves
+
+
+def test_tie_check_needs_a_positive_second_chain():
+    # at the check's price ratio - delta, a point of exactly that weight
+    # standing on the time axis is a chain of value exactly 0; the empty
+    # chain beats it in every solve of the three-solve check, so it ties
+    # nothing, and it cannot follow the best point at the same time
+    kappa = 1.0 - continuum._margin(np.array([[1.0, 1.0, 3.0]]))
+    geometry = elpp.prepare_geometry([[1.0, 0.0, kappa], [1.0, 1.0, 3.0]])
+    assert elpp.second_value(geometry, 1.0, kappa) == 0.0
+    assert continuum._tied(geometry, 1.0) is False
 
 
 def test_cone_cut_margin_covers_the_slope_slack():

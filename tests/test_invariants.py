@@ -32,7 +32,9 @@ composed by its caller, so ``solve_field`` stays gone), and only
 ``environment`` branches on the weight law's family.  Each threshold
 iteration builds one geometry, so ``elpp.top_geometry`` and its row
 helper stay gone, and ``continuum`` selects geometry rows only in the
-tie check's helper ``_rows``, which only ``_tied`` calls.  Each
+tie check's helper ``_rows``, which only ``_tied`` calls.  The tie check
+is one top-two pass (``elpp.second_value``): ``_tied`` neither solves
+nor builds a geometry.  Each
 functional is written once: ``elpp._step_cost`` alone prices a chain leg
 (``_rate`` has no other caller and ``prepare_geometry`` only forms the
 differences), and every campaign companion is drawn by its regime
@@ -321,13 +323,16 @@ def test_one_owner_per_decision():
 
 def test_one_geometry_per_threshold_iteration():
     # each threshold iteration builds its own geometry over the points a
-    # chain can use; only its tie check solves on row selections of it
+    # chain can use; only its tie check reads row selections of it
     trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
     for name, tree in trees.items():
         assert not _defined_names(tree) & {"top_geometry", "_top_rows"}, name
     assert _functions_calling(trees["continuum"], "ix_") == ["_rows"]
     assert [(name, caller) for name, tree in trees.items()
             for caller in _calls(tree, "_rows")] == [("continuum", "_tied")]
+    # the tie check is one top-two pass: it neither solves nor builds
+    assert "_tied" not in _calls(trees["continuum"], "solve", "prepare_geometry")
+    assert _calls(trees["continuum"], "second_value") == ["_tied"]
 
 
 def test_each_functional_written_once():

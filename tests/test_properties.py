@@ -7,8 +7,9 @@ of the heavy-site sum identities, of the chain solver against both
 brute-force routes, of the exact threshold's point cuts (tilde by
 weight, hat by the slope-1 cone) and one-point start against the
 iteration that solves on every point from ratio 0, of geometry row
-selections against fresh builds, byte for byte, of the tie check on its
-iteration's geometry against the check that rebuilt it from raw points,
+selections against fresh builds, byte for byte, of the top-two pass
+against the runner-up of the 2^m chain table, of the tie check on its
+iteration's geometry against the three-solve check on raw points,
 of ``select_top`` against the three-key sort it replaced, and of the
 campaigns' KS distance against ``scipy.stats.ks_2samp``, bit for bit.
 
@@ -46,6 +47,7 @@ from polymerlab.elpp import (
     chain_lattice,
     exactly,
     prepare_geometry,
+    second_value,
     select_top,
     solve,
 )
@@ -380,6 +382,20 @@ def test_solve_matches_both_brute_force_routes(case):
             assert got.indices == want.indices
 
 
+@SEEDED
+@given(chain_problems())
+def test_second_value_is_the_runner_up_of_the_chain_table(case):
+    # the top-two pass against the 2^m table: equal values count apart,
+    # and fewer than two feasible non-empty chains give -inf
+    pts, beta, kappa, kind, _ = case
+    got = second_value(prepare_geometry(pts, kind), beta, kappa)
+    values = feasible_values(pts, beta, kappa, kind, at_least(1))
+    if len(values) < 2:
+        assert got == -math.inf
+    else:
+        assert got == pytest.approx(values[1], rel=0.0, abs=1e-12)
+
+
 @st.composite
 def threshold_sets(draw):
     """1 to 12 distinct (t, x, w) points of one kind: an integer lattice
@@ -521,8 +537,9 @@ def test_geometry_row_selection_is_the_geometry_of_the_rows(case, kind):
 
 
 def raw_point_tied(points, ratio):
-    """The tie check that rebuilt its geometry from the raw points and
-    solved each deletion on raw rows."""
+    """The three-solve tie check on raw points: the best chain, the best
+    chain with more points than it, and the best without each of its
+    points, each deletion solved on raw rows."""
     kappa = ratio - continuum._margin(points)
     kept = points[continuum._above(points, kappa)]
     if len(kept) < 2:
@@ -545,11 +562,21 @@ def raw_point_tied(points, ratio):
 @SEEDED_THRESHOLDS
 @given(threshold_sets())
 def test_tie_check_on_the_iteration_geometry_matches_the_raw_point_check(pts):
-    # at the ratio the one-point-start iteration ends on
+    # at the ratio the one-point-start iteration ends on, on its geometry
     with mock.patch.object(continuum, "_tied", wraps=continuum._tied) as tied:
         bits(lambda: continuum._tilde_threshold(pts))
-    for (geometry, ratio), _ in tied.call_args_list:
-        assert continuum._tied(geometry, ratio) == raw_point_tied(pts, ratio)
+    checks = [args for args, _ in tied.call_args_list]
+    # and at 0, at each weight (a point of weight equal to the price can
+    # tie) and at the final ratio, each on the geometry of an iteration
+    # started there
+    prices = {0.0, *pts[:, 2].tolist()}
+    with contextlib.suppress(RuntimeError):
+        prices.add(continuum._tilde_threshold(pts)[1])
+    for price in prices:
+        rows = continuum._above(pts, price - continuum._margin(pts))
+        checks.append((prepare_geometry(pts[rows]), price))
+    for geometry, ratio in checks:
+        assert continuum._tied(geometry, ratio) is raw_point_tied(pts, ratio)
 
 
 @SEEDED
