@@ -128,7 +128,8 @@ class DisorderField:
     """I.i.d. heavy-tail weights on the box {1..n} x {-h..h}.
 
     weights[i-1, x+h] is the weight at time step i, site x.  Deterministic
-    function of (n, h, tail, seed); the array is read-only.
+    function of (n, h, tail, seed).  sample_field's array is its own and
+    read-only; a campaign replica's field is the campaign's draw buffer.
     """
 
     n: int
@@ -236,45 +237,55 @@ def truncated_mean_weight(tail: TailParams, cutoff: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _uniforms(seed: int, n: int, h: int) -> np.ndarray:
-    """Uniform draws for columns -h..h of rows 1..n, independent of h: one
-    Philox generator, advanced to column -h and re-keyed for each row."""
+def _uniforms(seed: int, h: int, out: np.ndarray):
+    """Uniform draws for columns -h..h of rows 1..n into ``out`` (n, 2h+1),
+    independent of h: one Philox generator, advanced to column -h and
+    re-keyed for each row."""
     start = _COL_OFFSET - h
     bits = Philox(key=seed << 64)
     bits.advance(start // 4)
     state, gen = bits.state, Generator(bits)
-    u = np.empty((n, 2 * h + 1))
-    for i in range(1, n + 1):
+    for i, row in enumerate(out, start=1):
         state["state"]["key"] = np.array([i, seed], dtype=np.uint64)  # (seed << 64) | i
         bits.state = state
         gen.random(start % 4)
-        gen.random(out=u[i - 1])
-    return u
+        gen.random(out=row)
+
+
+def _draw_field(out: np.ndarray, tail: TailParams, seed: int) -> DisorderField:
+    """The field of (n, h, tail, seed) drawn into ``out``, a writable
+    C-contiguous (n, 2h+1) array that becomes the field's weights: the
+    fill behind sample_field, which a campaign points at its own buffer.
+    Uniforms U, then omega = quantile(1/U') with U' = 1 - U in (0, 1],
+    in place when the law has a closed form."""
+    n, h = out.shape[0], (out.shape[1] - 1) // 2
+    _uniforms(seed, h, out)
+    w = _quantile_from_survival(tail, np.subtract(1.0, out, out=out), out=out)
+    if w is not out:  # the log-power law's bisection returns its own array
+        out[...] = w
+    return DisorderField(n=n, h=h, tail=tail, seed=seed, weights=out)
 
 
 def sample_field(n: int, h: int, tail: TailParams, seed: int) -> DisorderField:
-    """Sample the disorder field on {1..n} x {-h..h}.
-
-    Inverse-transform sampling omega = quantile(1/U') with U' = 1 - U in
-    (0, 1], drawn in the one array of uniforms when the law has a closed
-    form.  See the module docstring for the stream layout guaranteeing
-    that nested boxes share weights.
+    """Sample the disorder field on {1..n} x {-h..h}, into an array of
+    its own that is read-only.  See the module docstring for the stream
+    layout guaranteeing that nested boxes share weights.
     """
     if n < 1 or h < 0:
         raise ValueError("need n >= 1 and h >= 0")
     if not 0 <= seed < (1 << 64):
         raise ValueError("seed must fit in 64 bits")
-    u = _uniforms(seed, n, h)
-    w = _quantile_from_survival(tail, np.subtract(1.0, u, out=u), out=u)
-    w.flags.writeable = False
-    return DisorderField(n=n, h=h, tail=tail, seed=seed, weights=w)
+    field = _draw_field(np.empty((n, 2 * h + 1)), tail, seed)
+    field.weights.flags.writeable = False
+    return field
 
 
 def reachable_mask(n: int, h: int) -> np.ndarray:
-    """Boolean (n, 2h+1) mask of sites a walk from the origin can occupy."""
+    """Boolean (n, 2h+1) mask of sites a walk from the origin can occupy:
+    i + x even (i and x of one parity) and |x| <= i."""
     i = np.arange(1, n + 1)[:, None]
     x = np.arange(-h, h + 1)[None, :]
-    return ((i + x) % 2 == 0) & (np.abs(x) <= i)
+    return (i % 2 == x % 2) & (np.abs(x) <= i)
 
 
 def reachable_count(n: int, h: int) -> int:
@@ -291,24 +302,22 @@ def reachable_count(n: int, h: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _top(values: np.ndarray, ell: int) -> np.ndarray:
-    """Positions of the ell largest values, by value descending and ties
-    by the smaller position; a partial selection."""
+def _kth_largest(values: np.ndarray, ell: int) -> float:
+    """The ell-th largest of ``values``, a private copy that is
+    partitioned in place: no index array of its size is formed."""
     total = values.shape[0]
     if not 1 <= ell <= total:
         raise ValueError(f"ell must be in [1, {total}], got {ell}")
-    cand = np.arange(total)
-    if ell < total:
-        wmin = values[np.argpartition(values, total - ell)[total - ell :]].min()
-        cand = np.flatnonzero(values >= wmin)  # all ties at the boundary
-    return cand[np.argsort(-values[cand], kind="stable")[:ell]]
+    values.partition(total - ell)
+    return values[total - ell]
 
 
 def ordered_statistics(field: DisorderField, ell: int) -> np.ndarray:
     """(i, x, w) rows of the top-ell weights of the whole box, by weight
     descending, ties by the smaller (i, x): the box's flat index order."""
     flat = field.weights.ravel()
-    k = _top(flat, ell)
+    k = np.flatnonzero(flat >= _kth_largest(flat.copy(), ell))  # all ties at the boundary
+    k = k[np.argsort(-flat[k], kind="stable")[:ell]]
     width = field.weights.shape[1]
     return np.column_stack((k // width + 1, k % width - field.h, flat[k]))
 
@@ -317,8 +326,10 @@ def top_sites(field: DisorderField, ell: int, band: Optional[int] = None) -> np.
     """(i, x, w) rows of the top-ell walk-reachable sites with |x| <= band.
 
     Step i's sites x = -r, -r+2, ..., r (r = min(i, band) at i's parity)
-    are read row after row into one compact array, whose index orders
-    sites by (i, x) as the box's flat index does; no box mask is built.
+    are read row after row into one compact copy, which is partitioned
+    in place for the ell-th largest weight; the sites at or above it are
+    then read from the box in its flat index order, (i, x).  No box mask
+    of reachability is built.
     """
     h = field.h
     cap = h if band is None else min(band, h)
@@ -326,10 +337,16 @@ def top_sites(field: DisorderField, ell: int, band: Optional[int] = None) -> np.
         raise ValueError("band must be nonnegative")
     i = np.arange(1, field.n + 1)
     reach = np.minimum(i, cap - (i - cap) % 2)  # -1: no site of i's parity
-    start = np.concatenate(([0], np.cumsum(reach + 1)))
-    values = np.empty(start[-1])
-    for row, (a, r) in enumerate(zip(start.tolist(), reach.tolist())):
+    values = np.empty(int(np.sum(reach + 1)))
+    a = 0
+    for row, r in enumerate(reach.tolist()):
         values[a : a + r + 1] = field.weights[row, h - r : h + r + 1 : 2]
-    k = _top(values, ell)
-    row = np.searchsorted(start, k, side="right") - 1
-    return np.column_stack((row + 1, 2 * (k - start[row]) - reach[row], values[k]))
+        a += r + 1
+    box = field.weights[:, h - cap : h + cap + 1]
+    row, col = np.nonzero(box >= _kth_largest(values, ell))  # all ties at the boundary
+    x = col - cap
+    keep = (np.abs(x) <= row + 1) & ((row + 1 + x) % 2 == 0)
+    row, x = row[keep], x[keep]
+    w = box[row, x + cap]
+    k = np.argsort(-w, kind="stable")[:ell]
+    return np.column_stack((row[k] + 1, x[k], w[k]))

@@ -20,7 +20,8 @@ step runs once per size in the calling process and gives the field box h
 and the kind's constants that depend on n alone.  Each (n, replica) task
 is one context record (config, fields, the weight law, n, beta_n, the
 size's constants, replica index and seeds), from which the field is
-sampled in one place.
+drawn in one place: into the campaign's draw buffer for the size, which
+lives for one run_experiment call (on a pool, in each worker).
 The runner maps the tasks, sorts each table by (n, replica), counts
 failures and flags, adds the summary and writes the manifest meta.
 
@@ -43,6 +44,7 @@ import statistics
 import subprocess
 import sys
 import time
+import traceback
 import warnings
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -57,13 +59,13 @@ from .continuum import sample_ppp
 from .elpp import ENTROPY_LIPSCHITZ, ENTROPY_QUADRATIC, solve
 from .environment import (
     TailParams,
+    _draw_field,
     ordered_statistics,
     quantile,
     reachable_count,
-    sample_field,
     top_sites,
 )
-from .polymer import FREE, chaos_v_n, gibbs_band_probabilities, log_partition
+from .polymer import FREE, _summed_v_n, gibbs_band_probabilities, log_partition
 from .regimes import (
     DIFFUSIVE,
     LABEL_BOUNDARY,
@@ -338,10 +340,25 @@ def _sized(kind, config: ExperimentConfig, fields: dict) -> Tuple[List[dict], in
     return sizes, len(caught) - len(others)
 
 
-def _run_replica(job) -> dict:
-    """One replica on the field its task context names."""
+def _run_replica(job, buffers: dict) -> dict:
+    """One replica on the field its task context names, drawn into the
+    draw buffer that ``buffers`` holds for the field's shape; a buffer of
+    another shape is dropped first.  The replica may overwrite the buffer
+    once it has read the field, and returns nothing that shares it."""
     replica, t = job
-    return replica(t, sample_field(t.n, t.h, t.tail, t.seed))
+    shape = (t.n, 2 * t.h + 1)
+    if shape not in buffers:
+        buffers.clear()
+        buffers[shape] = np.empty(shape)
+    return replica(t, _draw_field(buffers[shape], t.tail, t.seed))
+
+
+# a pool worker's draw buffer; the worker lives for one campaign's pool
+_worker_buffers: dict = {}
+
+
+def _pooled_replica(job) -> dict:
+    return _run_replica(job, _worker_buffers)
 
 
 def _processes(config: ExperimentConfig) -> int:
@@ -512,10 +529,6 @@ def _regime_replica(t, field) -> dict:
     record, beta_limit = RECORDS[fields["label"]], fields["beta_limit"]
     logz = log_partition(field, beta, FREE)
     rescaled = 0.0 if beta == 0.0 else t.prefactor * (logz - t.center) / t.scale
-    rescaled_vn = math.nan
-    if record.pathway is DIFFUSIVE:
-        v_n = chaos_v_n(field, beta, band=h)
-        rescaled_vn = 0.0 if beta == 0.0 else t.prefactor * v_n / t.scale
 
     lattice = _top_lattice(field, config.ell)
     chain = solve(lattice, beta, 0.0, t.entropy).value
@@ -529,6 +542,13 @@ def _regime_replica(t, field) -> dict:
 
     diff = abs(discrete - cont)
     failures = int(diff > COUPLING_TOL * max(1.0, abs(cont)))
+
+    rescaled_vn = math.nan
+    if record.pathway is DIFFUSIVE:
+        # last: chaos_v_n(field, beta, h) summed in the field's own draw
+        # buffer, which it overwrites
+        v_n = _summed_v_n(field, beta, h, None, field.weights)
+        rescaled_vn = 0.0 if beta == 0.0 else t.prefactor * v_n / t.scale
 
     obs_row = (
         n, t.replica, t.seed, float(beta), h, float(logz), float(t.center),
@@ -707,7 +727,8 @@ class _Kind(NamedTuple):
 
     setup: Callable  # config -> manifest fields; raises on a bad config
     size: Callable  # (config, fields, n, beta_n) -> field box h and the size's constants
-    replica: Callable  # (task context, field) -> rows per table, failures[, flagged]
+    # (task context, field in the draw buffer) -> rows per table, failures[, flagged]
+    replica: Callable
     tables: Dict[str, Tuple[str, ...]]  # replica table -> columns
     summary: Callable  # (config, tables, manifest fields) -> (name, summary table)
 
@@ -740,7 +761,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     sorted by (n, replica), then its summary table; the manifest meta
     holds the kind's fields, the wall time and the size steps' total
     quadrature warnings.  The replicas run on a pool of
-    _processes(config) processes when that is above 1."""
+    _processes(config) processes when that is above 1.  Each process
+    draws its fields into one buffer per size, which is released when
+    this call returns or raises (a pool's with its workers)."""
     kind = _KINDS[config.kind]
     fields = kind.setup(config)
     start = time.perf_counter()
@@ -749,11 +772,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         **size, replica=r, seed=derive_seed(config.seed, size["n"], r, _FIELD_SLOT),
         seed_ppp=derive_seed(config.seed, size["n"], r, _PPP_SLOT),
     )) for size in sizes for r in range(config.replicas)]
-    if _processes(config) == 1:
-        bundles = [_run_replica(job) for job in jobs]
-    else:
-        with multiprocessing.Pool(processes=config.threads) as pool:
-            bundles = list(pool.imap_unordered(_run_replica, jobs, chunksize=1))
+    buffers: dict = {}
+    try:
+        if _processes(config) == 1:
+            bundles = [_run_replica(job, buffers) for job in jobs]
+        else:
+            with multiprocessing.Pool(processes=config.threads) as pool:
+                bundles = list(pool.imap_unordered(_pooled_replica, jobs, chunksize=1))
+    except BaseException as exc:
+        traceback.clear_frames(exc.__traceback__)  # a raising replica's frames hold the buffer
+        raise
+    finally:
+        buffers.clear()
     tables = {}
     for name, columns in kind.tables.items():
         # each replica emits its rows in key order, and the sort is stable

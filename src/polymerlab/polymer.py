@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -157,19 +158,27 @@ def walk_kernel(i: int, x: int) -> float:
     return math.comb(i, (i + x) // 2) / (1 << i)
 
 
+# rows of kernel_grid formed at a time: its log-binomials are block-sized
+_GRID_ROWS = 64
+
+
 # a full-band grid at n 4096 alone is 268 MB, so only the last few are kept
 @functools.lru_cache(maxsize=4)
 def kernel_grid(n: int, half_width: int) -> np.ndarray:
-    """(n, 2*half_width+1) array of P(S_i = x); row i-1, column x+half_width."""
+    """(n, 2*half_width+1) array of P(S_i = x); row i-1, column x+half_width.
+    Filled in blocks of _GRID_ROWS rows, so that besides the grid only
+    block-sized temporaries and the reachable_mask of the box are held."""
     if half_width < 0:
         raise ValueError("half_width must be >= 0")
     valid = reachable_mask(n, half_width)
-    i = np.arange(1, n + 1)[:, None]
+    grid = np.empty(valid.shape)
     x = np.arange(-half_width, half_width + 1)[None, :]
-    k = np.clip((i + x) // 2, 0, None)
-    logp = gammaln(i + 1) - gammaln(k + 1) - gammaln(np.clip(i - k, 0, None) + 1)
-    logp = logp + i * LOG_HALF
-    grid = np.where(valid, np.exp(logp), 0.0)
+    for a in range(0, n, _GRID_ROWS):
+        i = np.arange(a + 1, min(a + _GRID_ROWS, n) + 1)[:, None]
+        k = np.clip((i + x) // 2, 0, None)
+        logp = gammaln(i + 1) - gammaln(k + 1) - gammaln(np.clip(i - k, 0, None) + 1)
+        logp = logp + i * LOG_HALF
+        grid[a : a + len(i)] = np.where(valid[a : a + len(i)], np.exp(logp), 0.0)
     grid.flags.writeable = False
     return grid
 
@@ -477,21 +486,29 @@ def log_mgf_truncated(tail: TailParams, t: float, cutoff: float) -> float:
 
 
 def _kernel_sum(energy: np.ndarray, grid: np.ndarray) -> float:
-    """sum expm1(energy) * grid; a sum that overflows (inf * 0 = nan where
-    grid is 0) is redone over the sites with kernel mass, where only an
-    overflow that counts warns."""
+    """sum expm1(energy) * grid, formed in ``energy`` itself (C-contiguous,
+    the grid's shape), which it overwrites.  A sum that overflows (inf * 0
+    = nan where grid is 0) is redone over the sites with kernel mass,
+    whose products ``energy`` now holds; only an overflow that counts
+    warns."""
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.expm1(energy)
-        total = float(np.sum(np.multiply(terms, grid, out=terms)))
+        np.expm1(energy, out=energy)
+        total = float(np.sum(np.multiply(energy, grid, out=energy)))
+        if not math.isfinite(total):
+            total = float(np.sum(energy[grid > 0.0]))
     if not math.isfinite(total):
-        total = float(np.sum(np.expm1(energy[grid > 0.0]) * grid[grid > 0.0]))
+        warnings.warn("overflow encountered in the chaos kernel sum", RuntimeWarning)
     return total
 
 
-def _truncated_band(field: DisorderField, beta: float, band: int, cutoff: Optional[float]):
+def _truncated_band(field: DisorderField, beta: float, band: int, cutoff: Optional[float],
+                    box: Optional[np.ndarray] = None):
     """The truncation both chaos functions start from: the cutoff
-    (default the quantile at n^(3/2) log n), the weights truncated at it,
-    their band box and the band's kernel grid."""
+    (default the quantile at n^(3/2) log n), the band box |x| <= band
+    with its weights above the cutoff set to 0, and the band's kernel
+    grid.  The box is truncated in a contiguous copy of the field's band
+    box, or in ``box`` when given: a writable C-contiguous array that
+    holds that band box (a campaign's draw buffer, at band = h)."""
     n, h = field.n, field.h
     if band < 0:
         raise ValueError("band must be >= 0")
@@ -504,18 +521,29 @@ def _truncated_band(field: DisorderField, beta: float, band: int, cutoff: Option
         if arg <= 1.0:
             raise ValueError("default cutoff undefined at this n; pass cutoff")
         cutoff = quantile(field.tail, arg)
-    trunc = np.where(field.weights <= cutoff, field.weights, 0.0)
-    return cutoff, trunc, trunc[:, h - band : h + band + 1], kernel_grid(n, band)
+    if box is None:
+        box = field.weights[:, h - band : h + band + 1].copy()
+    above = box <= cutoff
+    np.copyto(box, 0.0, where=np.logical_not(above, out=above))
+    return cutoff, box, kernel_grid(n, band)
+
+
+def _summed_v_n(field: DisorderField, beta: float, band: int, cutoff: Optional[float],
+                box: Optional[np.ndarray]) -> float:
+    """chaos_v_n, summed in ``box`` as _truncated_band takes it: the
+    truncated band box times beta, then _kernel_sum, all in place."""
+    _, box, grid = _truncated_band(field, beta, band, cutoff, box)
+    box *= beta
+    return _kernel_sum(box, grid)
 
 
 def chaos_v_n(
     field: DisorderField, beta: float, band: int, cutoff: Optional[float] = None
 ) -> float:
     """The first chaos term ``chaos_terms(...).v_n`` alone, bit for bit,
-    without the truncated-mgf quadrature or the truncated transfer pass."""
-    _, _, box, grid = _truncated_band(field, beta, band, cutoff)
-    box *= beta  # in the truncated copy, which nothing else here reads
-    return _kernel_sum(box, grid)
+    without the truncated-mgf quadrature or the truncated transfer pass;
+    beside the cached grid it holds one copy of the band box."""
+    return _summed_v_n(field, beta, band, cutoff, None)
 
 
 def chaos_terms(
@@ -527,7 +555,7 @@ def chaos_terms(
     exp(-n lam) Z-trunc = 1 + sum (e^{beta w-trunc - lam} - 1) p + r_n
     holds exactly by construction of r_n.
     """
-    cutoff, trunc, box, grid = _truncated_band(field, beta, band, cutoff)
+    cutoff, box, grid = _truncated_band(field, beta, band, cutoff)
     lam = log_mgf_truncated(field.tail, beta, cutoff)
     v_n = _kernel_sum(beta * box, grid)
     # 1 minus the kernel mass of the whole space-time box; close to 1-n
@@ -540,7 +568,8 @@ def chaos_terms(
     else:
         w_n = math.expm1(lam) * gap
     v_centered = _kernel_sum(beta * box - lam, grid)
-    r, sites = _transfer(trunc, field.h, beta, WeightFilter(), 0.0, band)
+    # the pass at half width band reads no site past it: the box is its field
+    r, sites = _transfer(box, band, beta, WeightFilter(), 0.0, band)
     logz_trunc = _logsumexp(sites[0], r, band)
     shift = logz_trunc - field.n * lam
     z_shifted = math.exp(shift) if shift < 700.0 else math.inf

@@ -4,11 +4,14 @@ import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 import warnings
+import weakref
 from itertools import product
 from pathlib import Path
 
@@ -24,7 +27,7 @@ from polymerlab.continuum import (
     sample_ppp,
     single_point_max,
 )
-from polymerlab.environment import TailParams, quantile
+from polymerlab.environment import TailParams, quantile, sample_field
 from polymerlab.regimes import fluctuation_scale
 from polymerlab import experiments
 from polymerlab.experiments import (
@@ -152,6 +155,116 @@ def test_every_row_has_one_field_per_column(kind):
     for name, table in res.tables.items():
         assert table.rows, name
         assert {len(row) for row in table.rows} == {len(table.columns)}, name
+
+
+# ---------------------------------------------------------------------------
+# the draw buffer: one per size and campaign call
+
+
+def _recording(monkeypatch, kind, record):
+    """Swap ``kind``'s replica for one that passes (field, bundle) to ``record``."""
+    spec = experiments._KINDS[kind]
+
+    def replica(t, field):
+        bundle = spec.replica(t, field)
+        record(field, bundle)
+        return bundle
+
+    monkeypatch.setitem(experiments._KINDS, kind, spec._replace(replica=replica))
+
+
+def test_sample_field_keeps_its_bytes_through_a_campaign_draw():
+    # a campaign of the same box shape (fluctuation: h = n) draws into its
+    # own buffer, never into an array that sample_field handed out
+    field = sample_field(16, 16, TailParams(1.0), 5)
+    before = field.weights.tobytes()
+    cfg = make_config(kind=KIND_FLUCTUATION, sizes=(16,), replicas=2, **TINY[KIND_FLUCTUATION])
+    run_experiment(cfg)
+    assert field.weights.tobytes() == before
+    assert field.weights.flags.owndata and not field.weights.flags.writeable
+
+
+def _leaves(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+@pytest.mark.parametrize("kind", sorted(TINY))
+def test_no_replica_bundle_shares_the_draw_buffer(monkeypatch, kind):
+    seen = []
+    _recording(monkeypatch, kind, lambda field, bundle: seen.append((field.weights, bundle)))
+    run_experiment(make_config(kind=kind, sizes=(16, 24), replicas=2, **TINY[kind]))
+    buffers = [weights for weights, _ in seen]
+    # one buffer per size, reused by every replica of it
+    assert [b is buffers[0] for b in buffers] == [True, True, False, False]
+    assert buffers[2] is buffers[3]
+    for weights, bundle in seen:
+        leaves = list(_leaves(bundle))
+        assert leaves
+        assert not [v for v in leaves
+                    if isinstance(v, (np.ndarray, np.generic)) and np.shares_memory(v, weights)]
+
+
+# weak references to the draw buffers the replicas of this process saw
+_DRAWN = []
+
+
+def _raising_replica(t, field):
+    _DRAWN.append(weakref.ref(field.weights))
+    raise RuntimeError(f"replica {t.replica} stops")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("raises", [False, True])
+def test_draw_buffer_released_when_the_call_ends(monkeypatch, threads, raises):
+    # in-process, no reference to the buffer outlives the call, a raising
+    # replica's traceback included; on a pool the buffers live in the
+    # workers, none of which outlives the call
+    _DRAWN.clear()
+    kind = KIND_FLUCTUATION
+    if raises:
+        monkeypatch.setitem(experiments._KINDS, kind,
+                            experiments._KINDS[kind]._replace(replica=_raising_replica))
+    elif threads == 1:  # a pool's replica must pickle, and the workers' buffers are theirs
+        _recording(monkeypatch, kind,
+                   lambda field, bundle: _DRAWN.append(weakref.ref(field.weights)))
+    cfg = make_config(kind=kind, sizes=(16,), replicas=2, threads=threads, **TINY[kind])
+    if raises:
+        # the exception, and the frames of its traceback, are still held here
+        with pytest.raises(RuntimeError, match="stops") as caught:
+            run_experiment(cfg)
+        assert caught.tb is not None
+    else:
+        run_experiment(cfg)
+    assert len(_DRAWN) == (0 if threads > 1 else 1 if raises else 2)
+    assert [ref() for ref in _DRAWN] == [None] * len(_DRAWN)
+    assert multiprocessing.active_children() == []
+    assert experiments._worker_buffers == {}
+
+
+def test_diffusive_campaign_holds_one_field_beyond_the_grid():
+    # criterion 9's kind, after a warm-up replica that caches the kernel
+    # grid: the replicas draw into the one buffer and sum the first chaos
+    # term in it, so the traced peak stays under the field, room for the
+    # grid's bytes (which hold top_sites' compact copy, half a field, and
+    # the truncation mask, an eighth) and a slack of a quarter field for
+    # the transfer rows, the tables and the companion's points.  A fresh
+    # field per replica, chaos_v_n's copy and expm1's output took 3 fields
+    cfg = make_config(alpha=0.75, gamma=3.0, sizes=(256,), replicas=4, ell=32)
+    run_experiment(dataclasses.replace(cfg, replicas=1))
+    field_bytes = grid_bytes = 256 * (2 * 128 + 1) * 8  # the diffusive box h = 8 sqrt(n)
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= field_bytes + grid_bytes + 0.25 * field_bytes
 
 
 # ---------------------------------------------------------------------------

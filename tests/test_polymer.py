@@ -630,9 +630,10 @@ def test_chaos_v_n_raises_as_chaos_terms_does(case):
 
 
 def test_chaos_v_n_holds_one_box_sized_temporary():
-    # beta multiplies the truncated copy in place and the kernel grid
-    # multiplies expm1's output in place: beyond that copy, one array of
-    # the band box (here the whole box)
+    # the band box (here the whole box) is copied once and truncated,
+    # multiplied by beta, passed through expm1 and multiplied by the
+    # kernel grid in that copy: beyond it, only the truncation mask (an
+    # eighth of it) is box-sized
     field = sample_field(256, 64, PARETO_12, 76)
     kernel_grid(256, 64)  # the cached grid is built once per process, not per call
     tracemalloc.start()
@@ -641,7 +642,7 @@ def test_chaos_v_n_holds_one_box_sized_temporary():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.25 * field.weights.nbytes
+    assert peak <= 1.25 * field.weights.nbytes
 
 
 def test_chaos_v_n_runs_no_quadrature(monkeypatch):

@@ -2,7 +2,7 @@
 enumeration (partition sums, site marginals and band-window
 probabilities) and, byte for byte, against a full-row recursion that
 applies the window rules as masks at every site, of the first chaos
-term alone against the full terms,
+term alone against the full terms, of the chaos expansion identity,
 of the heavy-site sum identities, of the chain solver against both
 brute-force routes, of the exact threshold's point cuts (tilde by
 weight, hat by the slope-1 cone) and one-point start against the
@@ -51,7 +51,7 @@ from polymerlab.elpp import (
     select_top,
     solve,
 )
-from polymerlab.environment import TailParams, sample_field
+from polymerlab.environment import DisorderField, TailParams, sample_field
 from polymerlab.experiments import _ks
 from polymerlab.polymer import (
     CENTER_MEAN,
@@ -60,6 +60,7 @@ from polymerlab.polymer import (
     FREE,
     PathConstraint,
     WeightFilter,
+    centered_first_term,
     chaos_terms,
     chaos_v_n,
     filter_above,
@@ -305,6 +306,30 @@ def test_chaos_v_n_is_the_full_terms_v_n_bit_for_bit(case):
         alone = chaos_v_n(field, beta, band, cutoff)
         full = chaos_terms(field, beta, band, cutoff).v_n
     assert np.float64(alone).tobytes() == np.float64(full).tobytes()
+
+
+# each draw integrates the truncated mgf; fewer keep the module under 20 s
+@settings(SEEDED, max_examples=100)
+@given(chaos_cases())
+def test_chaos_identity_holds_in_its_finite_range(case):
+    # exp(-n lam) Z_trunc = 1 + centered_first_term + r_n, with Z_trunc the
+    # banded free sum of the truncated weights from log_partition: it holds
+    # only when v_n, w_n, lam and the centred kernel sum agree, as each
+    # _kernel_sum sums in its own copy of the box
+    field, beta, band, cutoff = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # expm1 overflow at huge couplings
+        terms = chaos_terms(field, beta, band, cutoff)
+    trunc = np.where(field.weights <= terms.cutoff, field.weights, 0.0)
+    log_z = log_partition(DisorderField(field.n, field.h, field.tail, field.seed, trunc), beta,
+                          PathConstraint(band=band))
+    shift = log_z - field.n * terms.lam
+    spread = math.exp(-terms.lam) * (1.0 + abs(terms.v_n) + abs(terms.w_n))
+    if shift >= 700.0 or not math.isfinite(spread + terms.r_n):
+        return  # past the finite range
+    z = math.exp(shift)
+    rhs = 1.0 + centered_first_term(terms) + terms.r_n
+    assert abs(z - rhs) <= 1e-9 * (1.0 + z + spread + abs(terms.r_n))
 
 
 @st.composite
