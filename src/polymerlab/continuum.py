@@ -43,6 +43,10 @@ from .elpp import (
     solve,
 )
 
+# np.median and np.percentile read np.ma, which numpy imports on first
+# access: load it with this module, so no estimate pays for that import
+np.ma
+
 NEG_INF = -np.inf
 
 #: Default number of retained top weights for truncated estimates.

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.special import xlogy
 
 ENTROPY_QUADRATIC = "quadratic"
 ENTROPY_LIPSCHITZ = "lipschitz"
@@ -61,6 +60,8 @@ def _rate(s: np.ndarray) -> np.ndarray:
     """e(s) on [-1, 1]; xlogy handles the 0 log 0 endpoints exactly.  Near
     s = 0 the two terms cancel to rounding, which may fall below e's
     minimum 0 (-5.6e-17 at s = 4e-12), so the rate is floored there."""
+    from scipy.special import xlogy  # loaded only where a Lipschitz leg is priced
+
     return np.maximum(0.5 * (xlogy(1.0 + s, 1.0 + s) + xlogy(1.0 - s, 1.0 - s)), 0.0)
 
 

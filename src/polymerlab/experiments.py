@@ -36,7 +36,6 @@ import dataclasses
 import functools
 import json
 import math
-import multiprocessing
 import os
 import platform
 import re
@@ -777,6 +776,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if _processes(config) == 1:
             bundles = [_run_replica(job, buffers) for job in jobs]
         else:
+            import multiprocessing  # loaded only where a pool starts
+
             with multiprocessing.Pool(processes=config.threads) as pool:
                 bundles = list(pool.imap_unordered(_pooled_replica, jobs, chunksize=1))
     except BaseException as exc:

@@ -24,6 +24,11 @@ of a full-width recursion.  A window's rules (merge the paths that
 reach |x| >= h1 into its second layer, kill those past hw) act only on
 each step's edge sites |x| in {h1, h1+1} and |x| = hw+1: elsewhere the
 layer they read is -inf, and logaddexp(-inf, y) == y bit for bit.
+
+``logsumexp`` repeats scipy.special.logsumexp's float operations (scipy
+1.17) on a 1-D row, numpy ufunc for numpy ufunc, so its sums are scipy's
+bit for bit without importing scipy.special: only ``kernel_grid`` needs
+it, for ``gammaln``, and imports it where it runs.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .elpp import chain_lattice
 from .environment import (
@@ -168,6 +172,8 @@ def kernel_grid(n: int, half_width: int) -> np.ndarray:
     """(n, 2*half_width+1) array of P(S_i = x); row i-1, column x+half_width.
     Filled in blocks of _GRID_ROWS rows, so that besides the grid only
     block-sized temporaries and the reachable_mask of the box are held."""
+    from scipy.special import gammaln  # loaded only where it builds a grid
+
     if half_width < 0:
         raise ValueError("half_width must be >= 0")
     valid = reachable_mask(n, half_width)
@@ -201,12 +207,32 @@ def _scatter(row: np.ndarray, sites: np.ndarray, r: int):
     row[half - r + 2 * cut : half + r - 2 * cut + 1 : 2] = sites[cut : r + 1 - cut]
 
 
+def logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a 1-D float row by scipy.special.logsumexp's
+    float operations: the maxima are taken out of the sum and counted, the
+    rest is summed shifted by the maximum, and a result that is not finite
+    (an all -inf row, an inf or a nan) is the direct log(sum(exp(a))).
+    Every step is a numpy ufunc on a one-element array, as in scipy: the
+    scalar math functions round differently from numpy's vector loops."""
+    top = np.max(a, keepdims=True)
+    ties = a == top
+    m = np.sum(ties, dtype=float, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # scipy keeps s = 0 undivided; 0 / m is that same +0 for m >= 1
+        s = np.sum(np.exp(np.where(ties, NEG_INF, a) - top), keepdims=True) / m
+        out = np.log1p(s) + np.log(m) + top
+    if not np.isfinite(out[0]):
+        with np.errstate(divide="ignore", over="ignore"):
+            out = np.log(np.sum(np.exp(a), keepdims=True))
+    return float(out[0])
+
+
 def _logsumexp(sites: np.ndarray, r: int, half_width: int) -> float:
     """log-sum of a pass's last sites, taken over its full -inf row of
     width 2*half_width+1 so that the summation order is the full row's."""
     row = np.full(2 * half_width + 1, NEG_INF)
     _scatter(row, sites, r)
-    return float(logsumexp(row))
+    return logsumexp(row)
 
 
 def _window_edges(windows, n: int, half_width: int):

@@ -346,18 +346,23 @@ def test_spec_grammar_parity(spec):
 def test_cli_import_loads_no_scipy_stats():
     # no command needs scipy.stats, and `experiment run` imports
     # experiments itself; scipy.integrate loads only where a quadrature
-    # runs, which `ppp` and `elpp` never reach; nor does import build the
-    # parser
+    # runs, which `ppp` and `elpp` never reach; scipy.special only where a
+    # Lipschitz leg is priced, which the hat beta_c does and the tilde one
+    # does not; nor does import build the parser
     src = str(Path(polymerlab.__file__).parent.parent)
     probe = (f"import sys; sys.path.insert(0, {src!r}); import polymerlab.cli as cli; "
-             "loaded = lambda: ['scipy.stats' in sys.modules, 'scipy.integrate' in sys.modules]; "
-             "print(loaded(), cli._build_parser.cache_info().misses); "
+             "loaded = lambda: [m in sys.modules for m in "
+             "('scipy.stats', 'scipy.integrate', 'scipy.special')]; "
+             "print('loaded', loaded(), cli._build_parser.cache_info().misses); "
              "cli.main(['ppp', '--alpha', '1.2', '--op', 'beta_c', '--top', '16', '--replicas', '2']); "
              "cli.main(['ppp', '--alpha', '1.2', '--op', 'W0', '--top', '16']); "
              "cli.main(['elpp', '--from-field', '16,4,1.2,3,8', '--beta', '1']); "
-             "print(loaded(), cli._build_parser.cache_info().misses)")
+             "print('loaded', loaded(), cli._build_parser.cache_info().misses); "
+             "cli.main(['ppp', '--alpha', '0.3', '--op', 'beta_c', '--top', '16', '--replicas', '2']); "
+             "print('loaded', loaded())")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True, timeout=120)
-    lines = done.stdout.strip().splitlines()
+    lines = [line for line in done.stdout.splitlines() if line.startswith("loaded ")]
     # the parser is built by the first call, not at import, and only once
-    assert (lines[0], lines[-1]) == ("[False, False] 0", "[False, False] 1")
+    assert lines == ["loaded [False, False, False] 0", "loaded [False, False, False] 1",
+                     "loaded [False, False, True]"]

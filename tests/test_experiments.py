@@ -745,20 +745,23 @@ def test_campaigns_load_neither_scipy_stats_nor_scipy_integrate(tmp_path):
     # the KS distance is numpy's, and the quadrature-warning class is
     # looked up only after the size steps, which import scipy.integrate
     # only where they integrate; a log-power size step does, and its
-    # count is the one the eager import gave (one warning per size)
+    # count is the one the eager import gave (one warning per size).
+    # scipy.special loads only with a kernel grid, which the chaos term
+    # of a diffusive (R5) campaign builds and an R2 campaign does not
     src = str(Path(experiments.__file__).parent.parent)
     probe = f"""
 import sys
 sys.path.insert(0, {src!r})
 import polymerlab.cli
 from polymerlab.experiments import ExperimentConfig, run_experiment, write_outputs
-loaded = lambda: [m for m in ("scipy.stats", "scipy.integrate") if m in sys.modules]
+loaded = lambda: [m for m in ("scipy.stats", "scipy.integrate", "scipy.special") if m in sys.modules]
 print(loaded())
 for kind in (dict(kind="fluctuation", alpha=1.0, gamma=1.25, beta_hat=0.22, a_values=(2.0,)),
-             dict(kind="regime_convergence", alpha=1.2, gamma=1.0)):
+             dict(kind="regime_convergence", alpha=1.2, gamma=1.0),
+             dict(kind="regime_convergence", alpha=0.75, gamma=3.0)):
     result = run_experiment(ExperimentConfig(sizes=(16,), replicas=2, seed=7, ell=4, **kind))
     write_outputs(result, {str(tmp_path)!r})
-print(loaded())
+    print(loaded())
 result = run_experiment(ExperimentConfig(kind="regime_convergence", law="logpower", b=0.35,
                                          alpha=1.5, gamma=0.5, sizes=(16, 32, 64), replicas=2,
                                          seed=3, ell=4))
@@ -766,7 +769,31 @@ print(result.meta["quadrature_warnings"], loaded())
 """
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True, timeout=120)
-    assert done.stdout.splitlines() == ["[]", "[]", "3 ['scipy.integrate']"]
+    assert done.stdout.splitlines() == [
+        "[]", "[]", "[]", "['scipy.special']", "3 ['scipy.integrate', 'scipy.special']"]
+
+
+def test_first_jobs_import_nothing():
+    # every module a beta_c estimate or a fluctuation campaign reads is
+    # loaded with the package, so no first job pays an import (np.median
+    # and np.percentile read np.ma, which numpy loads on first access)
+    src = str(Path(experiments.__file__).parent.parent)
+    probe = f"""
+import sys
+sys.path.insert(0, {src!r})
+import polymerlab.cli, polymerlab.experiments
+from polymerlab.continuum import critical_coupling
+from polymerlab.experiments import ExperimentConfig, run_experiment
+before = set(sys.modules)
+critical_coupling(1.2, replicas=2, top=16, seed=1)
+print(sorted(set(sys.modules) - before))
+run_experiment(ExperimentConfig(kind="fluctuation", alpha=1.0, gamma=1.25, beta_hat=0.22,
+                                a_values=(2.0,), sizes=(16,), replicas=2, seed=7))
+print(sorted(set(sys.modules) - before))
+"""
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, timeout=120)
+    assert done.stdout.splitlines() == ["[]", "[]"]
 
 
 def test_run_from_file_exit_code(tmp_path):

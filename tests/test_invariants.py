@@ -38,7 +38,9 @@ nor builds a geometry.  Each
 functional is written once: ``elpp._step_cost`` alone prices a chain leg
 (``_rate`` has no other caller and ``prepare_geometry`` only forms the
 differences), and every campaign companion is drawn by its regime
-record, so ``experiments`` names no continuum functional.
+record, so ``experiments`` names no continuum functional.  No module
+imports ``scipy.special``, ``scipy.stats`` or ``scipy.integrate`` at module
+level: the four functions that need one import it where they run.
 """
 
 import ast
@@ -348,3 +350,51 @@ def test_each_functional_written_once():
     assert not set(called) & {"square", "divide", "multiply", "where", "fill_diagonal", "_rate"}
     functionals = {"sample_heat_kernel_sum", "chain_value", "lipschitz_chain_value"}
     assert not _identifiers(trees["experiments"]) & functionals
+
+
+# scipy submodules that take a third of a second to import, and the only
+# functions that import them: each where it runs, never at module level
+_LAZY_SCIPY = ("scipy.special", "scipy.stats", "scipy.integrate")
+_LAZY_SITES = {
+    ("polymer", "kernel_grid"), ("polymer", "log_mgf_truncated"),
+    ("elpp", "_rate"), ("environment", "_survival_integral"),
+}
+
+
+def _imports_with_owner(node, owner=None):
+    """(innermost enclosing function or None, statement) of every import."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield owner, child
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+        yield from _imports_with_owner(child, inner)
+
+
+def _imports_lazy_scipy(stmt):
+    if isinstance(stmt, ast.Import):
+        names = [alias.name for alias in stmt.names]
+    else:
+        module = stmt.module or ""
+        names = [module] + [f"{module}.{alias.name}" for alias in stmt.names]
+    return any(name.startswith(_LAZY_SCIPY) for name in names)
+
+
+def test_heavy_scipy_imported_only_where_used():
+    misplaced, sites = [], set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        for owner, stmt in _imports_with_owner(tree):
+            if not _imports_lazy_scipy(stmt):
+                continue
+            if (path.stem, owner) in _LAZY_SITES:
+                sites.add((path.stem, owner))
+            else:
+                misplaced.append(f"{path.name}:{stmt.lineno} in {owner or 'module level'}")
+        # nor through `import scipy`: scipy loads a submodule on first access
+        misplaced += [
+            f"{path.name}:{node.lineno} scipy.{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and f"{node.value.id}.{node.attr}" in _LAZY_SCIPY
+        ]
+    assert misplaced == []
+    assert sites == _LAZY_SITES

@@ -312,6 +312,35 @@ def test_band_probabilities_equal_separate_passes_bitwise():
         gibbs_band_probabilities(field, -0.5, [(0, 31)])
 
 
+def test_logsumexp_equals_scipy_bitwise():
+    # the numpy log-sum against scipy's on seeded rows of wide scales,
+    # -inf entries, ties at the max, single elements and all -inf, then
+    # on the -inf rows _logsumexp pads a pass's sites into
+    rng = np.random.default_rng(20260)
+    rows = [np.array([3.5]), np.array([-np.inf]), np.full(7, -np.inf), np.full(6, 1e300),
+            np.array([0.0, -np.inf, 0.0]), np.array([-745.0, -745.0, -1e308])]
+    for _ in range(2000):
+        a = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), int(rng.integers(1, 200)))
+        kind = rng.integers(4)
+        if kind == 1:
+            a[rng.random(a.size) < 0.5] = -np.inf
+        elif kind == 2:
+            a[rng.integers(0, a.size, 3)] = a.max()
+        elif kind == 3:
+            a = np.round(a)  # many ties, the max's among them
+        rows.append(a)
+    got = [polymer.logsumexp(a) for a in rows]
+    assert got == [float(logsumexp(a)) for a in rows]
+    assert all(type(v) is float for v in got)
+    for half_width in (0, 1, 2, 9, 40):
+        for r in range(min(half_width, 12) + 1):
+            sites = rng.normal(0.0, 50.0, r + 1)
+            sites[rng.random(r + 1) < 0.3] = -np.inf
+            row = np.full(2 * half_width + 1, -np.inf)
+            polymer._scatter(row, sites, r)
+            assert polymer._logsumexp(sites, r, half_width) == float(logsumexp(row))
+
+
 def test_kernel_grid_cache_is_bounded():
     kernel_grid.cache_clear()
     bound = kernel_grid.cache_info().maxsize
