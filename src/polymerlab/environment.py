@@ -37,6 +37,9 @@ _COL_OFFSET = 1 << 32
 _MONOTONE_GRID_DECADES = 14
 _MONOTONE_GRID_POINTS = 400
 
+# Entries of a log-power quantile bisected at a time: its iterates are block-sized.
+_BISECT_BLOCK = 1 << 14
+
 
 def _raw_survival(tail: TailParams, x):
     """L(x) * x**(-alpha) without the clamp at 1; x may be an array.
@@ -158,28 +161,40 @@ def survival(tail: TailParams, x):
 
 def _quantile_from_survival(tail: TailParams, p, out=None):
     """Solve survival(m) = p for p in (0, 1]; vectorized bisection.  The
-    constant law's closed form is written into ``out`` when given (which
-    may be ``p`` itself); the in-place ``**=`` keeps the scalar-power
-    fast paths of ``**``, so the bits are those of (c / p) ** (1/alpha)."""
+    result is written into ``out`` when given (a C-contiguous array of p's
+    shape, which may be ``p`` itself).  The constant law's closed form is
+    in place; the in-place ``**=`` keeps the scalar-power fast paths of
+    ``**``, so the bits are those of (c / p) ** (1/alpha).  The log-power
+    law bisects _BISECT_BLOCK entries at a time with its iterates stepped
+    in place, so besides ``out`` it holds only block-sized arrays; every
+    operation is elementwise, so the bits are those of one whole-array
+    bisection."""
     p = np.asarray(p, dtype=float)
     if tail.law == LAW_CONSTANT:
         q = np.divide(tail.c, p, out=out)
         q **= 1.0 / tail.alpha
         return q
-    lo = np.full(p.shape, tail.edge)
-    hi = np.full(p.shape, max(2.0 * tail.edge, 2.0))
-    # Expand hi until survival(hi) <= p everywhere.
-    while True:
-        need = _raw_survival(tail, hi) > p
-        if not np.any(need):
-            break
-        hi = np.where(need, hi * 4.0, hi)
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        above = _raw_survival(tail, mid) > p
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    return hi
+    q = np.empty(p.shape) if out is None else out
+    flat_p, flat_q = p.reshape(-1), q.reshape(-1)
+    for a in range(0, flat_p.size, _BISECT_BLOCK):
+        target = flat_p[a : a + _BISECT_BLOCK].copy()  # p may be out itself
+        hi = flat_q[a : a + _BISECT_BLOCK]
+        hi[...] = max(2.0 * tail.edge, 2.0)
+        lo = np.full(hi.shape, tail.edge)
+        mid = np.empty(hi.shape)
+        # Expand hi until survival(hi) <= p everywhere.
+        while True:
+            need = _raw_survival(tail, hi) > target
+            if not np.any(need):
+                break
+            np.multiply(hi, 4.0, out=hi, where=need)
+        for _ in range(100):
+            np.add(lo, hi, out=mid)
+            mid *= 0.5
+            above = _raw_survival(tail, mid) > target
+            np.copyto(lo, mid, where=above)
+            np.copyto(hi, mid, where=~above)
+    return q
 
 
 def quantile(tail: TailParams, x):
@@ -257,12 +272,10 @@ def _draw_field(out: np.ndarray, tail: TailParams, seed: int) -> DisorderField:
     C-contiguous (n, 2h+1) array that becomes the field's weights: the
     fill behind sample_field, which a campaign points at its own buffer.
     Uniforms U, then omega = quantile(1/U') with U' = 1 - U in (0, 1],
-    in place when the law has a closed form."""
+    in place (the log-power law's bisection holds block-sized arrays)."""
     n, h = out.shape[0], (out.shape[1] - 1) // 2
     _uniforms(seed, h, out)
-    w = _quantile_from_survival(tail, np.subtract(1.0, out, out=out), out=out)
-    if w is not out:  # the log-power law's bisection returns its own array
-        out[...] = w
+    _quantile_from_survival(tail, np.subtract(1.0, out, out=out), out=out)
     return DisorderField(n=n, h=h, tail=tail, seed=seed, weights=out)
 
 

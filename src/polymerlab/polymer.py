@@ -27,8 +27,10 @@ layer they read is -inf, and logaddexp(-inf, y) == y bit for bit.
 
 ``logsumexp`` repeats scipy.special.logsumexp's float operations (scipy
 1.17) on a 1-D row, numpy ufunc for numpy ufunc, so its sums are scipy's
-bit for bit without importing scipy.special: only ``kernel_grid`` needs
-it, for ``gammaln``, and imports it where it runs.
+bit for bit without importing scipy.special.  ``kernel_grid`` reads an
+exact log-factorial table instead of calling ``gammaln``: each entry is
+cephes lgam's integer branch (the routine behind scipy's gammaln) in
+Python floats and libm's log, so the grid's bits are scipy's too.
 """
 
 from __future__ import annotations
@@ -162,6 +164,34 @@ def walk_kernel(i: int, x: int) -> float:
     return math.comb(i, (i + x) // 2) / (1 << i)
 
 
+# cephes lgam, the routine behind scipy.special.gammaln (scipy 1.17):
+# log(sqrt(2 pi)) and the Stirling-series coefficients for 13 <= x < 1000
+_LS2PI = 0.91893853320467274178
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+
+
+def _log_factorial(m: int) -> float:
+    """log(m!) as gammaln(m + 1): cephes lgam's branch for x = m + 1 >= 1,
+    in its float operations and order, with libm's log (math.log), so the
+    double is scipy's.  Below 13 cephes takes the log of the product
+    (x-1)...2, which is exact in doubles, so math.factorial gives it."""
+    x = m + 1.0
+    if x < 13:
+        return math.log(math.factorial(m))
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    s = _LGAM_A[0]
+    for a in _LGAM_A[1:]:
+        s = s * p + a
+    return q + s / x
+
+
 # rows of kernel_grid formed at a time: its log-binomials are block-sized
 _GRID_ROWS = 64
 
@@ -171,18 +201,22 @@ _GRID_ROWS = 64
 def kernel_grid(n: int, half_width: int) -> np.ndarray:
     """(n, 2*half_width+1) array of P(S_i = x); row i-1, column x+half_width.
     Filled in blocks of _GRID_ROWS rows, so that besides the grid only
-    block-sized temporaries and the reachable_mask of the box are held."""
-    from scipy.special import gammaln  # loaded only where it builds a grid
-
+    block-sized temporaries and the reachable_mask of the box are held.
+    Each log-binomial reads the table lf[m] = log(m!) of _log_factorial;
+    gammaln is elementwise, so a lookup is the double gammaln(m + 1) would
+    compute and the grid is that of the gammaln formula bit for bit.
+    k is clipped at i: off-cone columns (|x| > i) index inside the table
+    and are masked to 0 afterwards."""
     if half_width < 0:
         raise ValueError("half_width must be >= 0")
+    lf = np.array([_log_factorial(m) for m in range(n + 1)])
     valid = reachable_mask(n, half_width)
     grid = np.empty(valid.shape)
     x = np.arange(-half_width, half_width + 1)[None, :]
     for a in range(0, n, _GRID_ROWS):
         i = np.arange(a + 1, min(a + _GRID_ROWS, n) + 1)[:, None]
-        k = np.clip((i + x) // 2, 0, None)
-        logp = gammaln(i + 1) - gammaln(k + 1) - gammaln(np.clip(i - k, 0, None) + 1)
+        k = np.clip((i + x) // 2, 0, i)
+        logp = lf[i] - lf[k] - lf[i - k]
         logp = logp + i * LOG_HALF
         grid[a : a + len(i)] = np.where(valid[a : a + len(i)], np.exp(logp), 0.0)
     grid.flags.writeable = False

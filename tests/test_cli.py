@@ -347,8 +347,9 @@ def test_cli_import_loads_no_scipy_stats():
     # no command needs scipy.stats, and `experiment run` imports
     # experiments itself; scipy.integrate loads only where a quadrature
     # runs, which `ppp` and `elpp` never reach; scipy.special only where a
-    # Lipschitz leg is priced, which the hat beta_c does and the tilde one
-    # does not; nor does import build the parser
+    # Lipschitz leg is priced (xlogy; a kernel grid reads a log-factorial
+    # table), which the hat beta_c does and the tilde one does not; nor
+    # does import build the parser
     src = str(Path(polymerlab.__file__).parent.parent)
     probe = (f"import sys; sys.path.insert(0, {src!r}); import polymerlab.cli as cli; "
              "loaded = lambda: [m in sys.modules for m in "

@@ -242,6 +242,23 @@ def test_closed_form_field_is_drawn_in_one_box(alpha):
     assert peak <= 1.25 * f.weights.nbytes
 
 
+def test_logpower_field_is_bisected_in_blocks():
+    # besides the field, the bisection of one block of B entries holds
+    # target, lo and mid, at most three temporaries of _raw_survival (numpy
+    # elides no temporary this small) and the previous step's bool mask:
+    # 6 float and 1 bool arrays of B entries; 64 KiB covers everything
+    # that is not an array (the Philox state, the generator, frames)
+    block = env._BISECT_BLOCK
+    tracemalloc.start()
+    try:
+        f = env.sample_field(256, 256, env.TailParams(1.0, law="logpower"), seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.weights.size > 4 * block
+    assert peak <= f.weights.nbytes + (6 * 8 + 1) * block + 64 * 1024
+
+
 # ---------------------------------------------------------------------------
 # Ordered statistics
 # ---------------------------------------------------------------------------

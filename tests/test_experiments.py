@@ -746,8 +746,9 @@ def test_campaigns_load_neither_scipy_stats_nor_scipy_integrate(tmp_path):
     # looked up only after the size steps, which import scipy.integrate
     # only where they integrate; a log-power size step does, and its
     # count is the one the eager import gave (one warning per size).
-    # scipy.special loads only with a kernel grid, which the chaos term
-    # of a diffusive (R5) campaign builds and an R2 campaign does not
+    # No campaign loads scipy.special itself: the kernel grid a diffusive
+    # (R5) campaign builds reads a log-factorial table, and the log-power
+    # campaign prices no Lipschitz leg; scipy.integrate imports it
     src = str(Path(experiments.__file__).parent.parent)
     probe = f"""
 import sys
@@ -770,13 +771,14 @@ print(result.meta["quadrature_warnings"], loaded())
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True, timeout=120)
     assert done.stdout.splitlines() == [
-        "[]", "[]", "[]", "['scipy.special']", "3 ['scipy.integrate', 'scipy.special']"]
+        "[]", "[]", "[]", "[]", "3 ['scipy.integrate', 'scipy.special']"]
 
 
 def test_first_jobs_import_nothing():
-    # every module a beta_c estimate or a fluctuation campaign reads is
-    # loaded with the package, so no first job pays an import (np.median
-    # and np.percentile read np.ma, which numpy loads on first access)
+    # every module a beta_c estimate, a fluctuation campaign or a
+    # diffusive (R5) campaign reads is loaded with the package, so no
+    # first job pays an import (np.median and np.percentile read np.ma,
+    # which numpy loads on first access)
     src = str(Path(experiments.__file__).parent.parent)
     probe = f"""
 import sys
@@ -790,10 +792,13 @@ print(sorted(set(sys.modules) - before))
 run_experiment(ExperimentConfig(kind="fluctuation", alpha=1.0, gamma=1.25, beta_hat=0.22,
                                 a_values=(2.0,), sizes=(16,), replicas=2, seed=7))
 print(sorted(set(sys.modules) - before))
+run_experiment(ExperimentConfig(kind="regime_convergence", alpha=0.75, gamma=3.0, sizes=(16,),
+                                replicas=2, seed=7, ell=4))
+print(sorted(set(sys.modules) - before))
 """
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True, timeout=120)
-    assert done.stdout.splitlines() == ["[]", "[]"]
+    assert done.stdout.splitlines() == ["[]", "[]", "[]"]
 
 
 def test_run_from_file_exit_code(tmp_path):

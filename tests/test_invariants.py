@@ -356,8 +356,7 @@ def test_each_functional_written_once():
 # functions that import them: each where it runs, never at module level
 _LAZY_SCIPY = ("scipy.special", "scipy.stats", "scipy.integrate")
 _LAZY_SITES = {
-    ("polymer", "kernel_grid"), ("polymer", "log_mgf_truncated"),
-    ("elpp", "_rate"), ("environment", "_survival_integral"),
+    ("polymer", "log_mgf_truncated"), ("elpp", "_rate"), ("environment", "_survival_integral"),
 }
 
 

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
 from polymerlab import polymer
 from polymerlab.environment import (
@@ -141,6 +141,35 @@ def test_kernel_grid_matches_scalar():
                 walk_kernel(i, x), rel=1e-12, abs=1e-300
             )
     assert not grid.flags.writeable
+
+
+def test_log_factorial_equals_gammaln_bitwise():
+    # every m up to 2^17, both sides of each cephes branch edge in
+    # x = m + 1 (the exact product below 13, the Stirling series and its
+    # short form from 1000, the bare Stirling term past 1e8), then
+    # seeded integers up to 1e12
+    rng = np.random.default_rng(20261)
+    edges = (12, 13, 14, 999, 1000, 1001, 10**8, 10**8 + 1)
+    ms = (list(range((1 << 17) + 1)) + [x - 1 for x in edges]
+          + [int(m) for m in rng.integers(0, 10**12, 10_000)])
+    got = np.array([polymer._log_factorial(m) for m in ms])
+    assert got.tobytes() == gammaln(np.array(ms, dtype=float) + 1).tobytes()
+
+
+@pytest.mark.parametrize("n, half_width", [(2048, 363), (1, 3), (5, 40), (64, 64)])
+def test_kernel_grid_is_the_gammaln_formula_bitwise(n, half_width):
+    # the grid with the log-binomials of scipy's gammaln, row block by row
+    # block: the r5 shape, half widths past n (off-cone columns) and a full box
+    valid = polymer.reachable_mask(n, half_width)
+    want = np.empty(valid.shape)
+    x = np.arange(-half_width, half_width + 1)[None, :]
+    for a in range(0, n, polymer._GRID_ROWS):
+        i = np.arange(a + 1, min(a + polymer._GRID_ROWS, n) + 1)[:, None]
+        k = np.clip((i + x) // 2, 0, None)
+        logp = gammaln(i + 1) - gammaln(k + 1) - gammaln(np.clip(i - k, 0, None) + 1)
+        logp = logp + i * polymer.LOG_HALF
+        want[a : a + len(i)] = np.where(valid[a : a + len(i)], np.exp(logp), 0.0)
+    assert kernel_grid.__wrapped__(n, half_width).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
