@@ -14,9 +14,9 @@ can be generated without producing the columns before it, and the weight
 at (i, x) depends on (seed, i, x) alone.  Fields on nested boxes
 therefore agree on shared sites.
 
-Top weights: top_sites ranks the sites a walk from the origin can visit,
-ordered_statistics the whole box; both return (i, x, w) rows by weight
-descending, ties by the smaller (i, x).
+Top weights: top_sites ranks the sites a walk from the origin can visit
+(reaches, the one row rule), ordered_statistics the whole box; both
+return (i, x, w) rows by weight descending, ties by the smaller (i, x).
 """
 
 from __future__ import annotations
@@ -293,19 +293,26 @@ def sample_field(n: int, h: int, tail: TailParams, seed: int) -> DisorderField:
     return field
 
 
+def reaches(n: int, cap: int) -> np.ndarray:
+    """The one row rule: int64 reach r of steps 0..n.  Step i holds x = -r,
+    -r+2, ..., r, its parity in |x| <= min(i, cap); r = -1 holds no site."""
+    if cap < 0:
+        raise ValueError(f"band must be nonnegative, got {cap}")
+    i = np.arange(n + 1)
+    return np.minimum(i, cap - (i - cap) % 2)
+
+
 def reachable_mask(n: int, h: int) -> np.ndarray:
-    """Boolean (n, 2h+1) mask of sites a walk from the origin can occupy:
-    i + x even (i and x of one parity) and |x| <= i."""
-    i = np.arange(1, n + 1)[:, None]
-    x = np.arange(-h, h + 1)[None, :]
-    return (i % 2 == x % 2) & (np.abs(x) <= i)
+    """Boolean (n, 2h+1) mask of the sites of steps 1..n under reaches:
+    |x| <= r at r's parity; each modulo runs on a vector, not the grid."""
+    r = reaches(n, h)[1:, None]
+    x = np.arange(-h, h + 1)
+    return (np.abs(x) <= r) & (x % 2 == r % 2)
 
 
 def reachable_count(n: int, h: int) -> int:
-    """Number of True sites of reachable_mask(n, h), in closed form: i + 1
-    sites at steps i <= h, then h or h + 1 by the parity of i - h."""
-    k, rest = min(n, h), max(0, n - h)
-    return k * (k + 3) // 2 + rest * h + rest // 2
+    """Number of True sites of reachable_mask(n, h): r + 1 per step."""
+    return int(np.sum(reaches(n, h)[1:] + 1))
 
 
 
@@ -338,18 +345,15 @@ def ordered_statistics(field: DisorderField, ell: int) -> np.ndarray:
 def top_sites(field: DisorderField, ell: int, band: Optional[int] = None) -> np.ndarray:
     """(i, x, w) rows of the top-ell walk-reachable sites with |x| <= band.
 
-    Step i's sites x = -r, -r+2, ..., r (r = min(i, band) at i's parity)
+    Step i's sites x = -r, -r+2, ..., r (r of reaches, the one row rule)
     are read row after row into one compact copy, which is partitioned
     in place for the ell-th largest weight; the sites at or above it are
-    then read from the box in its flat index order, (i, x).  No box mask
-    of reachability is built.
+    then read from the box in its flat index order, (i, x), and kept
+    where the same r admits them.  No box mask of reachability is built.
     """
     h = field.h
     cap = h if band is None else min(band, h)
-    if cap < 0:
-        raise ValueError("band must be nonnegative")
-    i = np.arange(1, field.n + 1)
-    reach = np.minimum(i, cap - (i - cap) % 2)  # -1: no site of i's parity
+    reach = reaches(field.n, cap)[1:]
     values = np.empty(int(np.sum(reach + 1)))
     a = 0
     for row, r in enumerate(reach.tolist()):
@@ -358,7 +362,7 @@ def top_sites(field: DisorderField, ell: int, band: Optional[int] = None) -> np.
     box = field.weights[:, h - cap : h + cap + 1]
     row, col = np.nonzero(box >= _kth_largest(values, ell))  # all ties at the boundary
     x = col - cap
-    keep = (np.abs(x) <= row + 1) & ((row + 1 + x) % 2 == 0)
+    keep = (np.abs(x) <= reach[row]) & ((x + reach[row]) % 2 == 0)
     row, x = row[keep], x[keep]
     w = box[row, x + cap]
     k = np.argsort(-w, kind="stable")[:ell]

@@ -16,7 +16,7 @@ cannot overflow.  A returned -inf means the admissible path set is
 empty, never an underflow.
 
 Every pass runs on one step kernel, ``_transfer``: step i keeps only
-the i+1 sites of its parity inside the light cone |x| <= min(i, width)
+the sites of its row under ``environment.reaches``, the one row rule,
 in preallocated buffers, and the windows of gibbs_band_probabilities
 advance together with the free pass.  Each final log-sum is taken
 over the pass's full-width row, so the results are bit for bit those
@@ -50,6 +50,7 @@ from .environment import (
     mean_weight,
     reachable_count,
     reachable_mask,
+    reaches,
     top_sites,
     truncated_mean_weight,
     quantile,
@@ -228,11 +229,6 @@ def kernel_grid(n: int, half_width: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _reach(i: int, half_width: int) -> int:
-    """Step i occupies x = -r, -r+2, ..., r: its parity inside |x| <= min(i, half_width)."""
-    return min(i, half_width - (i - half_width) % 2)
-
-
 def _scatter(row: np.ndarray, sites: np.ndarray, r: int):
     """Lay the sites -r, -r+2, ..., r into ``row``, centred at x = 0; sites
     beyond the row's half width are dropped."""
@@ -282,7 +278,7 @@ def _window_edges(windows, n: int, half_width: int):
     width = half_width + 3
     h1, hw = np.array(windows, dtype=np.int64).reshape(-1, 2).T
     i = np.arange(n + 1)[:, None]
-    r = np.minimum(i, half_width - (i - half_width) % 2)
+    r = reaches(n, half_width)[:, None]
     # x = -r, layer 0 of window k in pair[i % 2], the buffer that holds step i
     column = (i % 2) * (2 * k * width) + np.arange(k) * width + 1
 
@@ -302,8 +298,8 @@ def _transfer(weights, h, beta, filt, center, half_width, windows=(), store=None
               backward=False):
     """The log-domain transfer pass that every pass of this module runs on.
 
-    Step i keeps only its sites x = -r, -r+2, ..., r (r = _reach(i,
-    half_width)) in two -inf padded buffers.  A step is log((e^v[x-1] +
+    Step i keeps only its sites x = -r, -r+2, ..., r (r = reaches(n,
+    half_width)[i]) in two -inf padded buffers.  A step is log((e^v[x-1] +
     e^v[x+1]) / 2), + beta*f(omega) on the field box, - center.  Forward
     passes start at S_0 = 0; the backward pass (log B_i of the marginals)
     starts from 0 at step n and adds step i+1's energy before the step.
@@ -327,7 +323,8 @@ def _transfer(weights, h, beta, filt, center, half_width, windows=(), store=None
     if windows:
         whole = pair.reshape(-1)
         src, dst, clear, active = _window_edges(windows, n, half_width)
-    r = _reach(n if backward else 0, half_width)
+    reach = reaches(n, half_width).tolist()
+    r = reach[n if backward else 0]
     cur[0, ..., 1 : r + 2] = 0.0
 
     def add_energy(v, i, r):
@@ -338,7 +335,7 @@ def _transfer(weights, h, beta, filt, center, half_width, windows=(), store=None
     for i in range(n - 1, 0, -1) if backward else range(1, n + 1):
         if backward:
             add_energy(cur, i + 1, r)
-        r_next = _reach(i, half_width)
+        r_next = reach[i]
         s, r = (r - r_next + 1) // 2, r_next
         m = r + 1
         np.logaddexp(cur[..., s : s + m], cur[..., s + 1 : s + m + 1], out=nxt[..., 1 : m + 1])

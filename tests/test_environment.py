@@ -7,6 +7,7 @@ import pytest
 from numpy.random import Generator, Philox
 
 from polymerlab import environment as env
+from polymerlab.polymer import heavy_site_decomposition
 
 # Frozen oracle values, computed from the closed formulas independently of
 # the module (see the inline derivations next to each use).
@@ -180,10 +181,19 @@ def test_field_rows_match_documented_stream():
 
 
 def test_reachable_count_matches_mask():
-    for n in range(1, 25):
-        for h in (0, 1, 2, 5, n - 1, n, n + 1, n + 6):
-            if h >= 0:
-                assert env.reachable_count(n, h) == int(env.reachable_mask(n, h).sum())
+    # independent oracle, the direct formula: step i holds the x of i's
+    # parity with |x| <= i; h = 0, h = n and h > n all come up
+    for n in range(1, 41):
+        i = np.arange(1, n + 1)[:, None]
+        for h in range(n + 4):
+            x = np.arange(-h, h + 1)
+            want = (i % 2 == x % 2) & (np.abs(x) <= i)
+            assert np.array_equal(env.reachable_mask(n, h), want), (n, h)
+            assert env.reachable_count(n, h) == int(want.sum()), (n, h)
+            reach = env.reaches(n, h)
+            assert reach.dtype == np.int64 and reach.tolist()[0] == 0, (n, h)
+            for row, r in zip(want, reach[1:].tolist()):
+                assert x[row].tolist() == list(range(-r, r + 1, 2)), (n, h)
 
 
 def test_field_support_bound():
@@ -382,6 +392,13 @@ def test_top_sites_domain():
         env.top_sites(empty, 1)
     with pytest.raises(ValueError, match="band"):
         env.top_sites(f, 1, band=-1)
+    # a negative cap holds no lattice: the rule, mask and count refuse it
+    for h in (-1, -3):
+        for refused in (env.reaches, env.reachable_mask, env.reachable_count):
+            with pytest.raises(ValueError, match="band must be nonnegative"):
+                refused(5, h)
+    with pytest.raises(ValueError, match="band must be nonnegative"):
+        heavy_site_decomposition(f, 1.0, band=-1)
 
 
 def test_extreme_value_shape_smoke():

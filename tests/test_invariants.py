@@ -4,8 +4,9 @@ Invariants are explicit raises, never ``assert``: ``python -O`` strips
 assert statements, so a check written as one silently disappears under
 optimization.  The log-domain walk step has one definition, the
 transfer kernel in ``polymer``, so a second copy cannot drift from it;
-likewise ``experiments.run_experiment`` is the one campaign runner and
-``environment.top_sites`` the one ranking of walk-reachable sites.
+likewise ``experiments.run_experiment`` is the one campaign runner,
+``environment.top_sites`` the one ranking of walk-reachable sites and
+``environment.reaches`` the one row rule of the walk lattice.
 Chain legs are stored by their end point (``into_step``), and the old
 transposed name ``pair_step`` stays gone.  Both 2^k subset enumerations
 (the brute-force table and the heavy-site inclusion-exclusion) run on
@@ -141,6 +142,33 @@ def test_one_top_sites_selector():
         tree = ast.parse(path.read_text())
         assert not _defined_names(tree) & removed, path.name
         assert _params_named(tree, "reachable_only") == [], path.name
+
+
+def _parity_differences(tree):
+    """Functions that take ``(a - b) % 2``, the reach's parity term."""
+    return [
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+        and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Sub)
+        and isinstance(node.right, ast.Constant) and node.right.value == 2
+    ]
+
+
+def test_one_row_rule():
+    # environment.reaches is the one statement of the walk lattice's rows:
+    # polymer._reach stays gone, reaches is defined once, and no other
+    # function takes the reach's parity term (i - cap) % 2
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    assert [name for name, tree in trees.items() if "_reach" in _defined_names(tree)] == []
+    assert [name for name, tree in trees.items()
+            if "reaches" in _defined_names(tree)] == ["environment"]
+    parity = {name: _parity_differences(tree) for name, tree in trees.items()}
+    assert {name: funcs for name, funcs in parity.items() if funcs} == {
+        "environment": ["reaches"]
+    }
 
 
 def test_threshold_flavor_follows_alpha():

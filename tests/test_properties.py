@@ -51,7 +51,7 @@ from polymerlab.elpp import (
     select_top,
     solve,
 )
-from polymerlab.environment import DisorderField, TailParams, sample_field
+from polymerlab.environment import DisorderField, TailParams, reaches, sample_field
 from polymerlab.experiments import _ks
 from polymerlab.polymer import (
     CENTER_MEAN,
@@ -267,8 +267,9 @@ def test_transfer_edges_match_full_row_masks_byte_for_byte(case):
     field, beta, filt, center, half_width, windows = case
     n, h = field.n, field.h
     want = full_row_transfer(field.weights, h, beta, filt, center, half_width, windows)
+    reach = reaches(n, half_width).tolist()
     for i in range(1, n + 1):
-        r = polymer._reach(i, half_width)
+        r = reach[i]
         sites = want[i - 1][..., half_width - r : half_width + r + 1 : 2]
         rest = want[i - 1].copy()
         rest[..., half_width - r : half_width + r + 1 : 2] = -np.inf
