@@ -18,12 +18,16 @@ empty, never an underflow.
 Every pass runs on one step kernel, ``_transfer``: step i keeps only
 the sites of its row under ``environment.reaches``, the one row rule,
 in preallocated buffers, and the windows of gibbs_band_probabilities
-advance together with the free pass.  Each final log-sum is taken
-over the pass's full-width row, so the results are bit for bit those
-of a full-width recursion.  A window's rules (merge the paths that
-reach |x| >= h1 into its second layer, kill those past hw) act only on
-each step's edge sites |x| in {h1, h1+1} and |x| = hw+1: elsewhere the
-layer they read is -inf, and logaddexp(-inf, y) == y bit for bit.
+advance together, the free pass among them as the window [0, n].
+Each final log-sum is taken over the pass's full-width row, so the
+results are bit for bit those of a full-width recursion.  A window's
+rules (merge the paths that reach |x| >= h1 into its second layer,
+kill those past hw) act only on each step's edge sites |x| in {h1,
+h1+1} and |x| = hw+1: elsewhere the layer they read is -inf, and
+logaddexp(-inf, y) == y bit for bit.  The buffers are site-major (a
+site holds one contiguous column per window layer), so a step is one
+ufunc call per operation whatever the window count; each operation is
+elementwise, so the bits are those of a layer-by-layer pass.
 
 ``logsumexp`` repeats scipy.special.logsumexp's float operations (scipy
 1.17) on a 1-D row, numpy ufunc for numpy ufunc, so its sums are scipy's
@@ -266,32 +270,43 @@ def _logsumexp(sites: np.ndarray, r: int, half_width: int) -> float:
 
 
 def _window_edges(windows, n: int, half_width: int):
-    """Flat offsets into ``_transfer``'s buffer pair of every forward
-    step's window edge sites.  Row i of (src, dst, clear) merges layer 0
-    of the site of i's parity among |x| in {h1, h1+1} into layer 1 and
-    clears it, and clears both layers of |x| = hw+1 when it has i's
-    parity.  A site past the reach points at offset 0, a pad that is -inf
-    in both buffers; a merge past hw is cleared as dead or merges -inf
-    into -inf.  ``active[i]`` says whether step i has any site.
+    """The column table of ``_transfer``'s site-major buffer pair, (2,
+    half_width + 3, L), and flat offsets into it of every forward step's
+    window edge sites.  Buffer i % 2 holds step i; its row j holds the
+    site x = -r + 2(j-1) in L contiguous columns (rows 0 and r+2 are
+    -inf pads): layer 0 of each window with h1 > 0, then layer 1 of each
+    window.  ``cols`` is each window's layer 0 and layer 1 column, layer
+    0 being -1 where h1 = 0: every path has |x| >= 0 from step 1 on, so
+    that window starts in layer 1.  Row i of (src, dst, clear) merges
+    layer 0 of the site of i's parity among |x| in {h1, h1+1} into layer
+    1 and clears it, and clears both layers of |x| = hw+1 when it has
+    i's parity; an offset is parity*width*L + site*L + column.  A site
+    past the reach, or a missing layer 0, points at offset 0, a pad that
+    is -inf in both buffers; a merge past hw is cleared as dead or
+    merges -inf into -inf.  ``active[i]`` says whether step i has any
+    site.
     """
-    k = len(windows)
-    width = half_width + 3
     h1, hw = np.array(windows, dtype=np.int64).reshape(-1, 2).T
+    low = h1 > 0
+    cols = np.stack((np.where(low, np.cumsum(low) - 1, -1), low.sum() + np.arange(len(h1))))
+    ncol = cols.max() + 1  # L
     i = np.arange(n + 1)[:, None]
     r = reaches(n, half_width)[:, None]
-    # x = -r, layer 0 of window k in pair[i % 2], the buffer that holds step i
-    column = (i % 2) * (2 * k * width) + np.arange(k) * width + 1
+    # site x = -r, column 0 in pair[i % 2], the buffer that holds step i
+    first = (i % 2) * ((half_width + 3) * ncol) + ncol
 
-    def at(x, ok):  # offsets of -x and x, layer 0, where ok
-        off = column[..., None] + (r[..., None] + np.array([-1, 1]) * x[..., None]) // 2
-        return np.where(ok[..., None], off, 0).reshape(n + 1, -1)
+    def at(x, col, ok):  # offsets of -x and x in each window's column col, where ok
+        site = (r[..., None] + np.array([-1, 1]) * x[..., None]) // 2
+        return np.where(ok[..., None], first[..., None] + site * ncol + col[:, None], 0
+                        ).reshape(n + 1, -1)
 
     a = h1 + (h1 + i) % 2
-    src = at(a, a <= r)
-    dead = at(hw + 1, (hw + 1 <= r) & ((hw + 1 + i) % 2 == 0))
-    dst = np.where(src > 0, src + k * width, 0)
-    clear = np.concatenate((src, dead, np.where(dead > 0, dead + k * width, 0)), axis=1)
-    return src, dst, clear, clear.any(axis=1).tolist()
+    merge = (a <= r) & low
+    src = at(a, cols[0], merge)
+    dead = (hw + 1 <= r) & ((hw + 1 + i) % 2 == 0)
+    clear = np.concatenate((src, at(hw + 1, cols[0], dead & low), at(hw + 1, cols[1], dead)),
+                           axis=1)
+    return cols, src, at(a, cols[1], merge), clear, clear.any(axis=1).tolist()
 
 
 def _transfer(weights, h, beta, filt, center, half_width, windows=(), store=None,
@@ -302,35 +317,45 @@ def _transfer(weights, h, beta, filt, center, half_width, windows=(), store=None
     half_width)[i]) in two -inf padded buffers.  A step is log((e^v[x-1] +
     e^v[x+1]) / 2), + beta*f(omega) on the field box, - center.  Forward
     passes start at S_0 = 0; the backward pass (log B_i of the marginals)
-    starts from 0 at step n and adds step i+1's energy before the step.
+    starts from 0 at step n and adds step i+1's energy before the step,
+    uncentered.
     Each (h1, hw) of ``windows`` is a two-layer pass for max_i |S_i| in
     [h1, hw]: layer 1 holds the paths that reached |x| >= h1, and sites
     past hw are -inf after every step; all windows advance together,
-    forward only.  Each rule touches only the <= 2 edge sites per step
-    that ``_window_edges`` names.  Layer 0 was cleared at every |x| >= h1
-    one step back (the origin alone is never merged), so after the step
-    it can be finite there only at |x| = h1 or h1+1, and past hw only
-    |x| = hw+1 can be finite.  At every other site the full-row rule
-    leaves every bit as it is: the layer it reads is -inf, and
-    logaddexp(-inf, y) == y + log1p(0.0) == y, as no pass value is -0.0.
+    forward only.  A pass without windows is the one window [0,
+    half_width], which has no edge sites.
+
+    Each site's columns are contiguous (see ``_window_edges``), so each
+    step's logaddexp, + LOG_HALF, energy add and - center are one ufunc
+    call over a C-contiguous (m, L) block; each is elementwise, so the
+    bits are those of a pass over one row per layer.  Each window rule
+    touches only the <= 2 edge sites per step that ``_window_edges``
+    names, after + LOG_HALF and before the energy.  Layer 0 was cleared
+    at every |x| >= h1 one step back (the origin alone is never merged),
+    so after the step it can be finite there only at |x| = h1 or h1+1,
+    and past hw only |x| = hw+1 can be finite.  At every other site the
+    full-row rule leaves every bit as it is: the layer it reads is -inf,
+    and logaddexp(-inf, y) == y + log1p(0.0) == y, as no pass value is
+    -0.0.  The same identity lets an h1 = 0 window start in layer 1: the
+    full-row rule merges its layer 0 into layer 1 unchanged at step 1
+    and leaves it -inf after.
     ``store`` gets each step's sites in row i-1 (backward: log B_i).
-    Returns the last reach and sites, shape (1, r+1) or (2, K, r+1).
+    Returns the last reach and sites, shape (1, r+1) or (2, K, r+1); a
+    missing layer 0 is the -inf row it would hold.
     """
     n = weights.shape[0]
-    lead = (2, len(windows)) if windows else (1,)
-    pair = np.full((2,) + lead + (half_width + 3,), NEG_INF)
+    cols, src, dst, clear, active = _window_edges(windows or [(0, half_width)], n, half_width)
+    pair = np.full((2, half_width + 3, cols.max() + 1), NEG_INF)
+    whole = pair.reshape(-1)
     cur, nxt = pair
-    if windows:
-        whole = pair.reshape(-1)
-        src, dst, clear, active = _window_edges(windows, n, half_width)
     reach = reaches(n, half_width).tolist()
     r = reach[n if backward else 0]
-    cur[0, ..., 1 : r + 2] = 0.0
+    cur[1 : r + 2, np.where(cols[0] < 0, cols[1], cols[0])] = 0.0
 
     def add_energy(v, i, r):
         cut = max(0, (r - h + 1) // 2)  # sites left of the field box
         g = beta * weights[i - 1, h - r + 2 * cut : h + r - 2 * cut + 1 : 2]
-        v[..., 1 + cut : r + 2 - cut] += filt.apply(g)
+        v[1 + cut : r + 2 - cut] += filt.apply(g)[:, None]
 
     for i in range(n - 1, 0, -1) if backward else range(1, n + 1):
         if backward:
@@ -338,12 +363,12 @@ def _transfer(weights, h, beta, filt, center, half_width, windows=(), store=None
         r_next = reach[i]
         s, r = (r - r_next + 1) // 2, r_next
         m = r + 1
-        np.logaddexp(cur[..., s : s + m], cur[..., s + 1 : s + m + 1], out=nxt[..., 1 : m + 1])
-        nxt[..., m + 1] = NEG_INF
+        np.logaddexp(cur[s : s + m], cur[s + 1 : s + m + 1], out=nxt[1 : m + 1])
+        nxt[m + 1] = NEG_INF
         cur, nxt = nxt, cur
-        v = cur[..., 1 : m + 1]
+        v = cur[1 : m + 1]
         v += LOG_HALF
-        if windows and active[i]:
+        if active[i]:
             whole[dst[i]] = np.logaddexp(whole[src[i]], whole[dst[i]])
             whole[clear[i]] = NEG_INF
         if not backward:
@@ -351,8 +376,9 @@ def _transfer(weights, h, beta, filt, center, half_width, windows=(), store=None
             if center:
                 v -= center
         if store is not None:
-            _scatter(store[i - 1], v[0], r)
-    return r, cur[..., 1 : r + 2]
+            _scatter(store[i - 1], v[:, 0], r)
+    last = np.concatenate((np.full((1, r + 1), NEG_INF), cur[1 : r + 2].T))[cols + 1]
+    return r, last if windows else last[1]
 
 
 def _window_log_partitions(field: DisorderField, beta: float, filt: WeightFilter,
@@ -395,8 +421,10 @@ def gibbs_band_probabilities(
 ) -> BandProbabilities:
     """P under the Gibbs measure that max_i |S_i| lies in [h_low, h_high),
     for each window, all in one pass, with the FREE log Z.  The pass also
-    advances the window [0, n+1), whose flagged layer is the FREE pass
-    bit for bit, because logaddexp(v, -inf) == v exactly."""
+    advances the window [0, n+1), which kills no path and has no layer 0
+    (every path has |x| >= 0): its one column is the FREE pass, bit for
+    bit.  Each window with h_low > 0 adds two columns to the block that
+    each step of ``_transfer`` runs in one ufunc call per operation."""
     n = field.n
     if any(not 0 <= lo < hi <= n + 1 for lo, hi in windows):
         raise ValueError("need 0 <= h_low < h_high <= n+1")

@@ -341,6 +341,36 @@ def test_band_probabilities_equal_separate_passes_bitwise():
         gibbs_band_probabilities(field, -0.5, [(0, 31)])
 
 
+class _LogaddexpRecorder:
+    """numpy for ``polymer``, recording the arguments of each logaddexp call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def logaddexp(self, *args, **kwargs):
+        self.calls.append((args, kwargs))
+        return np.logaddexp(*args, **kwargs)
+
+
+@pytest.mark.parametrize("count", [1, 3, 5])
+def test_window_pass_steps_every_layer_as_one_block(count, monkeypatch):
+    # site-major buffers: one logaddexp per step over a C-contiguous
+    # block of all window layers, whatever the window count
+    n = 40
+    field = sample_field(n, n, PARETO_08, 59)
+    windows = [(0, n), (4, n), (9, 20), (0, 7), (13, n)][:count]
+    recorder = _LogaddexpRecorder()
+    monkeypatch.setattr(polymer, "np", recorder)
+    polymer._transfer(field.weights, n, 0.7, WeightFilter(), 0.0, n, windows)
+    steps = [(args, kwargs["out"]) for args, kwargs in recorder.calls if "out" in kwargs]
+    assert len(steps) == n
+    for args, out in steps:
+        assert all(a.flags.c_contiguous for a in (*args, out))
+
+
 def test_logsumexp_equals_scipy_bitwise():
     # the numpy log-sum against scipy's on seeded rows of wide scales,
     # -inf entries, ties at the max, single elements and all -inf, then

@@ -1,7 +1,8 @@
 """Seeded property tests of the one transfer kernel against the 2^n path
 enumeration (partition sums, site marginals and band-window
 probabilities) and, byte for byte, against a full-row recursion that
-applies the window rules as masks at every site, of the first chaos
+applies the window rules as masks at every site (the backward pass of
+the marginals included), of the first chaos
 term alone against the full terms, of the chaos expansion identity,
 of the heavy-site sum identities, of the chain solver against both
 brute-force routes, of the exact threshold's point cuts (tilde by
@@ -199,19 +200,32 @@ def test_band_probabilities_match_enumeration(case):
                                       abs=rounding(log_z))
 
 
-def full_row_transfer(weights, h, beta, filt, center, half_width, windows):
+def full_row_transfer(weights, h, beta, filt, center, half_width, windows, backward=False):
     """Each step's state of the transfer pass over the whole row
     -half_width..half_width, the window rules applied as full-row
-    flag/dead masks: shape (n, 1, width) or (n, 2, K, width)."""
+    flag/dead masks: shape (n, 1, width) or (n, 2, K, width).  The
+    backward pass (no windows, uncentered) starts from 0 on step n's row,
+    adds step i+1's energy before each step and masks the cone |x| <= i:
+    shape (n-1, 1, width), row i-1 holding step i."""
     n, width = weights.shape[0], 2 * half_width + 1
     ruler = np.abs(np.arange(-half_width, half_width + 1))
     bounds = np.array(windows, dtype=np.int64).reshape(-1, 2)
     flag, dead = ruler >= bounds[:, :1], ruler > bounds[:, 1:]
     cur = np.full(((2, len(windows)) if windows else (1,)) + (width + 2,), -np.inf)
-    cur[0, ..., half_width + 1] = 0.0
     box = ruler <= h
+
+    def add_energy(v, i):
+        x = np.flatnonzero(box & ((ruler + i) % 2 == 0))  # columns of i's parity on the box
+        v[..., x] += filt.apply(beta * weights[i - 1, x - half_width + h])
+
+    if backward:
+        cur[0, 1:-1][(ruler <= n) & ((ruler + n) % 2 == 0)] = 0.0
+    else:
+        cur[0, ..., half_width + 1] = 0.0
     rows = []
-    for i in range(1, n + 1):
+    for i in range(n - 1, 0, -1) if backward else range(1, n + 1):
+        if backward:
+            add_energy(cur[..., 1:-1], i + 1)
         nxt = np.full_like(cur, -np.inf)
         v = nxt[..., 1:-1]
         np.logaddexp(cur[..., :-2], cur[..., 2:], out=v)
@@ -220,13 +234,15 @@ def full_row_transfer(weights, h, beta, filt, center, half_width, windows):
             np.logaddexp(v[0], v[1], out=v[1], where=flag)
             np.copyto(v[0], -np.inf, where=flag)
             np.copyto(v, -np.inf, where=dead)
-        x = np.flatnonzero(box & ((ruler + i) % 2 == 0))  # columns of i's parity on the box
-        v[..., x] += filt.apply(beta * weights[i - 1, x - half_width + h])
-        if center:
-            v -= center
+        if backward:
+            np.copyto(v, -np.inf, where=ruler > i)
+        else:
+            add_energy(v, i)
+            if center:
+                v -= center
         rows.append(v.copy())
         cur = nxt
-    return np.array(rows)
+    return np.array(rows[::-1] if backward else rows).reshape(-1, *cur.shape[:-1], width)
 
 
 @st.composite
@@ -281,6 +297,14 @@ def test_transfer_edges_match_full_row_masks_byte_for_byte(case):
         store = np.full((n, 2 * half_width + 1), -np.inf)
         polymer._transfer(field.weights, h, beta, filt, center, half_width, store=store)
         assert store.tobytes() == want[:, 0].tobytes()
+        # the backward pass of gibbs_site_marginals, log B_i of steps n-1 .. 1
+        back = full_row_transfer(field.weights, h, beta, filt, center, half_width, windows,
+                                 backward=True)
+        store = np.full((n, 2 * half_width + 1), -np.inf)
+        polymer._transfer(field.weights, h, beta, filt, center, half_width, store=store,
+                          backward=True)
+        assert store[: n - 1].tobytes() == back[:, 0].tobytes()
+        assert np.all(store[n - 1] == -np.inf)
 
 
 @st.composite
