@@ -255,15 +255,24 @@ def truncated_mean_weight(tail: TailParams, cutoff: float) -> float:
 def _uniforms(seed: int, h: int, out: np.ndarray):
     """Uniform draws for columns -h..h of rows 1..n into ``out`` (n, 2h+1),
     independent of h: one Philox generator, advanced to column -h and
-    re-keyed for each row."""
+    re-keyed for each row.  The re-keying state is one dict of plain
+    Python ints (counter, buffer, key [i, seed] = (seed << 64) | i), so
+    no uint64 array is built per row; the setter reads the same words,
+    so the stream and the uniforms are the same.  Column -h at offset 0
+    of a Philox block has no draws to skip."""
     start = _COL_OFFSET - h
     bits = Philox(key=seed << 64)
     bits.advance(start // 4)
     state, gen = bits.state, Generator(bits)
+    key = [0, seed]
+    state["state"] = {"counter": state["state"]["counter"].tolist(), "key": key}
+    state["buffer"] = state["buffer"].tolist()
+    skip = start % 4
     for i, row in enumerate(out, start=1):
-        state["state"]["key"] = np.array([i, seed], dtype=np.uint64)  # (seed << 64) | i
+        key[0] = i
         bits.state = state
-        gen.random(start % 4)
+        if skip:
+            gen.random(skip)
         gen.random(out=row)
 
 
@@ -346,21 +355,29 @@ def top_sites(field: DisorderField, ell: int, band: Optional[int] = None) -> np.
     """(i, x, w) rows of the top-ell walk-reachable sites with |x| <= band.
 
     Step i's sites x = -r, -r+2, ..., r (r of reaches, the one row rule)
-    are read row after row into one compact copy, which is partitioned
-    in place for the ell-th largest weight; the sites at or above it are
-    then read from the box in its flat index order, (i, x), and kept
-    where the same r admits them.  No box mask of reachability is built.
+    are read into one compact copy, which is partitioned in place for
+    the ell-th largest weight: row by row up to step cap, then past it,
+    where r alternates between cap-1 and cap, as one strided block per
+    parity.  The copy's order is not read, only its ell-th largest value.
+    The sites at or above that value are taken from the box's flat index
+    (the (i, x) order of a 2-D nonzero) and kept where the same r admits
+    them.  No box mask of reachability is built.
     """
-    h = field.h
+    n, h = field.n, field.h
     cap = h if band is None else min(band, h)
-    reach = reaches(field.n, cap)[1:]
+    reach = reaches(n, cap)[1:]
     values = np.empty(int(np.sum(reach + 1)))
     a = 0
-    for row, r in enumerate(reach.tolist()):
-        values[a : a + r + 1] = field.weights[row, h - r : h + r + 1 : 2]
+    for r in range(1, min(cap, n) + 1):  # step r, below the cap, holds reach r
+        values[a : a + r + 1] = field.weights[r - 1, h - r : h + r + 1 : 2]
         a += r + 1
+    for first, r in enumerate(reach.tolist()[cap : cap + 2], start=cap):
+        block = field.weights[first::2, h - r : h + r + 1 : 2]
+        values[a : a + block.size].reshape(block.shape)[...] = block
+        a += block.size
     box = field.weights[:, h - cap : h + cap + 1]
-    row, col = np.nonzero(box >= _kth_largest(values, ell))  # all ties at the boundary
+    kth = _kth_largest(values, ell)  # all ties at the boundary are candidates
+    row, col = np.divmod(np.flatnonzero(box >= kth), 2 * cap + 1)
     x = col - cap
     keep = (np.abs(x) <= reach[row]) & ((x + reach[row]) % 2 == 0)
     row, x = row[keep], x[keep]

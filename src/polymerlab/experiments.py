@@ -572,7 +572,8 @@ def _regime_ks(config: ExperimentConfig, tables: Dict[str, Table], fields) -> Tu
     companion, and the first chaos term against the same companion.
     The chaos term keeps its weight cutoff, which thins its upper tail
     at finite n, so it is reported beside the cutoff-free exact free
-    energy, never instead of it.
+    energy, never instead of it.  A size whose companions are not all
+    finite gets nan rows and one RuntimeWarning naming n and the label.
     """
     observable = tables["observable"]
     targets = ["rescaled"]
@@ -582,6 +583,9 @@ def _regime_ks(config: ExperimentConfig, tables: Dict[str, Table], fields) -> Tu
     for n in config.sizes:
         companions = observable.column("companion", n=n)
         usable = all(math.isfinite(c) for c in companions)
+        if not usable:
+            warnings.warn(f"n {n}, label {fields['label']}: a companion is not finite, "
+                          "so the KS distances are nan", RuntimeWarning)
         for name in targets:
             ks = _ks(observable.column(name, n=n), companions) if usable else math.nan
             rows.append((n, name, ks, len(companions)))

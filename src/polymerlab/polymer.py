@@ -89,7 +89,7 @@ class WeightFilter:
 
     def apply(self, energies: np.ndarray) -> np.ndarray:
         if self.lo == -math.inf and self.hi == math.inf:
-            return energies  # the default window, once per transfer step
+            return energies  # the default window, once per block of transfer energies
         return np.where((energies > self.lo) & (energies <= self.hi), energies, 0.0)
 
 
@@ -309,6 +309,10 @@ def _window_edges(windows, n: int, half_width: int):
     return cols, src, at(a, cols[1], merge), clear, clear.any(axis=1).tolist()
 
 
+# field rows whose energies _transfer forms at a time, into one reused buffer
+_ENERGY_ROWS = 16
+
+
 def _transfer(weights, h, beta, filt, center, half_width, windows=(), store=None,
               backward=False):
     """The log-domain transfer pass that every pass of this module runs on.
@@ -339,6 +343,12 @@ def _transfer(weights, h, beta, filt, center, half_width, windows=(), store=None
     -0.0.  The same identity lets an h1 = 0 window start in layer 1: the
     full-row rule merges its layer 0 into layer 1 unchanged at step 1
     and leaves it -inf after.
+    The energies beta*f(omega) are formed _ENERGY_ROWS field rows at a
+    time into one reused buffer, over the columns |x| <= min(h,
+    half_width) that the pass reads, and each step's cut to the field
+    box is built once per pass from the reaches.  The product and the
+    filter are elementwise, so each energy is the float a per-step
+    product gives.
     ``store`` gets each step's sites in row i-1 (backward: log B_i).
     Returns the last reach and sites, shape (1, r+1) or (2, K, r+1); a
     missing layer 0 is the -inf row it would hold.
@@ -348,18 +358,30 @@ def _transfer(weights, h, beta, filt, center, half_width, windows=(), store=None
     pair = np.full((2, half_width + 3, cols.max() + 1), NEG_INF)
     whole = pair.reshape(-1)
     cur, nxt = pair
-    reach = reaches(n, half_width).tolist()
+    rs = reaches(n, half_width)
+    reach = rs.tolist()
     r = reach[n if backward else 0]
     cur[1 : r + 2, np.where(cols[0] < 0, cols[1], cols[0])] = 0.0
+    # step i's sites in the field box: buffer rows 1+cut..r+1-cut, whose
+    # x = -r+2cut..r-2cut sit at x + c in the energy block's columns
+    c = min(h, half_width)
+    cut = np.maximum(0, (rs - h + 1) // 2)  # sites left of the field box
+    bounds = np.stack((1 + cut, rs + 2 - cut, c - rs + 2 * cut, c + rs - 2 * cut + 1)).T.tolist()
+    buf = np.empty((min(_ENERGY_ROWS, n), 2 * c + 1))
+    first, energy = -_ENERGY_ROWS, None
 
-    def add_energy(v, i, r):
-        cut = max(0, (r - h + 1) // 2)  # sites left of the field box
-        g = beta * weights[i - 1, h - r + 2 * cut : h + r - 2 * cut + 1 : 2]
-        v[1 + cut : r + 2 - cut] += filt.apply(g)[:, None]
+    def add_energy(v, i):
+        nonlocal first, energy
+        if not first < i <= first + _ENERGY_ROWS:  # step i's row is i - 1
+            first = (i - 1) // _ENERGY_ROWS * _ENERGY_ROWS
+            rows = weights[first : first + _ENERGY_ROWS, h - c : h + c + 1]
+            energy = filt.apply(np.multiply(beta, rows, out=buf[: len(rows)]))
+        a, b, p, q = bounds[i]
+        v[a:b] += energy[i - 1 - first, p:q:2, None]
 
     for i in range(n - 1, 0, -1) if backward else range(1, n + 1):
         if backward:
-            add_energy(cur, i + 1, r)
+            add_energy(cur, i + 1)
         r_next = reach[i]
         s, r = (r - r_next + 1) // 2, r_next
         m = r + 1
@@ -372,7 +394,7 @@ def _transfer(weights, h, beta, filt, center, half_width, windows=(), store=None
             whole[dst[i]] = np.logaddexp(whole[src[i]], whole[dst[i]])
             whole[clear[i]] = NEG_INF
         if not backward:
-            add_energy(cur, i, r)
+            add_energy(cur, i)
             if center:
                 v -= center
         if store is not None:

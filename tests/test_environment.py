@@ -180,6 +180,18 @@ def test_field_rows_match_documented_stream():
             assert np.array_equal(got, expected), (seed, h)
 
 
+def test_draws_into_a_reused_buffer_equal_sample_field():
+    # two seeds back to back into one buffer: the second draw is
+    # sample_field's, so no re-keying state leaks between calls; h mod 4
+    # covers every offset in a Philox block, one seed sets the top bit
+    tail = pareto(0.9)
+    for h in (4, 5, 6, 7):
+        buf = np.empty((9, 2 * h + 1))
+        for seed in ((1 << 63) + 11, 12):
+            assert env._draw_field(buf, tail, seed).weights is buf
+            assert buf.tobytes() == env.sample_field(9, h, tail, seed).weights.tobytes(), (h, seed)
+
+
 def test_reachable_count_matches_mask():
     # independent oracle, the direct formula: step i holds the x of i's
     # parity with |x| <= i; h = 0, h = n and h > n all come up
@@ -375,6 +387,50 @@ def test_top_sites_equals_mask_selection_bitwise():
                         assert got.tobytes() == want.tobytes(), (n, h, band, ell)
                         checked += 1
     assert checked > 600
+
+
+def test_top_sites_long_strided_blocks_equal_mask_selection_bitwise():
+    # past step cap each parity's rows are one strided block of the
+    # compact copy: long blocks at bands strictly between 1 and h, on a
+    # sampled field and on one whose every weight ties at the boundary
+    for n in (64, 65):
+        for h in (5, 6):
+            sampled = env.sample_field(n, h, pareto(0.9), seed=29 * n + h)
+            ties = env.DisorderField(
+                n=n, h=h, tail=pareto(1.0), seed=0, weights=np.full((n, 2 * h + 1), 3.0)
+            )
+            for band in (3, 4):
+                count = env.reachable_count(n, band)
+                for ell in (1, 7, count // 2, count):
+                    for f in (sampled, ties):
+                        got = env.top_sites(f, ell, band)
+                        want = mask_top_sites(f, ell, band)
+                        assert got.tobytes() == want.tobytes(), (n, h, band, ell)
+
+
+class _NonzeroRecorder:
+    """numpy for ``environment``, recording the ndim of each nonzero argument."""
+
+    def __init__(self):
+        self.dims = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def nonzero(self, a):
+        self.dims.append(np.ndim(a))
+        return np.nonzero(a)
+
+
+def test_top_sites_takes_flat_candidates(monkeypatch):
+    # the candidates come from one flatnonzero of the box, never from a
+    # 2-D nonzero, whose index pair costs ten times as much
+    field = env.sample_field(64, 6, pareto(0.9), seed=3)
+    want = mask_top_sites(field, 9, 4)
+    recorder = _NonzeroRecorder()
+    monkeypatch.setattr(env, "np", recorder)
+    assert env.top_sites(field, 9, 4).tobytes() == want.tobytes()
+    assert 2 not in recorder.dims
 
 
 def test_top_sites_domain():

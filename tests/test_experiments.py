@@ -417,6 +417,28 @@ def test_regime_diffusive_emits_vn_and_companion():
     assert all(0.0 <= r[2] <= 1.0 for r in ks)
 
 
+def _nan_ks_warnings(cfg):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = run_experiment(cfg)
+    return res, [str(w.message) for w in caught
+                 if w.category is RuntimeWarning and "companion is not finite" in str(w.message)]
+
+
+def test_regime_ks_warns_once_per_size_when_a_companion_is_nan():
+    # alpha 0.75, gamma 2 is R5 at beta_limit 1, where every companion is
+    # nan: the KS rows are nan, and each size warns once, by n and label
+    res, caught = _nan_ks_warnings(make_config(alpha=0.75, gamma=2.0, sizes=(32, 64), seed=3))
+    assert res.meta["label"] == "R5" and res.invariant_failures == 0
+    assert all(math.isnan(r[2]) for r in res.tables["ks_summary"].rows)
+    assert caught == [f"n {n}, label R5: a companion is not finite, so the KS distances are nan"
+                      for n in (32, 64)]
+    # criterion 9's config compares finite companions and stays silent
+    res, caught = _nan_ks_warnings(make_config(
+        alpha=0.75, gamma=3.0, sizes=(64,), seed=909, ell=32, eps=1e-3, kernel_cutoff=8.0))
+    assert caught == [] and all(math.isfinite(r[2]) for r in res.tables["ks_summary"].rows)
+
+
 def test_regime_log_window_flagging():
     # log-corrected tail on the window line; tiny beta_hat forces the
     # zero-value branch, huge forces the positive one

@@ -5,6 +5,7 @@ logsumexp, so every partition value is checked against an independent
 route at n <= 11.
 """
 
+import functools
 import math
 import tracemalloc
 import warnings
@@ -19,6 +20,7 @@ from polymerlab.environment import (
     DisorderField,
     TailParams,
     quantile,
+    reaches,
     sample_field,
     top_sites,
     truncated_mean_weight,
@@ -341,18 +343,25 @@ def test_band_probabilities_equal_separate_passes_bitwise():
         gibbs_band_probabilities(field, -0.5, [(0, 31)])
 
 
-class _LogaddexpRecorder:
-    """numpy for ``polymer``, recording the arguments of each logaddexp call."""
+class _Recorder:
+    """numpy for ``polymer``, recording the arguments of each call to ``name``."""
 
-    def __init__(self):
-        self.calls = []
+    def __init__(self, name):
+        self.name, self.calls = name, []
 
-    def __getattr__(self, name):
-        return getattr(np, name)
+    def __getattr__(self, attr):
+        func = getattr(np, attr)
+        if attr != self.name:
+            return func
 
-    def logaddexp(self, *args, **kwargs):
-        self.calls.append((args, kwargs))
-        return np.logaddexp(*args, **kwargs)
+        def record(*args, **kwargs):
+            self.calls.append((args, kwargs))
+            return func(*args, **kwargs)
+
+        return record
+
+
+_LogaddexpRecorder = functools.partial(_Recorder, "logaddexp")
 
 
 @pytest.mark.parametrize("count", [1, 3, 5])
@@ -369,6 +378,55 @@ def test_window_pass_steps_every_layer_as_one_block(count, monkeypatch):
     assert len(steps) == n
     for args, out in steps:
         assert all(a.flags.c_contiguous for a in (*args, out))
+
+
+@pytest.mark.parametrize("case", ["band<h", "between", "negative", "backward"])
+def test_transfer_across_energy_blocks_matches_full_rows(case):
+    # n > 2 * _ENERGY_ROWS, so every step of a pass reads energies from
+    # one of three row blocks, the last one partial: each step's sites
+    # (backward: each stored log B_i) are the full-row recursion's bytes
+    from test_properties import full_row_transfer  # the full-row oracle
+
+    n = 2 * polymer._ENERGY_ROWS + 9
+    h, half_width, beta, filt, windows = {
+        "band<h": (n + 4, 7, 0.6, WeightFilter(), []),
+        "between": (n, n, 0.6, filter_between(0.5, 3.0), [(0, n), (3, 9), (12, n)]),
+        "negative": (12, n, -0.7, filter_atmost_one(), []),
+        "backward": (12, n, 0.6, WeightFilter(), []),
+    }[case]
+    field = sample_field(n, h, PARETO_08, 61)
+    if case == "backward":  # gibbs_site_marginals' pass
+        want = full_row_transfer(field.weights, h, beta, filt, 0.0, half_width, [], backward=True)
+        store = np.full((n, 2 * half_width + 1), -np.inf)
+        polymer._transfer(field.weights, h, beta, filt, 0.0, half_width, store=store,
+                          backward=True)
+        assert store[: n - 1].tobytes() == want[:, 0].tobytes()
+        return
+    want = full_row_transfer(field.weights, h, beta, filt, 0.25, half_width, windows)
+    reach = reaches(n, half_width).tolist()
+    for i in range(1, n + 1):
+        r = reach[i]
+        sites = want[i - 1][..., half_width - r : half_width + r + 1 : 2]
+        got_r, got = polymer._transfer(field.weights[:i], h, beta, filt, 0.25, half_width,
+                                       windows)
+        assert got_r == r and got.tobytes() == np.ascontiguousarray(sites).tobytes(), i
+
+
+@pytest.mark.parametrize("n", [1, 16, 17, 40])
+def test_forward_pass_forms_energies_once_per_row_block(n, monkeypatch):
+    # beta * weights and the filter run once per block of _ENERGY_ROWS
+    # field rows, never once per step
+    field = sample_field(n, n, PARETO_08, 62)
+    filt = filter_between(0.5, 3.0)
+    applied, apply = [], WeightFilter.apply
+    recorder = _Recorder("multiply")
+    monkeypatch.setattr(polymer, "np", recorder)
+    monkeypatch.setattr(WeightFilter, "apply", lambda self, e: applied.append(e) or apply(self, e))
+    polymer._transfer(field.weights, n, 0.7, filt, 0.0, n)
+    blocks = -(-n // polymer._ENERGY_ROWS)
+    assert 1 <= len(recorder.calls) <= blocks and len(applied) == len(recorder.calls)
+    assert all(args[0] == 0.7 and len(args[1]) <= polymer._ENERGY_ROWS
+               for args, _ in recorder.calls)
 
 
 def test_logsumexp_equals_scipy_bitwise():
