@@ -279,12 +279,13 @@ class Table(NamedTuple):
     columns: Tuple[str, ...]
     rows: List[tuple]
 
-    def column(self, name: str, **where) -> list:
-        """Column ``name`` of the rows whose columns equal ``where``'s values."""
-        at = self.columns.index
-        keep = [(at(key), value) for key, value in where.items()]
-        col = at(name)
-        return [row[col] for row in self.rows if all(row[i] == v for i, v in keep)]
+    def groups(self, name: str, *keys: str) -> Dict[tuple, list]:
+        """Column ``name`` by the ``keys`` columns' values, in row order, in one pass."""
+        col, *idx = map(self.columns.index, (name, *keys))
+        out: Dict[tuple, list] = {}
+        for row in self.rows:
+            out.setdefault(tuple(row[i] for i in idx), []).append(row[col])
+        return out
 
 
 @dataclass(frozen=True)
@@ -461,11 +462,12 @@ def _decay(config: ExperimentConfig, tables: Dict[str, Table], fields) -> Tuple[
     n exp(-c1 A^2 h_n^2 / n).  The walk-deviation constants are not
     pinned down, so thresholds are swept over c1_values rather than
     fixed."""
-    rows = []
+    gibbs_tail, rows = tables["gibbs_tail"], []
+    h_ns, tail_probs = gibbs_tail.groups("h_n", "n"), gibbs_tail.groups("tail_prob", "n", "a")
     for n in config.sizes:
-        h_n = tables["gibbs_tail"].column("h_n", n=n)[0]
+        h_n = h_ns[n,][0]
         for a in config.a_values:
-            probs = tables["gibbs_tail"].column("tail_prob", n=n, a=a)
+            probs = tail_probs[n, a]
             med = statistics.median(probs)
             for c1 in config.c1_values:
                 thr = n * math.exp(-c1 * a * a * h_n * h_n / n)
@@ -575,19 +577,19 @@ def _regime_ks(config: ExperimentConfig, tables: Dict[str, Table], fields) -> Tu
     energy, never instead of it.  A size whose companions are not all
     finite gets nan rows and one RuntimeWarning naming n and the label.
     """
-    observable = tables["observable"]
     targets = ["rescaled"]
     if RECORDS[fields["label"]].pathway is DIFFUSIVE:
         targets.append("rescaled_vn")
+    by_size = {name: tables["observable"].groups(name, "n") for name in ["companion", *targets]}
     rows = []
     for n in config.sizes:
-        companions = observable.column("companion", n=n)
+        companions = by_size["companion"][n,]
         usable = all(math.isfinite(c) for c in companions)
         if not usable:
             warnings.warn(f"n {n}, label {fields['label']}: a companion is not finite, "
                           "so the KS distances are nan", RuntimeWarning)
         for name in targets:
-            ks = _ks(observable.column(name, n=n), companions) if usable else math.nan
+            ks = _ks(by_size[name][n,], companions) if usable else math.nan
             rows.append((n, name, ks, len(companions)))
     return "ks_summary", Table(("n", "observable", "ks_distance", "replicas"), rows)
 
@@ -628,12 +630,11 @@ def _ordered_replica(t, field) -> dict:
 
 def _marginal_ks(config: ExperimentConfig, tables: Dict[str, Table], fields) -> Tuple[str, Table]:
     """Per-rank two-sample KS distance between field and point process."""
-    order_stats = tables["order_stats"]
+    weights = tables["order_stats"].groups("weight_over_scale", "n", "source", "rank")
     rows = []
     for n in config.sizes:
         for r in range(1, config.ell + 1):
-            from_field = order_stats.column("weight_over_scale", n=n, source="field", rank=r)
-            from_ppp = order_stats.column("weight_over_scale", n=n, source="ppp", rank=r)
+            from_field, from_ppp = weights[n, "field", r], weights[n, "ppp", r]
             rows.append((n, r, _ks(from_field, from_ppp), len(from_field)))
     return "marginal_ks", Table(("n", "rank", "ks_distance", "replicas"), rows)
 
@@ -711,12 +712,12 @@ def _conditioned_ks(config: ExperimentConfig, tables: Dict[str, Table],
                     fields) -> Tuple[str, Table]:
     """KS distance of the conditioned replicas' rescaled free energy to
     the companions of all replicas, per size."""
-    conditioned = tables["conditioned"]
+    rescaled = tables["conditioned"].groups("rescaled", "n", "conditioned")
+    companions = tables["conditioned"].groups("companion", "n")
     rows = []
     for n in config.sizes:
-        kept = conditioned.column("rescaled", n=n, conditioned=1)
-        companions = conditioned.column("companion", n=n)
-        rows.append((n, _ks(kept, companions), len(kept), len(companions)))
+        kept = rescaled.get((n, 1), [])  # no group where no replica is conditioned
+        rows.append((n, _ks(kept, companions[n,]), len(kept), len(companions[n,])))
     return "ks_summary", Table(("n", "ks_distance", "conditioned_count", "replicas"), rows)
 
 
@@ -812,7 +813,9 @@ def write_outputs(result: ExperimentResult, out_dir) -> List[Path]:
 
     The CSVs are byte-identical across reruns of the same config; the
     manifest carries the volatile context (wall time, git state) and is
-    deliberately kept out of that guarantee.
+    deliberately kept out of that guarantee.  The manifest is strict JSON:
+    a non-finite float of the meta (an infinite ``beta_limit``) is written
+    as the string "inf", "-inf" or "nan", which ``float()`` reads back.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -829,7 +832,8 @@ def write_outputs(result: ExperimentResult, out_dir) -> List[Path]:
         "config": dataclasses.asdict(result.config),
         "invariant_failures": result.invariant_failures,
         "flagged": result.flagged,
-        "meta": result.meta,
+        "meta": {key: str(value) if isinstance(value, float) and not math.isfinite(value)
+                 else value for key, value in result.meta.items()},
         "git": _git_describe(),
         "provenance": {"python": platform.python_version(), "numpy": np.__version__,
                        "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
@@ -837,7 +841,7 @@ def write_outputs(result: ExperimentResult, out_dir) -> List[Path]:
         "tables": {name: len(t.rows) for name, t in result.tables.items()},
     }
     (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"
     )
     return paths
 

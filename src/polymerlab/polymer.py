@@ -15,19 +15,13 @@ domain (elementwise logaddexp), so a weight with beta*omega up to 1e6
 cannot overflow.  A returned -inf means the admissible path set is
 empty, never an underflow.
 
-Every pass runs on one step kernel, ``_transfer``: step i keeps only
-the sites of its row under ``environment.reaches``, the one row rule,
-in preallocated buffers, and the windows of gibbs_band_probabilities
-advance together, the free pass among them as the window [0, n].
-Each final log-sum is taken over the pass's full-width row, so the
-results are bit for bit those of a full-width recursion.  A window's
-rules (merge the paths that reach |x| >= h1 into its second layer,
-kill those past hw) act only on each step's edge sites |x| in {h1,
-h1+1} and |x| = hw+1: elsewhere the layer they read is -inf, and
-logaddexp(-inf, y) == y bit for bit.  The buffers are site-major (a
-site holds one contiguous column per window layer), so a step is one
-ufunc call per operation whatever the window count; each operation is
-elementwise, so the bits are those of a layer-by-layer pass.
+Every log Z (free, band, window, and the truncated one of chaos_terms)
+is one window list of one pass, ``_window_log_partitions``: a free or
+band pass is the window [0, cap], and the windows of
+gibbs_band_probabilities advance together beside the free one.  Every
+pass runs on one step kernel, ``_transfer``, which says why its window
+rules and buffers keep the bits of a full-width recursion; each final
+log-sum is taken over the pass's full-width row.
 
 ``logsumexp`` repeats scipy.special.logsumexp's float operations (scipy
 1.17) on a 1-D row, numpy ufunc for numpy ufunc, so its sums are scipy's
@@ -403,11 +397,10 @@ def _transfer(weights, h, beta, filt, center, half_width, windows=(), store=None
     return r, last if windows else last[1]
 
 
-def _window_log_partitions(field: DisorderField, beta: float, filt: WeightFilter,
-                           center: float, windows) -> List[float]:
+def _window_log_partitions(weights, h, beta, filt, center, windows) -> List[float]:
     """log Z restricted to max_i |S_i| in [h1, hw] for each (h1, hw), in one pass."""
     half_width = max(hw for _, hw in windows)
-    r, sites = _transfer(field.weights, field.h, beta, filt, center, half_width, windows)
+    r, sites = _transfer(weights, h, beta, filt, center, half_width, windows)
     return [_logsumexp(fl, r, hw) for fl, (_, hw) in zip(sites[1], windows)]
 
 
@@ -422,15 +415,11 @@ def log_partition(
     """
     if beta < 0.0 and constraint.weight_filter != filter_atmost_one():
         raise ValueError("beta < 0 only allowed with the atmost1 filter")
-    n, h = field.n, field.h
-    filt = constraint.weight_filter
     center = centering_value(field.tail, beta, constraint.centering)
-    cap = n if constraint.band is None else min(constraint.band, n)
-    if constraint.band_window is not None:
-        h1, h2 = constraint.band_window
-        return _window_log_partitions(field, beta, filt, center, [(h1, min(h2 - 1, cap))])[0]
-    r, sites = _transfer(field.weights, h, beta, filt, center, cap)
-    return _logsumexp(sites[0], r, cap)
+    cap = field.n if constraint.band is None else min(constraint.band, field.n)
+    h1, h2 = constraint.band_window or (0, cap + 1)
+    return _window_log_partitions(field.weights, field.h, beta, constraint.weight_filter,
+                                  center, [(h1, min(h2 - 1, cap))])[0]
 
 
 class BandProbabilities(NamedTuple):
@@ -453,7 +442,8 @@ def gibbs_band_probabilities(
     if beta < 0.0:
         raise ValueError("need beta >= 0")
     log_free, *log_wins = _window_log_partitions(
-        field, beta, WeightFilter(), 0.0, [(0, n)] + [(lo, min(hi - 1, n)) for lo, hi in windows]
+        field.weights, field.h, beta, WeightFilter(), 0.0,
+        [(0, n)] + [(lo, min(hi - 1, n)) for lo, hi in windows],
     )
     return BandProbabilities(log_free, [
         0.0 if lw == NEG_INF else float(min(1.0, math.exp(lw - log_free))) for lw in log_wins
@@ -676,8 +666,7 @@ def chaos_terms(
         w_n = math.expm1(lam) * gap
     v_centered = _kernel_sum(beta * box - lam, grid)
     # the pass at half width band reads no site past it: the box is its field
-    r, sites = _transfer(box, band, beta, WeightFilter(), 0.0, band)
-    logz_trunc = _logsumexp(sites[0], r, band)
+    logz_trunc = _window_log_partitions(box, band, beta, WeightFilter(), 0.0, [(0, band)])[0]
     shift = logz_trunc - field.n * lam
     z_shifted = math.exp(shift) if shift < 700.0 else math.inf
     r_n = z_shifted - 1.0 - v_centered

@@ -7,6 +7,8 @@ import math
 import multiprocessing
 import os
 import platform
+import random
+import statistics
 import subprocess
 import sys
 import tracemalloc
@@ -14,6 +16,7 @@ import warnings
 import weakref
 from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,7 +31,7 @@ from polymerlab.continuum import (
     single_point_max,
 )
 from polymerlab.environment import TailParams, quantile, sample_field
-from polymerlab.regimes import fluctuation_scale
+from polymerlab.regimes import LABEL_R1, LABEL_R5, fluctuation_scale
 from polymerlab import experiments
 from polymerlab.experiments import (
     KIND_FLUCTUATION,
@@ -36,6 +39,7 @@ from polymerlab.experiments import (
     KIND_REGIME,
     KIND_SMALL_ALPHA,
     ExperimentConfig,
+    Table,
     derive_seed,
     load_config,
     run_experiment,
@@ -629,6 +633,124 @@ def test_small_alpha_domain_errors():
 
 
 # ---------------------------------------------------------------------------
+# summary tables
+
+
+def _column(table, name, **where):
+    """Column ``name`` of the rows whose columns equal ``where``'s values:
+    the per-cell filter the summaries read before ``Table.groups``."""
+    at = table.columns.index
+    keep = [(at(key), value) for key, value in where.items()]
+    return [row[at(name)] for row in table.rows if all(row[i] == v for i, v in keep)]
+
+
+def _table(kind, name, rows, seed):
+    """Replica table ``name`` of ``kind`` holding ``rows``, shuffled."""
+    rows = list(rows)
+    random.Random(seed).shuffle(rows)
+    return Table(experiments._KINDS[kind].tables[name], rows)
+
+
+def _grid(rng):
+    """A value on a coarse grid, so that samples tie."""
+    return rng.randrange(8) / 4.0
+
+
+def _order_stats(sizes, replicas, ell, seed):
+    rng = random.Random(seed)
+    return _table(KIND_ORDERED, "order_stats", [
+        (n, rep, source, rank, 5, _grid(rng), _grid(rng), _grid(rng))
+        for n, rep, source, rank in product(sizes, range(replicas), ("field", "ppp"),
+                                            range(1, ell + 1))
+    ], seed)
+
+
+def _same_rows(got, expected):
+    # repr tells every double apart and reads nan as nan
+    assert repr(got.rows) == repr(expected)
+
+
+def test_table_groups_match_per_cell_filter():
+    rng = random.Random(3)
+    sizes, a_values = (16, 32, 64), (0.5, 1.0, 2.0)
+    table = _table(KIND_FLUCTUATION, "gibbs_tail", [
+        (n, rep, 7, a, rng.choice((1.5, 2.25)), _grid(rng))
+        for n, rep, a in product(sizes, range(5), a_values) if (n, a) != (64, 2.0)
+    ], 3)
+    groups = table.groups("tail_prob", "n", "a")
+    assert (64, 2.0) not in groups and sum(map(len, groups.values())) == len(table.rows)
+    for n, a in product(sizes, a_values):
+        assert groups.get((n, a), []) == _column(table, "tail_prob", n=n, a=a)
+    assert table.groups("h_n", "n") == {(n,): _column(table, "h_n", n=n) for n in sizes}
+
+    # each summary's rows, against the same rows built on the per-cell filter
+    config = SimpleNamespace(sizes=(16, 32), a_values=(0.5, 1.0), c1_values=(0.25, 1.0),
+                             ell=4)
+    tail = _table(KIND_FLUCTUATION, "gibbs_tail", [
+        (n, rep, 7, a, 1.5 + n / 64, _grid(rng) / 10.0)
+        for n, rep, a in product(config.sizes, range(6), config.a_values)
+    ], 5)
+    expected = []
+    for n, a, c1 in product(config.sizes, config.a_values, config.c1_values):
+        probs, h_n = _column(tail, "tail_prob", n=n, a=a), _column(tail, "h_n", n=n)[0]
+        thr = n * math.exp(-c1 * a * a * h_n * h_n / n)
+        expected.append((n, a, c1, thr, sum(p > thr for p in probs) / len(probs),
+                         statistics.median(probs), len(probs)))
+    _same_rows(experiments._decay(config, {"gibbs_tail": tail}, {})[1], expected)
+
+    order_stats = _order_stats(config.sizes, 5, config.ell, 7)
+    expected = [(n, r, experiments._ks(*(
+        _column(order_stats, "weight_over_scale", n=n, source=s, rank=r) for s in ("field", "ppp")
+    )), 5) for n, r in product(config.sizes, range(1, config.ell + 1))]
+    _same_rows(experiments._marginal_ks(config, {"order_stats": order_stats}, {})[1], expected)
+
+    for label, targets in ((LABEL_R1, ["rescaled"]), (LABEL_R5, ["rescaled", "rescaled_vn"])):
+        observable = _table(KIND_REGIME, "observable", [
+            (n, rep, 9, 0.1, 4, 0.0, 0.0, _grid(rng), _grid(rng), _grid(rng), 0, label,
+             "identity", "norm")
+            for n, rep in product(config.sizes, range(6))
+        ], 11)
+        expected = [(n, name, experiments._ks(_column(observable, name, n=n),
+                                              _column(observable, "companion", n=n)), 6)
+                    for n in config.sizes for name in targets]
+        _same_rows(experiments._regime_ks(config, {"observable": observable},
+                                          {"label": label})[1], expected)
+
+    # no replica is conditioned at n 16, four of six at n 32
+    conditioned = _table(KIND_SMALL_ALPHA, "conditioned", [
+        (n, rep, 9, 0.1, 0.0, int(n == 32 and rep % 3 > 0), 0.0, _grid(rng), _grid(rng))
+        for n, rep in product(config.sizes, range(6))
+    ], 13)
+    expected = []
+    for n in config.sizes:
+        kept = _column(conditioned, "rescaled", n=n, conditioned=1)
+        companions = _column(conditioned, "companion", n=n)
+        expected.append((n, experiments._ks(kept, companions), len(kept), len(companions)))
+    got = experiments._conditioned_ks(config, {"conditioned": conditioned}, {})[1]
+    _same_rows(got, expected)
+    assert repr(got.rows[0]) == repr((16, math.nan, 0, 6)) and got.rows[1][2] == 4
+
+
+class _CountedRows(list):
+    """A row list that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_marginal_ks_reads_its_table_once():
+    # the per-cell filter made 2 * len(sizes) * ell passes, 256 here
+    config = SimpleNamespace(sizes=(16, 32), ell=experiments.ORDERED_ELL_CAP)
+    table = _order_stats(config.sizes, 3, config.ell, 17)
+    rows = _CountedRows(table.rows)
+    ks = experiments._marginal_ks(config, {"order_stats": Table(table.columns, rows)}, {})[1]
+    assert len(ks.rows) == 2 * config.ell and rows.passes <= 1
+
+
+# ---------------------------------------------------------------------------
 # emission and exit codes
 
 
@@ -680,6 +802,19 @@ def test_manifest_git_describes_the_package_tree(tmp_path, monkeypatch):
     write_outputs(res, tmp_path / "again")
     recorded.append(json.loads((tmp_path / "again" / "manifest.json").read_text())["git"])
     assert recorded[0] == recorded[1] == recorded[2]
+
+
+def test_manifest_is_strict_json(tmp_path):
+    # R1's beta_limit is infinite: the manifest holds it as the string
+    # "inf", which float() reads back, and the result's meta keeps the float
+    res = run_experiment(make_config(alpha=1.2, gamma=0.5, sizes=(8,), replicas=2))
+    write_outputs(res, tmp_path)
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    manifest = json.loads((tmp_path / "manifest.json").read_text(), parse_constant=refuse)
+    assert float(manifest["meta"]["beta_limit"]) == math.inf == res.meta["beta_limit"]
 
 
 def test_numpy_float_config_writes_its_manifest(tmp_path):

@@ -3,7 +3,8 @@
 Invariants are explicit raises, never ``assert``: ``python -O`` strips
 assert statements, so a check written as one silently disappears under
 optimization.  The log-domain walk step has one definition, the
-transfer kernel in ``polymer``, so a second copy cannot drift from it;
+transfer kernel in ``polymer``, so a second copy cannot drift from it,
+and every log Z is one window list of ``_window_log_partitions``;
 likewise ``experiments.run_experiment`` is the one campaign runner,
 ``environment.top_sites`` the one ranking of walk-reachable sites and
 ``environment.reaches`` the one row rule of the walk lattice.
@@ -100,6 +101,17 @@ def test_one_transfer_step_kernel():
         assert not defined & removed, path.name
     polymer = Path(polymerlab.__file__).parent / "polymer.py"
     assert _functions_calling(ast.parse(polymer.read_text()), "logaddexp") == ["_transfer"]
+
+
+def test_one_log_sum_entry():
+    # every log Z is one window list of _window_log_partitions; only the
+    # stored full-row passes call the kernel for its sites
+    tree = ast.parse((Path(polymerlab.__file__).parent / "polymer.py").read_text())
+    assert sorted(_calls(tree, "_transfer")) == [
+        "_forward_states", "_window_log_partitions", "gibbs_site_marginals"]
+    assert _calls(tree, "_logsumexp") == ["_window_log_partitions"]
+    assert sorted(_calls(tree, "_window_log_partitions")) == [
+        "chaos_terms", "gibbs_band_probabilities", "log_partition"]
 
 
 def _defined_names(tree):
