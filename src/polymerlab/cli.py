@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import json
 import math
 import sys
 import time
@@ -26,6 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import json_text
 from .continuum import (
     DEFAULT_TOP,
     chain_value,
@@ -115,7 +115,7 @@ def _parse_spec(text: str, grammar):
 
 
 def _emit(record: dict) -> int:
-    print(json.dumps(record, indent=2, sort_keys=True))
+    print(json_text(record))
     return 0
 
 

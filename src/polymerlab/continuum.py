@@ -39,8 +39,8 @@ from .elpp import (
     ChainGeometry,
     prepare_geometry,
     second_value,
-    select_top,
     solve,
+    top_by_weight,
 )
 
 # np.median and np.percentile read np.ma, which numpy imports on first
@@ -405,19 +405,40 @@ def critical_coupling(
 
     Per replica, a top-mode sample with 2*``top`` weights is drawn once;
     the exact threshold is found by the ratio iteration on its ``top``
-    largest weights and again on the full sample.  Doubling the
-    truncation is coupled point-set inclusion, and the full sample's
-    iteration starts from the primary ratio, so per-replica thresholds
-    can only shrink.  Each iteration builds one geometry, over only the
-    points a chain at its starting ratio can use: tilde keeps the points
-    above that ratio's cut (the best one-point ratio for the primary,
-    the primary ratio for the doubled sample), hat the points inside the
-    origin's slope-1 cone.  ``top`` is capped at MAX_GEOMETRY_POINTS / 2
-    before any solve.  Reports the median over replicas with a
-    percentile-bootstrap interval; raises ValueError when no replica has
-    a threshold inside the bracket, an outcome of the inputs alone.
-    alpha sets the flavor: tilde (default q 8) on (1/2, 2), hat (default
-    q 1) on (0, 1/2).
+    largest weights (``top_by_weight``'s set, whose order no iteration
+    reads) and again on the full sample.  Doubling the truncation is
+    coupled point-set inclusion, and the full sample's iteration starts
+    from the primary ratio, so per-replica thresholds can only shrink.
+    Each iteration builds one geometry, over only the points a chain at
+    its starting ratio can use: tilde keeps the points above that
+    ratio's cut (the best one-point ratio for the primary, the primary
+    ratio for the doubled sample), hat the points inside the origin's
+    slope-1 cone.
+
+    A tilde doubled iteration is skipped, and its threshold is the
+    primary's, when no added point clears the final cut: the heaviest
+    weight left out of the top set is at most rho - delta, rho the
+    primary's final ratio and delta ``_margin`` (one value for both
+    sets, which share their heaviest weight).  This is exact.  By
+    ``_above``'s lemma a solve at price rho returns the chain it returns
+    on the rows above rho - delta alone, and those rows are the same in
+    both geometries: the primary's holds every top-set row above its
+    start less 2 delta, a start at most rho; the doubled one's holds
+    every sample row above rho - 2 delta; no added row lies above
+    rho - delta.  So the doubled iteration's first solve, at rho, returns
+    the chain that the primary's last solve returned at rho, with the
+    same weight and entropy floats (legs are elementwise in (dt, dx)),
+    and it stops where the primary stopped, at rho.  The doubled
+    estimate thus equals the primary wherever the doubling adds no
+    point above the final cut, so a ``relative_shift`` of 0 says exactly
+    that the added points moved no median.  Hat always runs its doubled
+    iteration: no weight cut is proven for the Lipschitz entropy.
+
+    ``top`` is capped at MAX_GEOMETRY_POINTS / 2 before any solve.
+    Reports the median over replicas with a percentile-bootstrap
+    interval; raises ValueError when no replica has a threshold inside
+    the bracket, an outcome of the inputs alone.  alpha sets the flavor:
+    tilde (default q 8) on (1/2, 2), hat (default q 1) on (0, 1/2).
     """
     if 0.5 < alpha < 2.0:
         flavor, threshold, q = "tilde", _tilde_threshold, (8.0 if q is None else q)
@@ -439,8 +460,12 @@ def critical_coupling(
     doubled = np.empty(replicas)
     for r in range(replicas):
         sample = sample_ppp(alpha, q, top=2 * top, seed=sample_seeds[r])
-        primary[r], ratio = threshold(select_top(sample, top))
-        doubled[r], _ = threshold(sample, ratio)
+        rows, left_out = top_by_weight(sample, top)
+        primary[r], ratio = threshold(sample[rows])
+        if flavor == "tilde" and left_out <= ratio - _margin(sample):
+            doubled[r] = primary[r]
+        else:
+            doubled[r], _ = threshold(sample, ratio)
 
     finite = primary[np.isfinite(primary)]
     failures = replicas - finite.size

@@ -444,13 +444,35 @@ def brute_force(
 # ---------------------------------------------------------------------------
 
 
+def top_by_weight(points: np.ndarray, ell: int) -> Tuple[np.ndarray, float]:
+    """The row indices of the ``ell`` heaviest (t, x, w) rows, a set in no
+    particular order, and the heaviest weight left out (-inf if none).
+
+    One partition finds the (ell+1)-th largest weight, the heaviest left
+    out: every row above it is taken, and when fewer than ell are, the
+    rest are the rows tied at it with the smaller (t, x).  Rows are read
+    as given, unvalidated; ``ell`` must be nonnegative.
+    """
+    w = points[:, 2]
+    m = len(w)
+    if ell >= m:
+        return np.arange(m), NEG_INF
+    left_out = np.partition(w, m - ell - 1)[m - ell - 1]
+    rows = np.flatnonzero(w > left_out)
+    if rows.size < ell:
+        tied = np.flatnonzero(w == left_out)
+        tied = tied[np.lexsort((points[tied, 1], points[tied, 0]))]
+        rows = np.concatenate((rows, tied[: ell - rows.size]))
+    return rows, float(left_out)
+
+
 def select_top(points, ell: int) -> np.ndarray:
-    """The ell heaviest points (ties by smaller (t, x)), time-sorted: a
-    stable sort by weight of the (t, x)-sorted rows breaks ties so."""
+    """The ell heaviest points, ties by smaller (t, x), time-sorted: the
+    validated (t, x)-sorted rows of ``top_by_weight``'s set."""
     pts = _as_sorted_points(points)
     if ell < 0:
         raise ValueError(f"ell must be >= 0, got {ell}")
-    return pts[np.sort(np.argsort(-pts[:, 2], kind="stable")[:ell])]
+    return pts[np.sort(top_by_weight(pts, ell)[0])]
 
 
 def site_price(n: int) -> float:

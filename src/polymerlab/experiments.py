@@ -54,6 +54,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 import scipy
 
+from . import json_text
 from .continuum import sample_ppp
 from .elpp import ENTROPY_LIPSCHITZ, ENTROPY_QUADRATIC, solve
 from .environment import (
@@ -813,9 +814,9 @@ def write_outputs(result: ExperimentResult, out_dir) -> List[Path]:
 
     The CSVs are byte-identical across reruns of the same config; the
     manifest carries the volatile context (wall time, git state) and is
-    deliberately kept out of that guarantee.  The manifest is strict JSON:
-    a non-finite float of the meta (an infinite ``beta_limit``) is written
-    as the string "inf", "-inf" or "nan", which ``float()`` reads back.
+    deliberately kept out of that guarantee.  The manifest is strict JSON
+    (``json_text``): a non-finite float (an infinite ``beta_limit``) is
+    written as the string "inf", "-inf" or "nan".
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -832,17 +833,14 @@ def write_outputs(result: ExperimentResult, out_dir) -> List[Path]:
         "config": dataclasses.asdict(result.config),
         "invariant_failures": result.invariant_failures,
         "flagged": result.flagged,
-        "meta": {key: str(value) if isinstance(value, float) and not math.isfinite(value)
-                 else value for key, value in result.meta.items()},
+        "meta": result.meta,
         "git": _git_describe(),
         "provenance": {"python": platform.python_version(), "numpy": np.__version__,
                        "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
                        "processes": _processes(result.config)},
         "tables": {name: len(t.rows) for name, t in result.tables.items()},
     }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    )
+    (out / "manifest.json").write_text(json_text(manifest) + "\n")
     return paths
 
 

@@ -126,8 +126,9 @@ def campaign_digests(config: ExperimentConfig) -> dict:
     }
 
 
-def cli_digest(argv: str) -> dict:
-    """Exit code and stdout sha256 of one CLI call, as stored per argv."""
+def cli_call(argv: str):
+    """Exit code and stdout of one CLI call, run in-process in a scratch
+    directory holding ``CLI_FILES``."""
     out = io.StringIO()
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as scratch:
@@ -141,7 +142,12 @@ def cli_digest(argv: str) -> dict:
             code = exc.code
         finally:
             os.chdir(cwd)
-    text = out.getvalue()
+    return code, out.getvalue()
+
+
+def cli_digest(argv: str) -> dict:
+    """Exit code and stdout sha256 of one CLI call, as stored per argv."""
+    code, text = cli_call(argv)
     if text:
         record = json.loads(text)
         record.pop("timings", None)

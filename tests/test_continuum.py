@@ -498,9 +498,11 @@ def test_threshold_brackets_sign_change(flavor, alpha, kind):
 
 @pytest.mark.parametrize("flavor, alpha", [("tilde", 1.2), ("hat", 0.3)])
 def test_critical_coupling_solve_count(monkeypatch, flavor, alpha):
-    # each threshold is a ratio iteration of a few solves (in the beta_c
-    # benchmark 1.03 on average, and 1.06 more that check a one-point
-    # start for a tie), far below a bisection's 42
+    # each threshold is a ratio iteration of a few solves, far below a
+    # bisection's 42: over 400 replicas of the beta_c benchmark's config a
+    # primary iteration made 1.09 solves, the tie check none, and the
+    # doubled iteration (1 solve where it runs) was skipped on all 400,
+    # so 0.55 solves per threshold
     calls = []
     inner = continuum.solve
 
@@ -514,8 +516,29 @@ def test_critical_coupling_solve_count(monkeypatch, flavor, alpha):
     assert len(calls) / (2 * replicas) <= 8
 
 
-@pytest.mark.parametrize("flavor, alpha", [("tilde", 1.2), ("hat", 0.3)])
-def test_critical_coupling_geometries_per_replica(monkeypatch, flavor, alpha):
+# the tilde doubled iteration runs on replicas 0 and 2 at seed 5 and top
+# 16, moving replica 2's threshold, and at seed 0 and top 4, moving
+# replica 0's; it runs on none at seed 1 and top 16
+@pytest.mark.parametrize("flavor, alpha, top, seed", [
+    pytest.param("tilde", 1.2, 16, 5, id="tilde-1.2"),
+    pytest.param("hat", 0.3, 16, 5, id="hat-0.3"),
+    pytest.param("tilde", 1.2, 4, 0, id="tilde-1.2-top4"),
+    pytest.param("tilde", 1.2, 16, 1, id="tilde-1.2-skipped"),
+])
+def test_critical_coupling_geometries_per_replica(monkeypatch, flavor, alpha, top, seed):
+    # one primary iteration per replica, on select_top's set, plus a
+    # doubled one exactly where an added point clears the final cut (hat:
+    # always); a skipped one leaves the primary's threshold
+    q = 8.0 if flavor == "tilde" else 1.0
+    seeds = np.random.SeedSequence(seed).spawn(4)
+    replicas = []
+    for r in range(3):
+        sample = sample_ppp(alpha, q, top=2 * top, seed=seeds[r])
+        kept = elpp.select_top(sample, top)
+        left_out = np.sort(sample[:, 2])[-top - 1]
+        runs = (flavor == "hat"
+                or left_out > continuum._tilde_threshold(kept)[1] - continuum._margin(sample))
+        replicas.append((kept, sample) if runs else (kept,))
     built, started = [], []
     inner_build, inner_threshold = continuum.prepare_geometry, continuum._threshold
 
@@ -529,29 +552,48 @@ def test_critical_coupling_geometries_per_replica(monkeypatch, flavor, alpha):
 
     monkeypatch.setattr(continuum, "prepare_geometry", build)
     monkeypatch.setattr(continuum, "_threshold", threshold)
-    est = critical_coupling(alpha, replicas=3, top=16, seed=5)
-    assert len(started) == 6  # a primary and a doubled iteration per replica
+    est = critical_coupling(alpha, replicas=3, top=top, seed=seed)
+    assert len(started) == len(built) == sum(map(len, replicas))  # one geometry per iteration
+    for r, sets in enumerate(replicas):
+        if len(sets) == 1:
+            assert est.doubled_samples[r].tobytes() == est.samples[r].tobytes()
+    iterations = iter(started)
     if flavor == "hat":
-        # one geometry per iteration: the in-cone rows of the primary
-        # truncation, then of the whole sample
-        assert len(built) == 6
-        seeds = np.random.SeedSequence(5).spawn(4)
-        for r in range(3):
-            sample = sample_ppp(alpha, est.q, top=32, seed=seeds[r])
-            for (geometry, _), points in zip(started[2 * r: 2 * r + 2],
-                                             (elpp.select_top(sample, 16), sample)):
-                points = elpp.select_top(points, len(points))  # time-sorted
-                inside = np.abs(points[:, 1]) <= points[:, 0] * (1.0 + continuum.CUT_MARGIN)
-                assert geometry.entropy_kind == elpp.ENTROPY_LIPSCHITZ
-                assert geometry.points.tobytes() == points[inside].tobytes()
+        # the in-cone rows of the primary truncation, then of the whole sample
+        for points in (points for sets in replicas for points in sets):
+            geometry, _ = next(iterations)
+            points = elpp.select_top(points, len(points))  # time-sorted
+            inside = np.abs(points[:, 1]) <= points[:, 0] * (1.0 + continuum.CUT_MARGIN)
+            assert geometry.entropy_kind == elpp.ENTROPY_LIPSCHITZ
+            assert geometry.points.tobytes() == points[inside].tobytes()
         return
-    # tilde: one geometry per iteration, the tie check reading the primary
-    # one, and no point at or below start - 2 delta of the iteration's start
-    assert len(built) == 6
-    assert sum(len(geo.points) for geo, _ in started) < 3 * (16 + 32)
-    for geometry, start in started:
-        m, cut = len(geometry.points), start - continuum._margin(geometry.points)
-        np.testing.assert_array_equal(continuum._above(geometry.points, cut), np.arange(m))
+    # tilde: the rows above start - 2 delta of each iteration's start, the
+    # tie check reading the primary geometry
+    for points in (points for sets in replicas for points in sets):
+        geometry, start = next(iterations)
+        points = elpp.select_top(points, len(points))
+        rows = continuum._above(points, start - continuum._margin(points))
+        assert geometry.points.tobytes() == points[rows].tobytes()
+
+
+def test_doubled_iteration_runs_where_an_added_point_weighs_the_final_ratio(monkeypatch):
+    # top 1 keeps (0.5, 0, 2), of ratio 2 (ties in weight go to the
+    # smaller t); the added point weighs exactly 2, within delta of the
+    # cut, so the doubled iteration runs, and it ends where the primary
+    # did: the added point's chains have ratio 1.5
+    sample = np.array([[1.0, 1.0, 2.0], [0.5, 0.0, 2.0]])
+    monkeypatch.setattr(continuum, "sample_ppp", lambda *args, **kwargs: sample.copy())
+    starts = []
+    inner = continuum._threshold
+
+    def threshold(geometry, start=None):
+        starts.append((len(geometry.points), start))
+        return inner(geometry, start)
+
+    monkeypatch.setattr(continuum, "_threshold", threshold)
+    est = critical_coupling(1.2, replicas=1, top=1, seed=0)
+    assert starts == [(1, 2.0), (2, 2.0)]
+    assert est.samples.tolist() == est.doubled_samples.tolist() == [0.25]
 
 
 # (points, tied): two single points tied at ratio 1/3, and a point tied

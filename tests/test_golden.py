@@ -3,8 +3,9 @@ is rerun with one thread, and the sha256 of each CSV, of the manifest
 meta without its wall time, and the failure and flag counts must equal
 the stored ones; every argv of tests/golden/cli_digests.json is rerun
 and its exit code and stdout sha256 (``timings`` dropped) must equal the
-stored ones.  The files are rewritten only by
-tests/golden/regenerate.py, on a deliberate and logged output change.
+stored ones, and that stdout must be strict JSON.  The files are
+rewritten only by tests/golden/regenerate.py, on a deliberate and
+logged output change.
 """
 
 import importlib.util
@@ -43,6 +44,18 @@ def test_golden_file_covers_every_kind_and_config():
 @pytest.mark.parametrize("argv", sorted(CLI_GOLDEN))
 def test_cli_digests(argv):
     assert regenerate.cli_digest(argv) == CLI_GOLDEN[argv]
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is not RFC 8259 JSON")
+
+
+@pytest.mark.parametrize("argv", sorted(CLI_GOLDEN))
+def test_cli_stdout_is_strict_json(argv):
+    # a non-finite float is printed as a string, never as Infinity or NaN
+    code, text = regenerate.cli_call(argv)
+    if text:
+        json.loads(text, parse_constant=_refuse)
 
 
 def test_cli_golden_file_covers_every_argv_and_subcommand():

@@ -43,6 +43,8 @@ differences), and every campaign companion is drawn by its regime
 record, so ``experiments`` names no continuum functional.  No module
 imports ``scipy.special``, ``scipy.stats`` or ``scipy.integrate`` at module
 level: the four functions that need one import it where they run.
+``elpp.top_by_weight`` is the one weight rank of a point set, taken by
+``select_top`` and by the threshold's primary truncation.
 """
 
 import ast
@@ -112,6 +114,22 @@ def test_one_log_sum_entry():
     assert _calls(tree, "_logsumexp") == ["_window_log_partitions"]
     assert sorted(_calls(tree, "_window_log_partitions")) == [
         "chaos_terms", "gibbs_band_probabilities", "log_partition"]
+
+
+def test_one_top_by_weight_rule():
+    # the weight rank of a point set is written once, in elpp; the
+    # time-sorted selection and the threshold's primary truncation both
+    # take it, so the truncation sorts no sample
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    defined = [
+        name for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "top_by_weight"
+    ]
+    assert defined == ["elpp"]
+    assert _calls(trees["elpp"], "top_by_weight") == ["select_top"]
+    assert _calls(trees["continuum"], "top_by_weight") == ["critical_coupling"]
+    assert _calls(trees["continuum"], "select_top") == []
 
 
 def _defined_names(tree):

@@ -6,12 +6,14 @@ the marginals included), of the first chaos
 term alone against the full terms, of the chaos expansion identity,
 of the heavy-site sum identities, of the chain solver against both
 brute-force routes, of the exact threshold's point cuts (tilde by
-weight, hat by the slope-1 cone) and one-point start against the
-iteration that solves on every point from ratio 0, of geometry row
+weight, hat by the slope-1 cone), one-point start and doubled-iteration
+skip against the iteration that solves on every point from ratio 0, of
+geometry row
 selections against fresh builds, byte for byte, of the top-two pass
 against the runner-up of the 2^m chain table, of the tie check on its
 iteration's geometry against the three-solve check on raw points,
-of ``select_top`` against the three-key sort it replaced, and of the
+of ``select_top`` and its rank rule ``top_by_weight`` against the
+three-key sort it replaced, and of the
 campaigns' KS distance against ``scipy.stats.ks_2samp``, bit for bit.
 
 Hypothesis (MacIver et al., JOSS 2019) draws small boxes, edge boxes
@@ -51,6 +53,7 @@ from polymerlab.elpp import (
     second_value,
     select_top,
     solve,
+    top_by_weight,
 )
 from polymerlab.environment import DisorderField, TailParams, reaches, sample_field
 from polymerlab.experiments import _ks
@@ -553,9 +556,16 @@ def test_threshold_cut_and_starts_match_the_full_iteration_bit_for_bit(pts, kind
     want = bits(lambda: full_threshold(geometry))
     assert bits(lambda: continuum._threshold(geometry)) == want
     # a doubled sample's iteration starts from the ratio of its top half
-    start = full_threshold(prepare_geometry(select_top(pts, (len(pts) + 1) // 2), kind))[1]
+    half = (len(pts) + 1) // 2
+    top_half = prepare_geometry(select_top(pts, half), kind)
+    start = full_threshold(top_half)[1]
     want_doubled = bits(lambda: full_threshold(geometry, start))
     assert bits(lambda: continuum._threshold(geometry, start)) == want_doubled
+    # critical_coupling's skip: where no row outside the top half clears
+    # start - delta, the doubled iteration ends on the top half's own bits
+    outside = np.sort(pts[:, 2])[:len(pts) - half]
+    if kind == ENTROPY_QUADRATIC and np.all(outside <= start - continuum._margin(pts)):
+        assert want_doubled == bits(lambda: full_threshold(top_half))
     point_set_threshold = (continuum._tilde_threshold if kind == ENTROPY_QUADRATIC
                            else continuum._hat_threshold)
     assert bits(lambda: point_set_threshold(pts)) == want
@@ -639,8 +649,15 @@ def test_select_top_is_the_weight_then_time_then_space_rule(rows):
     by_time = pts[np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))]
     m = len(pts)
     for ell in (0, 1, m - 1, m, m + 3):
-        want = by_time[np.sort(np.lexsort((by_time[:, 1], by_time[:, 0], -by_time[:, 2]))[:ell])]
+        order = np.lexsort((by_time[:, 1], by_time[:, 0], -by_time[:, 2]))
+        want = by_time[np.sort(order[:ell])]
         assert select_top(pts, ell).tobytes() == want.tobytes()
+        # the shared rank rule on the unsorted rows: the same set, and the
+        # heaviest weight it leaves out
+        rows, left_out = top_by_weight(pts, ell)
+        got = pts[rows]
+        assert got[np.lexsort((got[:, 1], got[:, 0]))].tobytes() == want.tobytes()
+        assert left_out == by_time[order[ell:], 2].max(initial=-math.inf)
 
 
 @st.composite
