@@ -37,6 +37,7 @@ from .elpp import (
     MAX_GEOMETRY_POINTS,
     Cardinality,
     ChainGeometry,
+    as_points,
     prepare_geometry,
     second_value,
     solve,
@@ -79,14 +80,8 @@ __all__ = [
 
 
 def _as_points(points) -> np.ndarray:
-    """Validate a (t, x, w) array without reordering it."""
-    arr = np.asarray(points, dtype=np.float64)
-    if arr.size == 0:
-        return arr.reshape(0, 3)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise ValueError("points must have shape (m, 3) with rows (t, x, w)")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("points must be finite")
+    """elpp's point check, in input order and uncapped, and positive times."""
+    arr = as_points(points)
     if np.any(arr[:, 0] <= 0.0):
         raise ValueError("point times must be positive")
     return arr

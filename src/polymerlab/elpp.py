@@ -88,21 +88,13 @@ def _step_cost(kind: str, dt, dx) -> np.ndarray:
 
 def entropy(delta, kind: str = ENTROPY_QUADRATIC) -> float:
     """Path entropy of a point set of (t, x) or (t, x, w) rows, from the
-    origin; ``kind`` is ENTROPY_QUADRATIC or ENTROPY_LIPSCHITZ."""
+    origin; ``kind`` is ENTROPY_QUADRATIC or ENTROPY_LIPSCHITZ.  (t, x) rows
+    get weight 0: with no (t, x) repeated, the sort's w key moves nothing."""
     arr = np.asarray(delta, dtype=float)
-    if arr.size == 0:
-        arr = arr.reshape(0, 2)  # no legs: the cost is 0, once the kind is checked
-    if arr.ndim != 2 or arr.shape[1] not in (2, 3):
-        raise ValueError("expected rows of (t, x) or (t, x, w)")
-    order = np.lexsort((arr[:, 1], arr[:, 0]))
-    arr = arr[order]
-    if len(arr) > 1 and np.any(
-        (np.diff(arr[:, 0]) == 0.0) & (np.diff(arr[:, 1]) == 0.0)
-    ):
-        raise ValueError("duplicate (t, x) points")
-    t = np.concatenate(([0.0], arr[:, 0]))
-    x = np.concatenate(([0.0], arr[:, 1]))
-    return float(np.sum(_step_cost(kind, np.diff(t), np.diff(x))))
+    if arr.ndim == 2 and arr.shape[1] == 2:
+        arr = np.column_stack((arr, np.zeros(len(arr))))
+    legs = np.diff(np.concatenate(([[0.0, 0.0]], _as_sorted_points(arr)[:, :2])), axis=0)
+    return float(np.sum(_step_cost(kind, legs[:, 0], legs[:, 1])))
 
 
 # ---------------------------------------------------------------------------
@@ -165,21 +157,26 @@ def _solution(pts: np.ndarray, value: float, indices: Tuple[int, ...] = ()) -> C
     return ChainSolution(value, tuple(indices), tuple(tuple(map(float, pts[i])) for i in indices))
 
 
-def _as_sorted_points(points) -> np.ndarray:
+def as_points(points) -> np.ndarray:
+    """The one point check: finite (t, x, w) rows as an (m, 3) float
+    array, in the order given; empty input is (0, 3)."""
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
-        return np.empty((0, 3))
+        return pts.reshape(0, 3)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("expected rows of (t, x, w)")
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
+    return pts
+
+
+def _as_sorted_points(points) -> np.ndarray:
+    """``as_points`` under the solver's cap, time-sorted, (t, x) distinct."""
+    pts = as_points(points)
     if len(pts) > _MAX_POINTS:
         raise ValueError(f"more than {_MAX_POINTS} points")
-    order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
-    pts = pts[order]
-    if len(pts) > 1 and np.any(
-        (np.diff(pts[:, 0]) == 0.0) & (np.diff(pts[:, 1]) == 0.0)
-    ):
+    pts = pts[np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))]
+    if ((pts[1:, 0] == pts[:-1, 0]) & (pts[1:, 1] == pts[:-1, 1])).any():
         raise ValueError("duplicate (t, x) points")
     return pts
 

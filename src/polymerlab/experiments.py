@@ -420,6 +420,15 @@ def _top_lattice(field, ell: int) -> np.ndarray:
     return top_sites(field, min(ell, reachable_count(field.n, field.h)))
 
 
+def _window_probs(field, beta: float, windows) -> Tuple[float, List[float]]:
+    """The FREE log Z and, in window order, the ``gibbs_band_probabilities``
+    of each window [lo, hi) with lo < hi and 0.0 for every empty one."""
+    live = [lo < hi for lo, hi in windows]
+    log_z, found = gibbs_band_probabilities(field, beta, [w for w, ok in zip(windows, live) if ok])
+    found = iter(found)
+    return log_z, [next(found) if ok else 0.0 for ok in live]
+
+
 def _exceeding(bounds, values) -> int:
     """How many values exceed their bound beyond the monotonicity slack."""
     return sum(v > b * (1.0 + MONOTONE_TOL) + 1e-15 for b, v in zip(bounds, values))
@@ -444,15 +453,13 @@ def _fluctuation_setup(config: ExperimentConfig):
 
 def _fluctuation_size(config: ExperimentConfig, fields, n: int, beta: float) -> dict:
     h_n = fluctuation_scale(n, beta, config.tail()).h
-    los = [math.ceil(a * h_n) for a in config.a_values]
-    return dict(h=n, h_n=h_n, los=los, windows=[(lo, n + 1) for lo in los if lo <= n])
+    return dict(h=n, h_n=h_n, windows=[(math.ceil(a * h_n), n + 1) for a in config.a_values])
 
 
 def _fluctuation_replica(t, field) -> dict:
     """Exact Gibbs tail P(max |S_i| >= A h_n) swept over A."""
     n = t.n
-    found = iter(gibbs_band_probabilities(field, t.beta, t.windows).probs)
-    probs = [next(found) if lo <= n else 0.0 for lo in t.los]
+    probs = _window_probs(field, t.beta, t.windows)[1]
     rows = [(n, t.replica, t.seed, float(a), float(t.h_n), float(prob))
             for a, prob in zip(t.config.a_values, probs)]
     return {"gibbs_tail": rows, "failures": _exceeding([math.inf, *probs], probs)}
@@ -658,14 +665,13 @@ def _small_alpha_setup(config: ExperimentConfig):
 
 
 def _small_alpha_size(config: ExperimentConfig, fields, n: int, beta: float) -> dict:
-    """Band edges and windows, the proxy's units (i/n, x/n, w/m(n^2)) and
+    """Tail then band windows per C, the proxy's units (i/n, x/n, w/m(n^2)) and
     run coupling, and the diffusive rescaling sqrt(n) / (beta_n m(n^{3/2}))."""
     tail = config.tail()
     m_lin = quantile(tail, float(n) ** 2)
-    band_hi = math.ceil(config.band_fraction * n)
     los = [math.ceil(c * math.sqrt(n)) for c in config.c_values]
-    windows = [(lo, n + 1) for lo in los if lo <= n] + [(lo, band_hi) for lo in los if lo < band_hi]
-    return dict(h=n, band_hi=band_hi, los=los, windows=windows, units=(n, n, m_lin),
+    windows = [(lo, hi) for hi in (n + 1, math.ceil(config.band_fraction * n)) for lo in los]
+    return dict(h=n, windows=windows, units=(n, n, m_lin),
                 beta_run=beta * m_lin / n, prefactor=DIFFUSIVE.prefactor(n),
                 scale=beta * quantile(tail, DIFFUSIVE.scale_arg(n, n)))
 
@@ -680,8 +686,8 @@ def _small_alpha_replica(t, field) -> dict:
     Gibbs tail beyond C sqrt(n) and the occupancy of the intermediate
     band [C sqrt(n), band_fraction * n) are swept over c_values.
     """
-    n, beta, los = t.n, t.beta, t.los
-    logz, probs = gibbs_band_probabilities(field, beta, t.windows)
+    n, beta = t.n, t.beta
+    logz, probs = _window_probs(field, beta, t.windows)
     rescaled = 0.0 if beta == 0.0 else t.prefactor * logz / t.scale
 
     # conditioning proxy: Lipschitz chain value on the rescaled top
@@ -696,9 +702,7 @@ def _small_alpha_replica(t, field) -> dict:
 
     companion = RECORDS[LABEL_SMALL_SQRT].draw_companion(t.config, 0.0, 0.0, t.seed_ppp)
 
-    found = iter(probs)
-    tails = [next(found) if lo <= n else 0.0 for lo in los]
-    bands = [next(found) if lo < t.band_hi else 0.0 for lo in los]
+    tails, bands = probs[: len(probs) // 2], probs[len(probs) // 2 :]
     failures = _exceeding(tails, bands) + _exceeding([math.inf, *tails], tails)
     band_rows = [(n, t.replica, t.seed, float(c), float(tail_p), float(band_p))
                  for c, tail_p, band_p in zip(t.config.c_values, tails, bands)]

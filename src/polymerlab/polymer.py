@@ -41,7 +41,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .elpp import chain_lattice
+from .elpp import chain_lattice, select_top
 from .environment import (
     DisorderField,
     TailParams,
@@ -550,6 +550,9 @@ def log_mgf_truncated(tail: TailParams, t: float, cutoff: float) -> float:
     itself or 1e-15 of the pieces below it.  Below cutoff - 700/t the
     integrand is under e^-700 f and is dropped.  Where e^(t cutoff) would
     overflow, the result is t cutoff + log(e^(-t cutoff) + s body).
+    Past cutoffs of about 1e150 the density underflows to subnormals
+    while u f(u) still counts: ``quad`` warns on a few pieces, and the
+    value agrees with the Pareto series only to about 1e-8.
     """
     from scipy import integrate  # loaded only where it integrates
 
@@ -714,8 +717,7 @@ def heavy_site_decomposition(
     heavy = top_sites(field, min(ell + 1, count), band) if count else np.empty((0, 3))
     heavy = heavy[beta * heavy[:, 2] > 1.0]
     capped = len(heavy) > ell
-    heavy = heavy[:ell]
-    heavy = heavy[np.lexsort((heavy[:, 1], heavy[:, 0]))]
+    heavy = select_top(heavy, ell)
     k = len(heavy)
 
     # contain[D] = P(S visits every site of D): the kernel product along D's

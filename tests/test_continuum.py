@@ -184,6 +184,17 @@ def test_heat_kernel_empty_and_validation():
         heat_kernel_sum([[1.0, np.inf, 1.0]])
 
 
+def test_point_functionals_take_no_solver_cap():
+    # floor-mode samples reach millions of points: elpp's point check
+    # carries no cap, only its chain solver does
+    count = elpp._MAX_POINTS + 1
+    pts = np.column_stack((np.full(count, 0.5), np.zeros(count), np.ones(count)))
+    assert heat_kernel_sum(pts) == pytest.approx(count / math.sqrt(math.pi), rel=1e-12)
+    assert single_point_max(pts, beta=1.0) == PointMax(1.0, 0)
+    with pytest.raises(ValueError, match=f"more than {elpp._MAX_POINTS} points"):
+        elpp.solve(pts, 1.0)
+
+
 def test_heat_kernel_hand_sum():
     pts = np.array([[0.5, 0.3, 1.0], [0.25, -0.1, 2.0]])
     expected = math.exp(-0.09 / 1.0) / math.sqrt(math.pi) + 2.0 * math.exp(

@@ -73,6 +73,22 @@ def test_entropy_equal_times_infinite():
         entropy([(0.5, 1.0), (0.5, 1.0)])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_entropy_refuses_non_finite_rows(bad):
+    # the solver's one point check: a nan or inf coordinate is refused,
+    # with or without a weight column, instead of pricing a nan or inf leg
+    with pytest.raises(ValueError, match="points must be finite"):
+        entropy([(0.5, 0.25), (1.0, bad)])
+    with pytest.raises(ValueError, match="points must be finite"):
+        entropy([(bad, 0.25, 1.0)])
+
+
+def test_entropy_takes_the_solver_point_cap():
+    rows = np.column_stack((np.arange(1, elpp._MAX_POINTS + 2) / 8.0, np.zeros(elpp._MAX_POINTS + 1)))
+    with pytest.raises(ValueError, match=f"more than {elpp._MAX_POINTS} points"):
+        entropy(rows)
+
+
 def test_lipschitz_entropy_frozen_value():
     got = entropy([(0.5, 0.25)], ENTROPY_LIPSCHITZ)
     assert got == pytest.approx(HALF_RATE_AT_HALF, abs=5e-8)

@@ -44,7 +44,10 @@ record, so ``experiments`` names no continuum functional.  No module
 imports ``scipy.special``, ``scipy.stats`` or ``scipy.integrate`` at module
 level: the four functions that need one import it where they run.
 ``elpp.top_by_weight`` is the one weight rank of a point set, taken by
-``select_top`` and by the threshold's primary truncation.
+``select_top`` and by the threshold's primary truncation.  Point-set
+validity is one ``elpp`` check, which ``entropy``, the solver and
+``continuum`` all take; the empty band-window rule is one ``experiments``
+helper; and the heavy-site top set is ``select_top``'s.
 """
 
 import ast
@@ -455,3 +458,43 @@ def test_heavy_scipy_imported_only_where_used():
         ]
     assert misplaced == []
     assert sites == _LAZY_SITES
+
+
+def _constant_owners(trees, text):
+    """(module, function) of every function holding the string ``text``."""
+    return [
+        (name, func.name) for name, tree in trees.items()
+        for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Constant) and node.value == text
+    ]
+
+
+def test_one_rule_each_for_points_windows_and_the_top_set():
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    # one elpp function checks point rows; continuum adds only t > 0
+    assert _constant_owners(trees, "points must be finite") == [("elpp", "as_points")]
+    assert _constant_owners(trees, "duplicate (t, x) points") == [("elpp", "_as_sorted_points")]
+    assert "ndim" not in _identifiers(trees["continuum"])
+    assert _calls(trees["continuum"], "as_points") == ["_as_points"]
+    # entropy sorts and checks its rows through the solver's own rule
+    assert "entropy" in _calls(trees["elpp"], "_as_sorted_points")
+    assert _functions_calling(trees["elpp"], "lexsort") == ["_as_sorted_points", "top_by_weight"]
+    # an empty window's probability is 0, decided in one helper
+    assert _calls(trees["experiments"], "gibbs_band_probabilities") == ["_window_probs"]
+    compares_lo = {
+        func.name for func in ast.walk(trees["experiments"]) if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Compare) and isinstance(node.left, ast.Name) and node.left.id == "lo"
+    }
+    assert compares_lo == {"_window_probs"}
+    size_keys = {
+        key for func in trees["experiments"].body
+        if isinstance(func, ast.FunctionDef) and func.name.endswith("_size")
+        for ret in ast.walk(func) if isinstance(ret, ast.Return) and isinstance(ret.value, ast.Call)
+        for key in (kw.arg for kw in ret.value.keywords)
+    }
+    assert "windows" in size_keys and not size_keys & {"los", "band_hi"}
+    # the heavy sites' capped, time-sorted set is select_top's
+    assert "heavy_site_decomposition" in _calls(trees["polymer"], "select_top")
+    assert _functions_calling(trees["polymer"], "lexsort") == []

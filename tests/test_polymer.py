@@ -61,23 +61,35 @@ PARETO_08 = TailParams(alpha=0.8)
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def all_paths(n):
-    """(2^n, n) matrix of walk positions S_1..S_n."""
+    """(2^n, n) matrix of walk positions S_1..S_n, built once per n and
+    read-only, since every enumeration oracle shares it."""
     m = 1 << n
     bits = (np.arange(m)[:, None] >> np.arange(n)[None, :]) & 1
-    return np.cumsum(2 * bits - 1, axis=1)
+    pos = np.cumsum(2 * bits - 1, axis=1)
+    pos.flags.writeable = False
+    return pos
+
+
+@functools.cache
+def path_sites(n, h):
+    """Per (n, h), read-only: each path's in-box mask, box columns and
+    peak max |S_i|."""
+    pos = all_paths(n)
+    sites = np.abs(pos) <= h, np.clip(pos, -h, h) + h, np.abs(pos).max(axis=1)
+    for arr in sites:
+        arr.flags.writeable = False
+    return sites
 
 
 def enum_log_partition(field, beta, constraint=FREE):
     """Brute-force free-endpoint partition sum over every sign path."""
     n, h = field.n, field.h
-    pos = all_paths(n)
-    inside = np.abs(pos) <= h
-    cols = np.clip(pos, -h, h) + h
+    inside, cols, peak = path_sites(n, h)
     w = np.where(inside, field.weights[np.arange(n)[None, :], cols], 0.0)
     energies = constraint.weight_filter.apply(beta * w)
-    peak = np.abs(pos).max(axis=1)
-    keep = np.ones(pos.shape[0], dtype=bool)
+    keep = np.ones(peak.shape[0], dtype=bool)
     if constraint.band is not None:
         keep &= peak <= constraint.band
     if constraint.band_window is not None:
@@ -93,15 +105,12 @@ def enum_log_partition(field, beta, constraint=FREE):
 def enum_site_marginals(field, beta):
     """Exact Gibbs visit probabilities from the path enumeration."""
     n, h = field.n, field.h
-    pos = all_paths(n)
-    inside = np.abs(pos) <= h
-    cols = np.clip(pos, -h, h) + h
+    inside, cols, _ = path_sites(n, h)
     w = np.where(inside, field.weights[np.arange(n)[None, :], cols], 0.0)
     gibbs = np.exp(beta * w.sum(axis=1) - logsumexp(beta * w.sum(axis=1)))
-    marg = np.zeros((n, 2 * n + 1))
-    for i in range(n):
-        np.add.at(marg[i], pos[:, i] + n, gibbs)
-    return marg
+    # bin (i, x) sums its paths' weights in path order, as np.add.at does
+    bins = all_paths(n) + n + (2 * n + 1) * np.arange(n)
+    return np.bincount(bins.ravel(), np.repeat(gibbs, n), n * (2 * n + 1)).reshape(n, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ against origin costs as large, and on and next to the slope-1 cone.
 """
 
 import contextlib
+import functools
 import math
 import warnings
 from unittest import mock
@@ -80,6 +81,9 @@ from test_polymer import enum_log_partition, enum_site_marginals
 SEEDED = settings(derandomize=True, deadline=None, max_examples=300)
 # each threshold draw runs several whole iterations; fewer keep the module under 20 s
 SEEDED_THRESHOLDS = settings(SEEDED, max_examples=150)
+# The composites below draw from strategies built once, at module level or
+# per shape by functools.cache: a strategy built inside a composite is
+# built and validated again at every draw, for the same examples.
 
 
 def rounding(log_z):
@@ -104,8 +108,7 @@ def constrained(draw):
     """A field, a coupling and a constraint of any kind."""
     field, beta = draw(fields())
     n, top = field.n, beta * float(field.weights.max())
-    kind = draw(st.sampled_from(["band", "window", "all", "above", "between", "atmost1",
-                                 "negative"]))
+    kind = draw(_CONSTRAINT_KINDS)
     band = window = None
     filt = WeightFilter()
     if kind == "band":
@@ -121,8 +124,13 @@ def constrained(draw):
     elif kind in ("atmost1", "negative"):
         filt = filter_atmost_one()
         beta = -beta if kind == "negative" else beta
-    centering = draw(st.sampled_from([CENTER_NONE, CENTER_MEAN, CENTER_TRUNCATED]))
+    centering = draw(_CENTERINGS)
     return field, beta, PathConstraint(band, window, filt, centering)
+
+
+_CONSTRAINT_KINDS = st.sampled_from(["band", "window", "all", "above", "between", "atmost1",
+                                     "negative"])
+_CENTERINGS = st.sampled_from([CENTER_NONE, CENTER_MEAN, CENTER_TRUNCATED])
 
 
 @SEEDED
@@ -182,10 +190,18 @@ def windowed(draw):
     """A field, a coupling and 1 to 4 windows [lo, hi) of max |S_i| with
     0 <= lo < hi <= n + 1; windows may overlap."""
     field, beta = draw(fields())
-    n = field.n
-    window = st.integers(0, n).flatmap(
-        lambda lo: st.tuples(st.just(lo), st.integers(lo + 1, n + 1)))
-    return field, beta, draw(st.lists(window, min_size=1, max_size=4))
+    return field, beta, draw(_windows(field.n))
+
+
+@functools.cache
+def _windows(n):
+    window = st.integers(0, n).flatmap(functools.partial(_window_from, n=n))
+    return st.lists(window, min_size=1, max_size=4)
+
+
+@functools.cache
+def _window_from(lo, n):
+    return st.tuples(st.just(lo), st.integers(lo + 1, n + 1))
 
 
 @SEEDED
@@ -216,9 +232,10 @@ def full_row_transfer(weights, h, beta, filt, center, half_width, windows, backw
     flag, dead = ruler >= bounds[:, :1], ruler > bounds[:, 1:]
     cur = np.full(((2, len(windows)) if windows else (1,)) + (width + 2,), -np.inf)
     box = ruler <= h
+    parity = [np.flatnonzero(box & ((ruler + i) % 2 == 0)) for i in (0, 1)]
 
     def add_energy(v, i):
-        x = np.flatnonzero(box & ((ruler + i) % 2 == 0))  # columns of i's parity on the box
+        x = parity[i % 2]  # columns of i's parity on the box
         v[..., x] += filt.apply(beta * weights[i - 1, x - half_width + h])
 
     if backward:
@@ -263,6 +280,11 @@ def transfer_cases(draw):
     filt = draw(st.sampled_from([WeightFilter(), filter_above(0.3 * top),
                                  filter_between(0.1 * top, 0.7 * top)]))
     center = draw(st.sampled_from([0.0, 0.75 * beta]))
+    return field, beta, filt, center, half_width, draw(_transfer_windows(n, half_width))
+
+
+@functools.cache
+def _transfer_windows(n, half_width):
     edge = st.integers(0, n + 1)
     shapes = {
         "h1=0": st.tuples(st.just(0), edge),
@@ -274,8 +296,7 @@ def transfer_cases(draw):
         "any": st.tuples(edge, edge),
     }
     window = st.sampled_from(sorted(shapes)).flatmap(shapes.get)
-    windows = draw(st.one_of(st.just([]), st.lists(window, min_size=1, max_size=3)))
-    return field, beta, filt, center, half_width, windows
+    return st.one_of(st.just([]), st.lists(window, min_size=1, max_size=3))
 
 
 @SEEDED
@@ -391,16 +412,26 @@ def test_heavy_site_sums_are_the_above_one_partition_sum(case):
 def chain_problems(draw):
     """Up to 10 distinct (t, x) points, continuous or on a small lattice
     with tied and signed-zero weights, and a problem of any kind."""
-    if draw(st.booleans()):
-        row = st.tuples(st.integers(0, 4), st.integers(-3, 3),
-                        st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0]))
-    else:
-        row = st.tuples(st.floats(0.0, 1.0), st.floats(-1.0, 1.0), st.floats(-3.0, 3.0))
-    rows = draw(st.lists(row, max_size=10, unique_by=lambda r: r[:2]))
-    cardinality = draw(st.sampled_from([ANY, *map(at_least, range(4)), *map(exactly, range(4))]))
+    rows = draw(_CHAIN_ROWS[draw(st.booleans())])
+    cardinality = draw(_CARDINALITIES)
     return (np.array(rows, dtype=float).reshape(-1, 3), draw(st.floats(-3.0, 3.0)),
-            draw(st.sampled_from([0.0, 0.5, 1.0])),
-            draw(st.sampled_from([ENTROPY_QUADRATIC, ENTROPY_LIPSCHITZ])), cardinality)
+            draw(_PRICES), draw(_KINDS), cardinality)
+
+
+def _distinct(row, **sizes):
+    """Lists of rows with distinct (t, x)."""
+    return st.lists(row, unique_by=lambda r: r[:2], **sizes)
+
+
+_CHAIN_ROWS = {
+    True: _distinct(st.tuples(st.integers(0, 4), st.integers(-3, 3),
+                              st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0])), max_size=10),
+    False: _distinct(st.tuples(st.floats(0.0, 1.0), st.floats(-1.0, 1.0), st.floats(-3.0, 3.0)),
+                     max_size=10),
+}
+_CARDINALITIES = st.sampled_from([ANY, *map(at_least, range(4)), *map(exactly, range(4))])
+_PRICES = st.sampled_from([0.0, 0.5, 1.0])
+_KINDS = st.sampled_from([ENTROPY_QUADRATIC, ENTROPY_LIPSCHITZ])
 
 
 def feasible_values(pts, beta, kappa, kind, cardinality):
@@ -456,11 +487,20 @@ def threshold_sets(draw):
     points off it, continuous points, heavy points whose weights (up to
     1e9) nearly pay their origin costs, points on and next to the
     origin's slope-1 cone, or signed zeros."""
-    kind = draw(st.sampled_from(["lattice", "line", "continuous", "heavy", "cone", "zeros"]))
+    kind = draw(_THRESHOLD_KINDS)
+    speed = draw(_THRESHOLD_SPEEDS[kind]) if kind in _THRESHOLD_SPEEDS else None
+    return np.array(draw(_threshold_rows(kind, speed)), dtype=float)
+
+
+_THRESHOLD_KINDS = st.sampled_from(["lattice", "line", "continuous", "heavy", "cone", "zeros"])
+_THRESHOLD_SPEEDS = {"line": st.sampled_from([0.0, 0.5, 1.0, -2.0]), "heavy": st.floats(1e3, 4e4)}
+
+
+@functools.cache
+def _threshold_rows(kind, speed):
     if kind == "lattice":
         row = st.tuples(st.integers(1, 5), st.integers(-4, 4), st.integers(-1, 4))
     elif kind == "line":
-        speed = draw(st.sampled_from([0.0, 0.5, 1.0, -2.0]))
         on_line = st.integers(1, 16).map(lambda k: (k / 4, speed * k / 4))
         off_line = st.tuples(st.integers(1, 4), st.integers(-4, 4))
         row = st.tuples(st.one_of(on_line, off_line), st.integers(0, 5)).map(
@@ -468,7 +508,6 @@ def threshold_sets(draw):
     elif kind == "continuous":
         row = st.tuples(st.floats(0.01, 1.0), st.floats(-2.0, 2.0), st.floats(-0.5, 10.0))
     elif kind == "heavy":
-        speed = draw(st.floats(1e3, 4e4))
 
         def heavy(r):
             t, x = r[0], speed * r[0] + r[1]
@@ -484,8 +523,7 @@ def threshold_sets(draw):
     else:
         row = st.tuples(st.integers(1, 4), st.sampled_from([-0.0, 0.0, 1.0, -1.0]),
                         st.sampled_from([-0.0, 0.0, 0.5, 1.0]))
-    rows = draw(st.lists(row, min_size=1, max_size=12, unique_by=lambda r: r[:2]))
-    return np.array(rows, dtype=float)
+    return _distinct(row, min_size=1, max_size=12)
 
 
 def full_threshold(geometry, start=None):
@@ -578,11 +616,14 @@ def geometry_sets(draw):
     a subnormal time from the origin and from each other, and a
     time-sorted selection of their rows."""
     pts = draw(threshold_sets())
-    extra = draw(st.lists(st.sampled_from([(0.0, 0.0, 1.0), (5e-324, 1e-300, 2.0),
-                                           (1e-323, 0.0, 3.0), (1e-323, 1.0, 0.5)]), unique=True))
+    extra = draw(_EXTRA_ROWS)
     pts = np.concatenate([pts, np.array(extra).reshape(-1, 3)])
     keep = draw(st.lists(st.booleans(), min_size=len(pts), max_size=len(pts)))
     return pts, np.flatnonzero(keep)
+
+
+_EXTRA_ROWS = st.lists(st.sampled_from([(0.0, 0.0, 1.0), (5e-324, 1e-300, 2.0),
+                                        (1e-323, 0.0, 3.0), (1e-323, 1.0, 0.5)]), unique=True)
 
 
 @SEEDED
@@ -665,15 +706,16 @@ def ks_samples(draw):
     """Two samples of 2 to 60 values, unequal sizes included, with ties
     from a small integer grid, +-inf, and a nan in neither, the first or
     the second."""
-    value = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3),
-                      st.sampled_from([-math.inf, math.inf]))
-    samples = [draw(st.lists(value, min_size=2, max_size=60)) for _ in range(2)]
-    spoiled = draw(st.sampled_from([None, 0, 1]))
+    samples = [draw(_KS_VALUES) for _ in range(2)]
+    spoiled = draw(_KS_SPOILED)
     if spoiled is not None:
         samples[spoiled][draw(st.integers(0, len(samples[spoiled]) - 1))] = math.nan
     return samples
 
 
+_KS_VALUES = st.lists(st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3),
+                                st.sampled_from([-math.inf, math.inf])), min_size=2, max_size=60)
+_KS_SPOILED = st.sampled_from([None, 0, 1])
 # above 10000 samples ks_2samp keeps the float gap, which here is not the
 # nearest h / lcm(n1, n2); at 10000 it still rounds to it
 _WIDE = [np.round(np.random.default_rng(5).normal(shift, 1.0, size), 2)
