@@ -100,15 +100,18 @@ def sample_ppp(
     Exactly one of ``eps`` (floor mode, weights above eps) and ``top``
     (top mode, the ``top`` largest weights) must be given.  Returns an
     (m, 3) array of (t, x, w) rows with t uniform on [0, 1] and x
-    uniform on [-q, q].  ``eps=inf`` returns an empty sample.  A floor
-    mode mean q * eps**(-alpha) or a ``top`` above MAX_SAMPLE_POINTS is
-    refused before anything is drawn, and a weight past the float range
+    uniform on [-q, q].  ``eps=inf`` returns an empty sample.  A box
+    width 2q past the float range, or a floor mode mean q * eps**(-alpha)
+    or a ``top`` above MAX_SAMPLE_POINTS, is refused before anything is
+    drawn, and a weight past the float range
     (alpha near 0 makes w**alpha tiny) raises ValueError once drawn.
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (0, 2)")
     if q <= 0.0:
         raise ValueError("q must be positive")
+    if not math.isfinite(2.0 * float(q)):
+        raise ValueError(f"q {q!r} is too large: the box width 2q is not finite")
     if (eps is None) == (top is None):
         raise ValueError("give exactly one of eps and top")
     rng = np.random.default_rng(seed)

@@ -56,7 +56,7 @@ import scipy
 
 from . import json_text
 from .continuum import sample_ppp
-from .elpp import ENTROPY_LIPSCHITZ, ENTROPY_QUADRATIC, solve
+from .elpp import solve
 from .environment import (
     TailParams,
     _draw_field,
@@ -65,7 +65,7 @@ from .environment import (
     reachable_count,
     top_sites,
 )
-from .polymer import FREE, _summed_v_n, gibbs_band_probabilities, log_partition
+from .polymer import FREE, chaos_v_n, gibbs_band_probabilities, log_partition
 from .regimes import (
     DIFFUSIVE,
     LABEL_BOUNDARY,
@@ -78,7 +78,6 @@ from .regimes import (
     LABEL_SMALL_SPLIT,
     LABEL_SMALL_SQRT,
     LABEL_ZERO,
-    LINEAR,
     RECORDS,
     PowerLawSchedule,
     classify,
@@ -203,8 +202,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be strictly increasing")
         if not 0.0 < self.band_fraction <= 1.0:
             raise ValueError("band_fraction must lie in (0, 1]")
-        if self.half_width is not None and self.half_width < 1:
-            raise ValueError("half_width must be at least 1")
+        if self.half_width is not None and not 1 <= self.half_width <= SIZE_CAP:
+            raise ValueError(f"half_width must lie in [1, {SIZE_CAP}]")
         if not 1 <= self.threads <= 64:
             raise ValueError("threads must lie in [1, 64]")
 
@@ -507,21 +506,10 @@ def _regime_setup(config: ExperimentConfig):
 
 
 def _regime_size(config: ExperimentConfig, fields, n: int, beta: float) -> dict:
-    """The field box, the label's rescaling constants, and the coupled
-    pair's units and entropy (Lipschitz on the linear pathway)."""
-    record = RECORDS[fields["label"]]
-    pathway, tail = record.pathway, config.tail()
-    h = pathway.box(n, beta, tail, config.kernel_cutoff)
-    if pathway is LINEAR:
-        m_scale = quantile(tail, float(n) ** 2)
-        units, nu, entropy = (n, n, m_scale), beta * m_scale / n, ENTROPY_LIPSCHITZ
-    else:
-        m_scale = quantile(tail, float(n) * h)
-        units, nu, entropy = (n, h, m_scale), beta * m_scale * n / (h * h), ENTROPY_QUADRATIC
-    return dict(h=h, center=record.centering_total(n, beta, tail),
-                prefactor=pathway.prefactor(n),
-                scale=beta * quantile(tail, pathway.scale_arg(n, h)),
-                units=units, nu=nu, entropy=entropy)
+    """The label's size constants (``Pathway.constants``) and its centering."""
+    record, tail = RECORDS[fields["label"]], config.tail()
+    return dict(record.pathway.constants(n, beta, tail, config.kernel_cutoff),
+                center=record.centering_total(n, beta, tail))
 
 
 def _regime_replica(t, field) -> dict:
@@ -536,13 +524,13 @@ def _regime_replica(t, field) -> dict:
     chain, is positive) is flagged, never dropped."""
     n, h, beta, config, fields = t.n, t.h, t.beta, t.config, t.fields
     record, beta_limit = RECORDS[fields["label"]], fields["beta_limit"]
+    pathway = record.pathway
     logz = log_partition(field, beta, FREE)
     rescaled = 0.0 if beta == 0.0 else t.prefactor * (logz - t.center) / t.scale
 
     lattice = _top_lattice(field, config.ell)
-    chain = solve(lattice, beta, 0.0, t.entropy).value
-    discrete = chain / n if record.pathway is LINEAR else chain * n / (h * h)
-    cont = solve(lattice / t.units, t.nu, 0.0, t.entropy).value
+    discrete = pathway.unit(solve(lattice, beta, 0.0, pathway.entropy).value, n, h)
+    cont = solve(lattice / t.units, t.nu, 0.0, pathway.entropy).value
 
     companion = record.draw_companion(config, beta_limit, t.nu, t.seed_ppp)
     # the sample sits above its own critical coupling: its best non-empty
@@ -553,10 +541,9 @@ def _regime_replica(t, field) -> dict:
     failures = int(diff > COUPLING_TOL * max(1.0, abs(cont)))
 
     rescaled_vn = math.nan
-    if record.pathway is DIFFUSIVE:
-        # last: chaos_v_n(field, beta, h) summed in the field's own draw
-        # buffer, which it overwrites
-        v_n = _summed_v_n(field, beta, h, None, field.weights)
+    if pathway is DIFFUSIVE:
+        # last: summed in the field's own draw buffer, which it overwrites
+        v_n = chaos_v_n(field, beta, h, box=field.weights)
         rescaled_vn = 0.0 if beta == 0.0 else t.prefactor * v_n / t.scale
 
     obs_row = (
@@ -665,15 +652,16 @@ def _small_alpha_setup(config: ExperimentConfig):
 
 
 def _small_alpha_size(config: ExperimentConfig, fields, n: int, beta: float) -> dict:
-    """Tail then band windows per C, the proxy's units (i/n, x/n, w/m(n^2)) and
-    run coupling, and the diffusive rescaling sqrt(n) / (beta_n m(n^{3/2}))."""
-    tail = config.tail()
-    m_lin = quantile(tail, float(n) ** 2)
+    """Tail then band windows per C, the proxy's units (i/n, x/n, w/m(n^2))
+    and run coupling from the linear record, and the diffusive record's
+    rescaling sqrt(n) / (beta_n m(n^{3/2}))."""
+    tail, k = config.tail(), config.kernel_cutoff
+    proxy = RECORDS[LABEL_SMALL_N].pathway.constants(n, beta, tail, k)
+    rescale = RECORDS[LABEL_SMALL_SQRT].pathway.constants(n, beta, tail, k)
     los = [math.ceil(c * math.sqrt(n)) for c in config.c_values]
     windows = [(lo, hi) for hi in (n + 1, math.ceil(config.band_fraction * n)) for lo in los]
-    return dict(h=n, windows=windows, units=(n, n, m_lin),
-                beta_run=beta * m_lin / n, prefactor=DIFFUSIVE.prefactor(n),
-                scale=beta * quantile(tail, DIFFUSIVE.scale_arg(n, n)))
+    return dict(h=n, windows=windows, units=proxy["units"], beta_run=proxy["nu"],
+                prefactor=rescale["prefactor"], scale=rescale["scale"])
 
 
 def _small_alpha_replica(t, field) -> dict:

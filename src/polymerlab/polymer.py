@@ -628,22 +628,16 @@ def _truncated_band(field: DisorderField, beta: float, band: int, cutoff: Option
     return cutoff, box, kernel_grid(n, band)
 
 
-def _summed_v_n(field: DisorderField, beta: float, band: int, cutoff: Optional[float],
-                box: Optional[np.ndarray]) -> float:
-    """chaos_v_n, summed in ``box`` as _truncated_band takes it: the
-    truncated band box times beta, then _kernel_sum, all in place."""
+def chaos_v_n(field: DisorderField, beta: float, band: int, cutoff: Optional[float] = None,
+              box: Optional[np.ndarray] = None) -> float:
+    """The first chaos term ``chaos_terms(...).v_n`` alone, bit for bit,
+    without the truncated-mgf quadrature or the truncated transfer pass.
+    It is summed in place in ``box`` as _truncated_band takes it (a
+    campaign's draw buffer, which it overwrites) or else in one copy of
+    the band box, the one array it holds beside the cached grid."""
     _, box, grid = _truncated_band(field, beta, band, cutoff, box)
     box *= beta
     return _kernel_sum(box, grid)
-
-
-def chaos_v_n(
-    field: DisorderField, beta: float, band: int, cutoff: Optional[float] = None
-) -> float:
-    """The first chaos term ``chaos_terms(...).v_n`` alone, bit for bit,
-    without the truncated-mgf quadrature or the truncated transfer pass;
-    beside the cached grid it holds one copy of the band box."""
-    return _summed_v_n(field, beta, band, cutoff, None)
 
 
 def chaos_terms(

@@ -35,7 +35,7 @@ from .continuum import (
     sample_ppp,
     single_point_max,
 )
-from .elpp import at_least
+from .elpp import ENTROPY_LIPSCHITZ, ENTROPY_QUADRATIC, at_least
 from .environment import TailParams, quantile
 from .polymer import CENTER_MEAN, CENTER_NONE, CENTER_TRUNCATED, centering_moment
 
@@ -80,9 +80,17 @@ class PowerLawSchedule:
     def __post_init__(self):
         if self.beta_hat <= 0.0:
             raise ValueError("beta_hat must be positive")
+        if not math.isfinite(self.gamma) or not math.isfinite(self.beta_hat):
+            raise ValueError("gamma and beta_hat must be finite")
 
     def at(self, n: int) -> float:
-        return self.beta_hat * float(n) ** (-self.gamma)
+        try:
+            beta = self.beta_hat * float(n) ** (-self.gamma)
+        except OverflowError:
+            beta = math.inf
+        if not math.isfinite(beta):
+            raise ValueError(f"beta_n overflows the float range at n={n}")
+        return beta
 
 
 @dataclass(frozen=True)
@@ -95,6 +103,8 @@ class ExplicitSchedule:
         beta = float(self.values(n))
         if beta <= 0.0:
             raise ValueError(f"schedule must stay positive, got {beta} at n={n}")
+        if not math.isfinite(beta):
+            raise ValueError(f"schedule must stay finite, got {beta} at n={n}")
         return beta
 
 
@@ -119,8 +129,8 @@ def fluctuation_scale(n: int, beta: float, tail: TailParams) -> ScaleResult:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    if beta < 0.0:
-        raise ValueError("beta must be nonnegative")
+    if not beta >= 0.0:
+        raise ValueError(f"beta must be nonnegative, got {beta}")
 
     def balance(h: float) -> float:
         return beta * quantile(tail, n * h) / (h * h) - 1.0 / n
@@ -257,12 +267,15 @@ def _probe_limits(schedule, tail: TailParams, n_probe: int):
 
 @dataclass(frozen=True)
 class Pathway:
-    """Field box, weight-scale argument and prefactor of a rescaling route.
+    """Field box, weight-scale argument, prefactor and coupled pair of a
+    rescaling route.
 
     A label on this route rescales as prefactor(n) * (log Z - centering)
     / (beta_n * quantile(tail, scale_arg(n, h))) on a field of half-width
     h = box(n, beta_n, tail, kernel_cutoff).  ``cutoff`` is the level of a
-    truncated-mean centering.
+    truncated-mean centering.  The coupled pair prices its chain legs with
+    ``entropy``, and ``unit(v, n, h)`` puts a chain value or a weight
+    coupling v into the continuum units (i/n, x/h, w/m(n h)).
     """
 
     prefactor_text: str
@@ -271,12 +284,26 @@ class Pathway:
     prefactor: Callable[[int], float] = lambda n: 1.0
     cutoff: Callable[[int, float, TailParams], float] | None = None
     cutoff_text: str = ""
+    entropy: str = ENTROPY_QUADRATIC
+    unit: Callable[[float, int, int], float] = lambda v, n, h: v * n / (h * h)
+
+    def constants(self, n: int, beta: float, tail: TailParams, kernel_cutoff: float) -> dict:
+        """A size's field box h, prefactor, weight scale beta_n *
+        quantile(scale_arg(n, h)), and the coupled pair's units (n, h,
+        m(n h)) and effective coupling nu = unit(beta_n m(n h), n, h)."""
+        h = self.box(n, beta, tail, kernel_cutoff)
+        m = quantile(tail, float(n) * h)
+        return dict(h=h, prefactor=self.prefactor(n),
+                    scale=beta * quantile(tail, self.scale_arg(n, h)),
+                    units=(n, h, m), nu=self.unit(beta * m, n, h))
 
 
 LINEAR = Pathway(
     "1/(beta_n * quantile(tail, n^2))",
     box=lambda n, beta, tail, k: n,
     scale_arg=lambda n, h: float(n) ** 2,
+    entropy=ENTROPY_LIPSCHITZ,
+    unit=lambda v, n, h: v / n,  # h = n; a float order of its own
 )
 BALANCED = Pathway(
     "1/(beta_n * quantile(tail, n * h_n))",

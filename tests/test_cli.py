@@ -11,6 +11,7 @@ import pytest
 
 import polymerlab
 from polymerlab import cli
+from polymerlab import experiments
 from polymerlab.cli import main
 from polymerlab.continuum import chain_value, sample_ppp
 from polymerlab.elpp import ANY, at_least, exactly, site_price, solve
@@ -211,6 +212,38 @@ def test_ppp_weights_past_the_float_range_exit_2(capsys, argv):
 def test_ppp_sample_over_the_point_cap_exits_2(capsys, flags):
     assert main(["ppp", "--alpha", "1.2", "--op", "T", *flags, "--seed", "1"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "polymer --n 32 --h 8 --alpha 1.2 --gamma -400",
+    "regime --alpha 1.2 --gamma -200",
+    "ppp --alpha 1.2 --q 1e308 --top 5 --op T",
+    "ppp --alpha 1.2 --q 1e308 --top 5 --op beta_c",
+])
+def test_overflowing_input_exits_2_with_one_error_line(capsys, argv):
+    assert main(argv.split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("patch, message", [
+    ({"kind": "regime_convergence", "alpha": 1.2, "gamma": -60},
+     "error: beta_n overflows the float range at n=1000000\n"),
+    ({"kind": "ordered_stats_coupling", "alpha": 1.0, "gamma": 0.0, "ell": 3,
+      "half_width": 10**6}, "error: half_width must lie in [1, 4096]\n"),
+])
+def test_experiment_run_refuses_overflowing_configs_before_any_replica(
+        capsys, tmp_path, monkeypatch, patch, message):
+    # no replica runs, so no field box is built
+    def refuse(*args):
+        raise AssertionError("a replica ran")
+
+    monkeypatch.setattr(experiments, "_run_replica", refuse)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, "sizes": [16], "replicas": 2, "seed": 9, **patch}))
+    assert main(["experiment", "run", str(cfg), "--out", str(tmp_path / "res")]) == 2
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "res").exists()
 
 
 def test_regime_report_fields(capsys):

@@ -717,3 +717,14 @@ def test_critical_coupling_flavor_domains():
     for alpha in (0.0, 0.5, 2.0):
         with pytest.raises(ValueError):
             critical_coupling(alpha)
+
+
+@pytest.mark.parametrize("mode", [dict(top=5), dict(eps=1.0)])
+def test_sample_ppp_refuses_a_box_width_past_the_float_range(mode):
+    for q in (1e308, 0.9 * np.finfo(float).max, math.inf, math.nan):
+        with pytest.raises(ValueError, match="the box width 2q is not finite"):
+            sample_ppp(1.2, q, seed=1, **mode)
+    # the widest box whose 2q is finite still draws
+    q = np.finfo(float).max / 2.0
+    points = sample_ppp(1.9, q, top=5, seed=1)
+    assert np.all(np.isfinite(points)) and np.all(np.abs(points[:, 1]) <= q)

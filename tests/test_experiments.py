@@ -981,3 +981,29 @@ def test_rerun_is_byte_identical(tmp_path):
     for name in ("conditioned", "bands", "ks_summary"):
         assert (tmp_path / "a" / f"{name}.csv").read_bytes() == \
             (tmp_path / "b" / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("alpha, gamma, beta_hat, n", [
+    (0.3, 6.0, 1.0, 48), (0.3, 6.0, 0.0, 48), (0.4, 5.0, 1.0, 16), (0.4, 4.0, 0.005, 1000),
+])
+def test_small_alpha_size_is_the_hand_formulas_bit_for_bit(alpha, gamma, beta_hat, n):
+    # the proxy's units and coupling come from the linear record and the
+    # rescaling from the diffusive one, with the bits written out by hand
+    config = make_config(kind=KIND_SMALL_ALPHA, alpha=alpha, gamma=gamma, beta_hat=beta_hat,
+                         sizes=(n,))
+    beta, tail = config.beta_at(n), config.tail()
+    m_lin = quantile(tail, float(n) ** 2)
+    got = experiments._small_alpha_size(config, {}, n, beta)
+    want = dict(units=(n, n, m_lin), beta_run=beta * m_lin / n, prefactor=math.sqrt(n),
+                scale=beta * quantile(tail, float(n) ** 1.5))
+    assert got["h"] == n
+    for key, value in want.items():
+        assert repr(got[key]) == repr(value), key
+
+
+def test_config_caps_half_width_at_the_size_cap():
+    cap = experiments.SIZE_CAP
+    assert make_config(kind=KIND_ORDERED, gamma=0.0, ell=3, half_width=cap).half_width == cap
+    for half_width in (cap + 1, 10**6):
+        with pytest.raises(ValueError, match=rf"half_width must lie in \[1, {cap}\]"):
+            make_config(kind=KIND_ORDERED, gamma=0.0, ell=3, half_width=half_width)

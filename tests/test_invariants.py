@@ -47,7 +47,12 @@ level: the four functions that need one import it where they run.
 ``select_top`` and by the threshold's primary truncation.  Point-set
 validity is one ``elpp`` check, which ``entropy``, the solver and
 ``continuum`` all take; the empty band-window rule is one ``experiments``
-helper; and the heavy-site top set is ``select_top``'s.
+helper; and the heavy-site top set is ``select_top``'s.  Each rescaling
+rule is read off the label's pathway record (``regimes.Pathway``): the
+campaigns name neither ``LINEAR`` nor an ``ENTROPY_*`` leg cost, call
+``quantile`` only for the ordered kind's own box, and take no
+``entropy`` size key; ``chaos_v_n`` sums in a given box, so
+``_summed_v_n`` stays gone.
 """
 
 import ast
@@ -60,7 +65,7 @@ import pytest
 import polymerlab
 from polymerlab import experiments
 from polymerlab.elpp import Cardinality
-from polymerlab.polymer import WeightFilter, chaos_terms
+from polymerlab.polymer import WeightFilter, chaos_terms, chaos_v_n
 from polymerlab.regimes import classify
 
 SOURCES = sorted(Path(polymerlab.__file__).parent.glob("*.py"))
@@ -498,3 +503,33 @@ def test_one_rule_each_for_points_windows_and_the_top_set():
     # the heavy sites' capped, time-sorted set is select_top's
     assert "heavy_site_decomposition" in _calls(trees["polymer"], "select_top")
     assert _functions_calling(trees["polymer"], "lexsort") == []
+
+
+def test_campaigns_read_every_rescaling_rule_off_the_pathway_record():
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    tree = trees["experiments"]
+    # neither imported nor compared with, under any name: no identifier at all
+    names = _identifiers(tree)
+    assert "LINEAR" not in names
+    assert not [name for name in names if name.startswith("ENTROPY_")]
+    assert _calls(tree, "quantile") == ["_ordered_size"]
+    # no size step gives an entropy: the replica reads its pathway's
+    for kind, overrides in [
+        (experiments.KIND_REGIME, dict(alpha=1.2, gamma=0.5)),  # R1, the linear pathway
+        (experiments.KIND_REGIME, dict(alpha=1.2, gamma=1.0)),  # R2
+        (experiments.KIND_REGIME, dict(alpha=0.75, gamma=3.0)),  # R5
+        (experiments.KIND_REGIME, dict(alpha=1.2, gamma=1.0, beta_hat=0.0)),
+        (experiments.KIND_SMALL_ALPHA, dict(alpha=0.3, gamma=6.0)),
+        (experiments.KIND_FLUCTUATION, dict(alpha=1.0, gamma=1.25, beta_hat=0.3)),
+        (experiments.KIND_ORDERED, dict(alpha=1.0, gamma=0.0, ell=3, half_width=4)),
+    ]:
+        config = experiments.ExperimentConfig(kind=kind, sizes=(16,), replicas=1, seed=1,
+                                              **overrides)
+        spec = experiments._KINDS[kind]
+        size = spec.size(config, spec.setup(config), 16, config.beta_at(16))
+        assert "entropy" not in size, (kind, overrides)
+    # the first chaos term sums in a given box: no second entry point
+    for name, other in trees.items():
+        assert "_summed_v_n" not in _identifiers(other), name
+    assert list(inspect.signature(chaos_v_n).parameters) == [
+        "field", "beta", "band", "cutoff", "box"]

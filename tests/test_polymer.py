@@ -919,3 +919,25 @@ def test_heavy_sites_match_mask_selection():
                             assert (dec.sites, dec.capped) == mask_heavy_sites(
                                 field, beta, band, ell
                             ), (n, h, beta, band, ell)
+
+
+@pytest.mark.parametrize("band", [64, 17])
+def test_chaos_v_n_sums_in_a_given_box(band):
+    # the campaign's route: the band box held in a writable array (at
+    # band = h the draw buffer itself) is summed in place and overwritten,
+    # with the bits of the copying call and no box-sized temporary beside it
+    field = sample_field(256, 64, PARETO_12, 77)
+    h = field.h
+    kernel_grid(256, band)
+    box = field.weights[:, h - band : h + band + 1].copy()
+    before = box.copy()
+    tracemalloc.start()
+    try:
+        in_place = chaos_v_n(field, 0.01, band, box=box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bits(in_place) == bits(chaos_v_n(field, 0.01, band))
+    assert bits(in_place) == bits(chaos_terms(field, 0.01, band).v_n)
+    assert not np.array_equal(box, before)
+    assert peak <= 0.25 * box.nbytes  # the truncation mask, an eighth of it

@@ -397,3 +397,115 @@ def test_r3b_companion_sign_is_the_floored_chain_value_sign():
             assert positive == (chain_value(pts, 1.0, beta=beta) > 0.0)
             signs.add(positive)
     assert signs == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# pathway size constants
+
+
+def _hand_constants(pathway, n, beta, tail, kernel_cutoff):
+    """The campaigns' size constants as they were written out by hand,
+    branching on the linear pathway, and the coupled pair's leg cost."""
+    from polymerlab.elpp import ENTROPY_LIPSCHITZ, ENTROPY_QUADRATIC
+
+    h = pathway.box(n, beta, tail, kernel_cutoff)
+    if pathway is regimes.LINEAR:
+        m_scale = quantile(tail, float(n) ** 2)
+        units, nu, entropy = (n, n, m_scale), beta * m_scale / n, ENTROPY_LIPSCHITZ
+    else:
+        m_scale = quantile(tail, float(n) * h)
+        units, nu, entropy = (n, h, m_scale), beta * m_scale * n / (h * h), ENTROPY_QUADRATIC
+    constants = dict(h=h, prefactor=pathway.prefactor(n),
+                     scale=beta * quantile(tail, pathway.scale_arg(n, h)), units=units, nu=nu)
+    return constants, entropy
+
+
+def _hand_unit(pathway, v, n, h):
+    """A chain value in continuum units, as the regime replica wrote it."""
+    return v / n if pathway is regimes.LINEAR else v * n / (h * h)
+
+
+_PATHWAY_CASES = [
+    # (alpha, tail keywords, n, beta); the first is the golden small_n size
+    (0.3, {}, 48, PowerLawSchedule(2.0).at(48)),
+    (0.3, {}, 96, PowerLawSchedule(2.0).at(96)),
+    (1.2, {}, 64, PowerLawSchedule(0.5).at(64)),
+    (1.2, {}, 257, 0.3),
+    (1.0, {}, 1024, PowerLawSchedule(1.25, 0.22).at(1024)),
+    (0.75, {}, 2048, PowerLawSchedule(3.0).at(2048)),
+    (1.2, dict(law="logpower", b=0.7), 128, PowerLawSchedule(1.25).at(128)),
+    (1.6, dict(law="logpower", b=0.35), 1000, 0.05),
+    (0.4, dict(law="logpower", b=1.0), 33, PowerLawSchedule(4.0, 0.005).at(33)),
+    (1.2, {}, 32, 0.0),  # the zero-coupling control
+]
+
+
+@pytest.mark.parametrize("pathway", [regimes.LINEAR, regimes.BALANCED, regimes.DIFFUSIVE],
+                         ids=["linear", "balanced", "diffusive"])
+@pytest.mark.parametrize("alpha, law, n, beta", _PATHWAY_CASES)
+def test_pathway_constants_are_the_hand_formulas_bit_for_bit(pathway, alpha, law, n, beta):
+    tail = TailParams(alpha, **law)
+    want, entropy = _hand_constants(pathway, n, beta, tail, 8.0)
+    got = pathway.constants(n, beta, tail, 8.0)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert repr(got[key]) == repr(want[key]), key
+    assert pathway.entropy == entropy
+    h = got["h"]
+    for v in (beta * got["units"][2], 1.0, 1.0 / 3.0, 12.345678901234567, -0.7, 0.0):
+        assert repr(pathway.unit(v, n, h)) == repr(_hand_unit(pathway, v, n, h)), v
+
+
+def test_linear_unit_keeps_its_own_float_order():
+    # at the golden small_n size the quadratic order gives another last
+    # bit, so one shared unit rule would move the coupled pair's digests
+    n, beta = 48, PowerLawSchedule(2.0).at(48)
+    v = beta * quantile(TailParams(0.3), float(n) ** 2)
+    assert v * n / (n * n) != v / n
+    assert regimes.LINEAR.unit(v, n, n) == v / n
+    assert regimes.LINEAR.constants(n, beta, TailParams(0.3), 8.0)["nu"] == v / n
+
+
+# ---------------------------------------------------------------------------
+# non-finite couplings
+
+
+@pytest.mark.parametrize("gamma, beta_hat", [
+    (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (1.0, math.nan), (1.0, math.inf),
+])
+def test_power_law_schedule_refuses_non_finite_parameters(gamma, beta_hat):
+    with pytest.raises(ValueError, match="gamma and beta_hat must be finite"):
+        PowerLawSchedule(gamma, beta_hat)
+
+
+def test_power_law_schedule_keeps_the_positive_beta_hat_message():
+    for beta_hat in (0.0, -1.0, -math.inf):
+        with pytest.raises(ValueError, match="beta_hat must be positive"):
+            PowerLawSchedule(1.0, beta_hat)
+
+
+@pytest.mark.parametrize("gamma, beta_hat, n", [
+    (-400.0, 1.0, 32),  # the power itself overflows (OverflowError in float pow)
+    (-100.0, 1e300, 10),  # the power is finite, the product is not
+])
+def test_power_law_schedule_refuses_an_overflowing_coupling(gamma, beta_hat, n):
+    with pytest.raises(ValueError, match=f"beta_n overflows the float range at n={n}"):
+        PowerLawSchedule(gamma, beta_hat).at(n)
+
+
+def test_classify_refuses_an_overflowing_coupling():
+    with pytest.raises(ValueError, match="n=1000000"):
+        classify(1.2, PowerLawSchedule(-200.0))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_explicit_schedule_must_stay_finite(value):
+    with pytest.raises(ValueError, match=f"schedule must stay finite, got {value} at n=10"):
+        ExplicitSchedule(lambda n: value).at(10)
+
+
+def test_fluctuation_scale_refuses_a_nan_coupling():
+    with pytest.raises(ValueError, match="beta must be nonnegative, got nan"):
+        fluctuation_scale(100, math.nan, TailParams(1.2))
+    with pytest.raises(ValueError, match="beta must be nonnegative"):
+        fluctuation_scale(100, -0.5, TailParams(1.2))
