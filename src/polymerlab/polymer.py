@@ -4,8 +4,8 @@ Everything here is a deterministic function of the field: partition
 functions by log-domain transfer recursion over the walk lattice (free
 endpoint, optional band or band-window restriction on max |S_i|, an
 energy window (lo, hi] filter, per-step centering), exact walk
-kernels, path sampling from the Gibbs measure, the truncated-environment
-expansion terms, and the heavy-site inclusion-exclusion decomposition.
+kernels, Gibbs site marginals, the truncated-environment expansion
+terms, and the heavy-site inclusion-exclusion decomposition.
 
 Conventions: the walk starts at S_0 = 0 and takes n unit steps; the
 energy collected at step i is beta * f(omega_{i, S_i}) when |S_i| <= h
@@ -458,59 +458,16 @@ def gibbs_band_probability(
 
 
 # ---------------------------------------------------------------------------
-# Gibbs path sampling and marginals
+# Gibbs marginals
 # ---------------------------------------------------------------------------
-
-
-def _forward_states(field: DisorderField, beta: float) -> np.ndarray:
-    """(n, 2n+1) rows of the unfiltered, uncentered forward pass; -inf off the cone."""
-    states = np.full((field.n, 2 * field.n + 1), NEG_INF)
-    _transfer(field.weights, field.h, beta, WeightFilter(), 0.0, field.n, store=states)
-    return states
-
-
-def sample_gibbs_path(
-    field: DisorderField, beta: float, seed: int, count: int = 1
-) -> np.ndarray:
-    """Exact samples from the Gibbs measure, shape (count, n), int64.
-
-    Backward sampling from the stored forward transfer states (PCG64
-    stream seeded by `seed`; independent of the field's own stream).
-    """
-    n = field.n
-    states = _forward_states(field, beta)
-    rng = np.random.default_rng(seed)
-    paths = np.empty((count, n), dtype=np.int64)
-    final = states[n - 1]
-    logz = logsumexp(final)
-    endpoint_p = np.exp(final - logz)
-    xs = np.arange(-n, n + 1)
-    for r in range(count):
-        x = int(rng.choice(xs, p=endpoint_p))
-        paths[r, n - 1] = x
-        for i in range(n - 1, 0, -1):
-            prev = states[i - 1]
-            lo = prev[x - 1 + n] if x - 1 >= -n else NEG_INF
-            hi = prev[x + 1 + n] if x + 1 <= n else NEG_INF
-            # P(step came from x-1 | S_i = x) ~ forward mass at the source
-            if lo == NEG_INF:
-                p_left = 0.0
-            elif hi == NEG_INF:
-                p_left = 1.0
-            else:
-                p_left = 1.0 / (1.0 + math.exp(min(hi - lo, 700.0)))
-            x = x - 1 if rng.random() < p_left else x + 1
-            paths[r, i - 1] = x
-        if abs(paths[r, 0]) != 1:
-            raise RuntimeError("backward sampling left the walk lattice")
-    return paths
 
 
 def gibbs_site_marginals(field: DisorderField, beta: float) -> np.ndarray:
     """P(S_i = x) under the Gibbs measure, shape (n, 2n+1), by
-    forward-backward products."""
+    forward-backward products of unfiltered, uncentered passes."""
     n = field.n
-    states = _forward_states(field, beta)
+    states = np.full((n, 2 * n + 1), NEG_INF)  # log F_i; -inf off the cone
+    _transfer(field.weights, field.h, beta, WeightFilter(), 0.0, n, store=states)
     logz = logsumexp(states[n - 1])
     marg = np.full_like(states, NEG_INF)  # log B_i, then the marginals
     marg[n - 1] = 0.0  # log B_n = 0

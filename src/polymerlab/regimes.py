@@ -10,8 +10,9 @@ log Z and its own continuum limit object.
 Power-law schedules beta_n = beta_hat * n^(-gamma) are classified
 symbolically by comparing n-exponents and log-n orders, which makes
 the labels exact and probe-size independent.  Explicit schedules are
-probed numerically at n, 4n, 16n with a documented heuristic; limits
-of arbitrary sequences are not decidable from finitely many values.
+probed numerically at n and 16n, with a local exponent fitted over that
+16x span (a documented heuristic); limits of arbitrary sequences are
+not decidable from finitely many values.
 
 Two classes split on the sign of a random continuum quantity rather
 than on the schedule itself.  For those, passing a seed runs a Monte
@@ -84,6 +85,8 @@ class PowerLawSchedule:
             raise ValueError("gamma and beta_hat must be finite")
 
     def at(self, n: int) -> float:
+        if n < 1:
+            raise ValueError(f"a schedule needs n >= 1, got n={n}")
         try:
             beta = self.beta_hat * float(n) ** (-self.gamma)
         except OverflowError:
@@ -100,6 +103,8 @@ class ExplicitSchedule:
     values: Callable[[int], float]
 
     def at(self, n: int) -> float:
+        if n < 1:
+            raise ValueError(f"a schedule needs n >= 1, got n={n}")
         beta = float(self.values(n))
         if beta <= 0.0:
             raise ValueError(f"schedule must stay positive, got {beta} at n={n}")
@@ -188,7 +193,8 @@ class RegimeReport:
     """Classification outcome with the matching normalization recipe.
 
     ``beta_limit`` is the limiting probe value for the class (0, inf,
-    or the finite probe evaluated at n_probe).  ``probes`` holds the
+    or the finite probe evaluated at n_probe; a split resolved to its
+    diffusive branch reports 0).  ``probes`` holds the
     three probe quantities at n_probe.  ``split_threshold`` is the
     Monte Carlo critical-coupling median when a random split was
     resolved, else nan.
@@ -431,6 +437,13 @@ _SPLITS = {
 }
 
 
+def _branch_coupling(label: str, beta_limit: float) -> float:
+    """The coupling of a split's branch: 0 on a diffusive branch, whose
+    record's coupling is the limit of q3.  Where q1 is finite at alpha <
+    1/2, q3 has order n^(1 - 1/(2 alpha)) and tends to 0."""
+    return 0.0 if RECORDS[label].pathway is DIFFUSIVE else beta_limit
+
+
 def classify(
     alpha: float,
     schedule,
@@ -442,7 +455,7 @@ def classify(
     """Classify a coupling schedule and return its normalization recipe.
 
     Power-law schedules are classified symbolically; explicit ones by
-    numeric probing at n_probe, 4 n_probe, 16 n_probe.  Two outcomes
+    numeric probing at n_probe and 16 n_probe.  Two outcomes
     depend on the sign of a random continuum value: the log-window
     class splits into R3a/R3b and the alpha < 1/2 transition line
     splits into the two scales.  With ``seed`` given, those splits are
@@ -456,6 +469,12 @@ def classify(
         tail = TailParams(alpha)
     elif tail.alpha != alpha:
         raise ValueError("tail.alpha must match alpha")
+    if n_probe < 2:
+        raise ValueError(f"n_probe must be at least 2, got {n_probe}")
+    try:
+        (16.0 * n_probe) ** 2  # the largest probe argument
+    except OverflowError:
+        raise ValueError("n_probe is too large: (16 n_probe)^2 leaves the float range") from None
 
     (q1, q2, q3), probes = _probe_limits(schedule, tail, n_probe)
     h = fluctuation_scale(n_probe, schedule.at(n_probe), tail)
@@ -490,6 +509,7 @@ def classify(
         above, below = _SPLITS[label][:2]
         split_threshold = critical_coupling(alpha, **SPLIT_ESTIMATE, seed=seed).median
         label = above if beta_limit > split_threshold else below
+        beta_limit = _branch_coupling(label, beta_limit)
 
     if label == LABEL_BOUNDARY:
         ratio = quantile(tail, float(n_probe) ** 2) / (
@@ -504,8 +524,7 @@ def classify(
     elif label in _SPLITS:
         above, below, recipe_a, recipe_b, branch_a, branch_b = _SPLITS[label]
         norm_a, lim_a = RECORDS[above].recipe(beta_limit, alpha)
-        lower = RECORDS[below]  # a diffusive branch sits at zero coupling
-        norm_b, lim_b = lower.recipe(0.0 if lower.pathway is DIFFUSIVE else beta_limit, alpha)
+        norm_b, lim_b = RECORDS[below].recipe(_branch_coupling(below, beta_limit), alpha)
         normalizer = (
             f"unresolved random split, {recipe_a} recipe: "
             f"[{norm_a}]; {recipe_b} recipe: [{norm_b}]"

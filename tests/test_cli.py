@@ -226,6 +226,26 @@ def test_overflowing_input_exits_2_with_one_error_line(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("polymer --n 0 --h 1 --alpha 1.2 --gamma 1.0", "a schedule needs n >= 1, got n=0"),
+    ("polymer --n -4 --h 1 --alpha 1.2 --gamma 1.0", "a schedule needs n >= 1, got n=-4"),
+    ("regime --alpha 1.2 --gamma 1.0 --n 0", "n_probe must be at least 2, got 0"),
+    ("regime --alpha 1.2 --gamma 1.0 --n -4", "n_probe must be at least 2, got -4"),
+    ("regime --alpha 1.2 --gamma 1.0 --n 1", "n_probe must be at least 2, got 1"),
+    (f"regime --alpha 1.2 --gamma 1.0 --n {10**200}",
+     "n_probe is too large: (16 n_probe)^2 leaves the float range"),
+], ids=["polymer-n0", "polymer-n-4", "regime-n0", "regime-n-4", "regime-n1", "regime-n1e200"])
+def test_size_out_of_range_exits_2_naming_it(capsys, argv, message):
+    assert main(argv.split()) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_regime_smallest_probe_size_answers(capsys):
+    code, rec = run_cli(capsys, "regime", "--alpha", "1.2", "--gamma", "1.0", "--n", "2")
+    assert code == 0 and rec["label"] == "R2" and rec["beta_limit"] == 1.0
+    assert rec["clamped"] is None and 1.0 < rec["h_n"] < 2.0
+
+
 @pytest.mark.parametrize("patch, message", [
     ({"kind": "regime_convergence", "alpha": 1.2, "gamma": -60},
      "error: beta_n overflows the float range at n=1000000\n"),

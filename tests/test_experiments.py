@@ -443,6 +443,21 @@ def test_regime_ks_warns_once_per_size_when_a_companion_is_nan():
     assert caught == [] and all(math.isfinite(r[2]) for r in res.tables["ks_summary"].rows)
 
 
+def test_resolved_diffusive_split_compares_finite_companions():
+    # alpha 0.4, gamma 4 is the alpha < 1/2 split line; at beta_hat 0.005
+    # the seed resolves it to the diffusive branch, which sits at coupling 0
+    cfg = make_config(alpha=0.4, gamma=4.0, beta_hat=0.005, sizes=(24, 48), replicas=4, seed=77)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = run_experiment(cfg)
+    assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
+    assert res.meta["label"] == "alpha-small-sqrt-scale" and res.meta["beta_limit"] == 0.0
+    companions = _column(res.tables["observable"], "companion")
+    assert len(companions) == 8 and all(math.isfinite(c) and c > 0.0 for c in companions)
+    assert all(math.isfinite(r[2]) for r in res.tables["ks_summary"].rows)
+    assert res.invariant_failures == 0
+
+
 def test_regime_log_window_flagging():
     # log-corrected tail on the window line; tiny beta_hat forces the
     # zero-value branch, huge forces the positive one

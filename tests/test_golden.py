@@ -16,6 +16,9 @@ import pytest
 
 from polymerlab.experiments import ExperimentConfig
 
+# a golden campaign or CLI call that warns (a nan companion, an overflow) fails
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 _spec = importlib.util.spec_from_file_location(
     "regenerate", Path(__file__).parent / "golden" / "regenerate.py"
 )

@@ -52,11 +52,13 @@ rule is read off the label's pathway record (``regimes.Pathway``): the
 campaigns name neither ``LINEAR`` nor an ``ENTROPY_*`` leg cost, call
 ``quantile`` only for the ordered kind's own box, and take no
 ``entropy`` size key; ``chaos_v_n`` sums in a given box, so
-``_summed_v_n`` stays gone.
+``_summed_v_n`` stays gone.  The package definitions that nothing but
+tests reaches are pinned by name, each with its reason to stay.
 """
 
 import ast
 import dataclasses
+import importlib.util
 import inspect
 from pathlib import Path
 
@@ -118,7 +120,7 @@ def test_one_log_sum_entry():
     # stored full-row passes call the kernel for its sites
     tree = ast.parse((Path(polymerlab.__file__).parent / "polymer.py").read_text())
     assert sorted(_calls(tree, "_transfer")) == [
-        "_forward_states", "_window_log_partitions", "gibbs_site_marginals"]
+        "_window_log_partitions", "gibbs_site_marginals"]
     assert _calls(tree, "_logsumexp") == ["_window_log_partitions"]
     assert sorted(_calls(tree, "_window_log_partitions")) == [
         "chaos_terms", "gibbs_band_probabilities", "log_partition"]
@@ -533,3 +535,36 @@ def test_campaigns_read_every_rescaling_rule_off_the_pathway_record():
         assert "_summed_v_n" not in _identifiers(other), name
     assert list(inspect.signature(chaos_v_n).parameters) == [
         "field", "beta", "band", "cutoff", "box"]
+
+
+_spec = importlib.util.spec_from_file_location(
+    "src_reach", Path(__file__).parent.parent / "tools" / "src_reach.py"
+)
+src_reach = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(src_reach)
+
+
+def test_library_only_names_pinned():
+    """The definitions that no command, campaign or module-level statement
+    reaches (``tools/src_reach.py``), each with its reason to stay:
+    - the brute-force chain routes (``brute_force``, its two routes and
+      ``_allowed_sizes``, on ``chain_lattice``) are the solver's oracles,
+      and ``DisorderField.weight_at`` is the oracles' read of one site;
+    - ``gibbs_band_probability`` and ``select_top`` are bound by perfbench;
+    - the chaos-expansion and heavy-site functions serve criterion 7
+      (``log_mgf_truncated`` integrates ``weight_density``, and
+      ``heavy_site_decomposition`` prices its legs with ``walk_kernel``);
+    - ``gibbs_site_marginals`` carries the backward transfer mode, a
+      measured layer whose removal is a decision of its own;
+    - ``ExplicitSchedule`` is ``classify``'s general-sequence input.
+    Any change to this list is named in CHANGES.md.
+    """
+    assert src_reach.unreached() == [
+        "elpp._allowed_sizes", "elpp._brute_loop", "elpp._brute_table", "elpp.brute_force",
+        "elpp.chain_lattice", "elpp.select_top",
+        "environment.DisorderField.weight_at", "environment.weight_density",
+        "polymer.ChaosTerms", "polymer.HeavySiteDecomposition", "polymer.centered_first_term",
+        "polymer.chaos_terms", "polymer.gibbs_band_probability", "polymer.gibbs_site_marginals",
+        "polymer.heavy_site_decomposition", "polymer.log_mgf_truncated", "polymer.walk_kernel",
+        "regimes.ExplicitSchedule",
+    ]

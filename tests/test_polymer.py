@@ -47,7 +47,6 @@ from polymerlab.polymer import (
     kernel_grid,
     log_mgf_truncated,
     log_partition,
-    sample_gibbs_path,
     walk_kernel,
 )
 
@@ -484,7 +483,7 @@ def test_kernel_grid_cache_is_bounded():
 
 
 # ---------------------------------------------------------------------------
-# Gibbs sampling and marginals
+# Gibbs marginals
 # ---------------------------------------------------------------------------
 
 
@@ -494,37 +493,6 @@ def test_site_marginals_match_enumeration():
     got = gibbs_site_marginals(field, 1.1)
     assert np.allclose(got, want, atol=1e-13)
     assert np.allclose(got.sum(axis=1), 1.0, atol=1e-12)
-
-
-def test_sample_gibbs_path_deterministic():
-    field = sample_field(9, 9, PARETO_12, 61)
-    a = sample_gibbs_path(field, 0.8, seed=5, count=4)
-    b = sample_gibbs_path(field, 0.8, seed=5, count=4)
-    assert np.array_equal(a, b)
-    c = sample_gibbs_path(field, 0.8, seed=6, count=4)
-    assert not np.array_equal(a, c)
-
-
-def test_sample_gibbs_path_is_a_walk():
-    field = sample_field(14, 6, PARETO_08, 62)
-    paths = sample_gibbs_path(field, 1.5, seed=7, count=50)
-    steps = np.diff(paths, axis=1)
-    assert np.all(np.abs(steps) == 1)
-    assert np.all(np.abs(paths[:, 0]) == 1)
-
-
-def test_sample_gibbs_path_frequencies():
-    field = sample_field(6, 6, PARETO_12, 63)
-    beta = 1.2
-    reps = 20000
-    paths = sample_gibbs_path(field, beta, seed=8, count=reps)
-    marg = gibbs_site_marginals(field, beta)
-    n = field.n
-    for i in (1, 3, 6):
-        freq = np.bincount(paths[:, i - 1] + n, minlength=2 * n + 1) / reps
-        p = marg[i - 1]
-        bound = 4.0 * np.sqrt(p * (1 - p) / reps) + 1e-9
-        assert np.all(np.abs(freq - p) <= bound)
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,22 @@ def test_classify_small_alpha():
     assert math.isfinite(resolved.split_threshold)
 
 
+def test_resolved_small_alpha_split_couplings():
+    # on the line gamma = 2/alpha - 1, q1 is finite and q3 -> 0; the split
+    # still compares q1 with the threshold, and the diffusive branch it
+    # resolves to reports that branch's coupling, 0
+    diffusive = classify(0.4, PowerLawSchedule(4.0, 0.005), seed=3)
+    assert diffusive.label == "alpha-small-sqrt-scale"
+    assert diffusive.beta_limit == 0.0
+    assert diffusive.limit_object == _DIFFUSIVE_LIMIT
+    assert diffusive.probes[0] == pytest.approx(0.005)
+    assert diffusive.probes[0] < diffusive.split_threshold
+    order_n = classify(0.4, PowerLawSchedule(4.0), seed=3)
+    assert order_n.label == "alpha-small-n-scale"
+    assert order_n.beta_limit == order_n.probes[0] > order_n.split_threshold
+    assert order_n.limit_object == f"lipschitz_chain_value at coupling {order_n.probes[0]:g}"
+
+
 def test_classify_half_boundary():
     report = classify(0.5, PowerLawSchedule(3.0))
     assert report.label == "boundary"
@@ -496,6 +512,25 @@ def test_power_law_schedule_refuses_an_overflowing_coupling(gamma, beta_hat, n):
 def test_classify_refuses_an_overflowing_coupling():
     with pytest.raises(ValueError, match="n=1000000"):
         classify(1.2, PowerLawSchedule(-200.0))
+
+
+@pytest.mark.parametrize("schedule", [PowerLawSchedule(1.0), ExplicitSchedule(lambda n: 1.0)])
+@pytest.mark.parametrize("n", [0, -4])
+def test_schedule_refuses_a_size_below_one(schedule, n):
+    with pytest.raises(ValueError, match=f"a schedule needs n >= 1, got n={n}"):
+        schedule.at(n)
+
+
+@pytest.mark.parametrize("schedule", [PowerLawSchedule(1.0), ExplicitSchedule(lambda n: 1.0)])
+def test_classify_refuses_an_out_of_range_probe_size(schedule):
+    for n_probe in (1, 0, -4):
+        with pytest.raises(ValueError, match=f"n_probe must be at least 2, got {n_probe}"):
+            classify(1.2, schedule, n_probe)
+    for n_probe in (10**200, 10**400):  # (16 n_probe)^2 overflows, or n_probe itself
+        with pytest.raises(ValueError, match=r"n_probe is too large: \(16 n_probe\)\^2"):
+            classify(1.2, schedule, n_probe)
+    assert classify(1.2, schedule, 2).probes == regimes._probe_values(
+        schedule, TailParams(1.2), 2)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
