@@ -35,6 +35,7 @@ from polymerlab.polymer import (
     kernel_grid,
     log_partition,
 )
+from polymerlab.regimes import PowerLawSchedule, classify
 
 N = 40
 BOXES = (0, 20, 60)
@@ -126,8 +127,8 @@ THRESHOLDS = {
 }
 
 
-def threshold_digest(flavor, alpha, seed) -> str:
-    est = critical_coupling(alpha, replicas=4, top=64, seed=seed)
+def threshold_digest(flavor, alpha, seed, replicas=4) -> str:
+    est = critical_coupling(alpha, replicas=replicas, top=64, seed=seed)
     assert est.flavor == flavor  # alpha sets the flavor
     return _digest(np.concatenate([
         est.samples, est.doubled_samples,
@@ -138,6 +139,40 @@ def threshold_digest(flavor, alpha, seed) -> str:
 @pytest.mark.parametrize("case", sorted(THRESHOLDS))
 def test_threshold_bits_pinned(case):
     assert threshold_digest(*case) == THRESHOLDS[case]
+
+
+# odd and even replica counts at seed 13: the odd median is one order
+# statistic, and one replica makes every bootstrap resample that replica
+REPLICA_THRESHOLDS = {
+    ("tilde", 1.2, 1):
+        "03d3243554471d570c1f289bf55e03b6dcc19fc19da886d8ed1e0227ff68d2ba",
+    ("tilde", 1.2, 2):
+        "69cc8418ed7dc6f59d30b0c00f4c8ef0e4ef93c0995ef00c2355a815ba52612d",
+    ("tilde", 1.2, 3):
+        "ad8377a6ac915a7f7104412bb0ec7f8a09abbcb2a5567a15ca64ef6c5b94e646",
+    ("tilde", 1.2, 5):
+        "ca34abdd1ae6001a641db3abd7f547edcbe51dd045235bdee1087bd645f0bac4",
+    ("hat", 0.3, 1):
+        "bdffcde4aa57af7f08bb9d5f7b4007027e4f6d5f0febd8acdf909c9abccedf36",
+    ("hat", 0.3, 2):
+        "031f74aa51e1153e37cc6f82035214a8151cae78f2dbb8c2e7c4e9c7354bd166",
+    ("hat", 0.3, 3):
+        "60311508be90e4540cd4ac05d8342dad911dac30f081da3a09c605e2bf5ccee0",
+    ("hat", 0.3, 5):
+        "9d00bf808629c4fadf1fc1f1bd98aefd73c3a5a968733c9ca92dcf6aa57e3512",
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPLICA_THRESHOLDS))
+def test_replica_count_threshold_bits_pinned(case):
+    flavor, alpha, replicas = case
+    assert threshold_digest(flavor, alpha, 13, replicas) == REPLICA_THRESHOLDS[case]
+
+
+def test_split_threshold_bits_pinned():
+    # the Monte Carlo median that resolves a small-alpha split (SPLIT_ESTIMATE)
+    report = classify(0.4, PowerLawSchedule(4.0), seed=3)
+    assert report.split_threshold.hex() == "0x1.05f0d2df5bba7p-5"
 
 
 def tied_lattice_digest() -> str:
