@@ -44,10 +44,6 @@ from .elpp import (
     top_by_weight,
 )
 
-# np.median and np.percentile read np.ma, which numpy imports on first
-# access: load it with this module, so no estimate pays for that import
-np.ma
-
 NEG_INF = -np.inf
 
 #: Default number of retained top weights for truncated estimates.
@@ -64,6 +60,12 @@ RATIO_STEP_CAP = 64
 CUT_MARGIN = 1e-9
 #: Resamples of the threshold estimate's percentile-bootstrap interval.
 BOOTSTRAP = 200
+#: np.percentile's linear rule for the interval's 2.5 and 97.5 percents of
+#: BOOTSTRAP sorted values, by its own operations: the ranks of the virtual
+#: indices (BOOTSTRAP - 1) * p / 100 and their fractional parts.
+_CI_INDEX = (BOOTSTRAP - 1) * np.true_divide([2.5, 97.5], 100)
+CI_RANKS = np.floor(_CI_INDEX).astype(np.intp)
+CI_GAMMAS = _CI_INDEX - np.floor(_CI_INDEX)
 
 __all__ = [
     "DEFAULT_TOP",
@@ -366,6 +368,13 @@ def _hat_threshold(points: np.ndarray, start: float | None = None):
     return _threshold(prepare_geometry(points[inside], ENTROPY_LIPSCHITZ), start)
 
 
+def _median(values: np.ndarray):
+    """np.median along the last axis of ``values``, sorted along it: the
+    mean (a + b) / 2 of its order statistics (k - 1) // 2 and k // 2."""
+    k = values.shape[-1]
+    return (values[..., (k - 1) // 2] + values[..., k // 2]) / 2
+
+
 @dataclass(frozen=True)
 class CriticalCouplingEstimate:
     """Monte Carlo estimate of the positive-value coupling threshold.
@@ -437,6 +446,23 @@ def critical_coupling(
     interval; raises ValueError when no replica has a threshold inside
     the bracket, an outcome of the inputs alone.  alpha sets the flavor:
     tilde (default q 8) on (1/2, 2), hat (default q 1) on (0, 1/2).
+
+    The summary takes one sort per array and gives the float bits of
+    ``np.median`` and ``np.percentile(..., [2.5, 97.5])`` without calling
+    them.  Median: ``np.median`` of k values is the mean of the order
+    statistics (k - 1) // 2 and k // 2, an add-reduce of the pair and a
+    divide by 2, so (a + b) / 2 (``_median``); for odd k the same formula
+    is exact, since (x + x) / 2 == x for every finite threshold (all lie
+    in [BRACKET_LOW, BRACKET_HIGH]), and a sort gives the order
+    statistics a partition gives.  Resample order: the bootstrap draws
+    from the finite thresholds in replica order, as ever, and the draws
+    are sorted along each resample only after the draw; sorting before
+    the draw would change every resample.  Percentile: the linear rule
+    has virtual index (BOOTSTRAP - 1) * p / 100, rank its floor and
+    gamma the index less the rank (``CI_RANKS``, ``CI_GAMMAS``, taken by
+    those numpy operations once), and the value a + (b - a) gamma, or
+    b - (b - a)(1 - gamma) where gamma >= 0.5 (numpy's ``_lerp``), with
+    a and b the sorted bootstrap medians at the rank and the next one.
     """
     if 0.5 < alpha < 2.0:
         flavor, threshold, q = "tilde", _tilde_threshold, (8.0 if q is None else q)
@@ -469,15 +495,19 @@ def critical_coupling(
     failures = replicas - finite.size
     if finite.size == 0:
         raise ValueError("no replica produced a threshold inside the bracket")
-    median = float(np.median(finite))
+    median = float(_median(np.sort(finite)))
 
     boot_rng = np.random.default_rng(sample_seeds[replicas])
     draws = boot_rng.choice(finite, size=(BOOTSTRAP, finite.size), replace=True)
-    boot_medians = np.median(draws, axis=1)
-    ci_low, ci_high = np.percentile(boot_medians, [2.5, 97.5])
+    draws.sort(axis=1)
+    boot_medians = np.sort(_median(draws))
+    below, above = boot_medians[CI_RANKS], boot_medians[CI_RANKS + 1]
+    step = above - below
+    ci_low, ci_high = np.where(CI_GAMMAS >= 0.5, above - step * (1 - CI_GAMMAS),
+                               below + step * CI_GAMMAS)
 
-    finite_doubled = doubled[np.isfinite(doubled)]
-    doubled_median = float(np.median(finite_doubled)) if finite_doubled.size else math.nan
+    finite_doubled = np.sort(doubled[np.isfinite(doubled)])
+    doubled_median = float(_median(finite_doubled)) if finite_doubled.size else math.nan
     shift = abs(median - doubled_median) / median if median > 0.0 else math.nan
 
     return CriticalCouplingEstimate(

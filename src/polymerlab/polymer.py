@@ -263,7 +263,15 @@ def _logsumexp(sites: np.ndarray, r: int, half_width: int) -> float:
     return logsumexp(row)
 
 
-def _window_edges(windows, n: int, half_width: int):
+# Campaign replicas run size by size and every replica of a size passes
+# the same window list, so only a size's first replica builds its tables.
+# One entry per size is live at a time; 8 keep a campaign's sizes apart
+# while a pool's workers straddle them.  The largest entries, at
+# experiments.SIZE_CAP (4096 steps, half width 4096), hold 0.36 MB for
+# one window and 1.0 MB for three and take 0.7 and 2 ms to build, so 8
+# hold a few MB.
+@functools.lru_cache(maxsize=8)
+def _window_edges(windows: Tuple[Tuple[int, int], ...], n: int, half_width: int):
     """The column table of ``_transfer``'s site-major buffer pair, (2,
     half_width + 3, L), and flat offsets into it of every forward step's
     window edge sites.  Buffer i % 2 holds step i; its row j holds the
@@ -278,7 +286,7 @@ def _window_edges(windows, n: int, half_width: int):
     past the reach, or a missing layer 0, points at offset 0, a pad that
     is -inf in both buffers; a merge past hw is cleared as dead or
     merges -inf into -inf.  ``active[i]`` says whether step i has any
-    site.
+    site.  The tables are cached, so they are read-only.
     """
     h1, hw = np.array(windows, dtype=np.int64).reshape(-1, 2).T
     low = h1 > 0
@@ -300,7 +308,10 @@ def _window_edges(windows, n: int, half_width: int):
     dead = (hw + 1 <= r) & ((hw + 1 + i) % 2 == 0)
     clear = np.concatenate((src, at(hw + 1, cols[0], dead & low), at(hw + 1, cols[1], dead)),
                            axis=1)
-    return cols, src, at(a, cols[1], merge), clear, clear.any(axis=1).tolist()
+    dst = at(a, cols[1], merge)
+    for table in (cols, src, dst, clear):
+        table.flags.writeable = False
+    return cols, src, dst, clear, tuple(clear.any(axis=1).tolist())
 
 
 # field rows whose energies _transfer forms at a time, into one reused buffer
@@ -348,7 +359,8 @@ def _transfer(weights, h, beta, filt, center, half_width, windows=(), store=None
     missing layer 0 is the -inf row it would hold.
     """
     n = weights.shape[0]
-    cols, src, dst, clear, active = _window_edges(windows or [(0, half_width)], n, half_width)
+    cols, src, dst, clear, active = _window_edges(tuple(windows) or ((0, half_width),), n,
+                                                  half_width)
     pair = np.full((2, half_width + 3, cols.max() + 1), NEG_INF)
     whole = pair.reshape(-1)
     cur, nxt = pair

@@ -140,14 +140,11 @@ def fluctuation_scale(n: int, beta: float, tail: TailParams) -> ScaleResult:
     def balance(h: float) -> float:
         return beta * quantile(tail, n * h) / (h * h) - 1.0 / n
 
-    def residual(h: float) -> float:
-        return beta * quantile(tail, n * h) - h * h / n
-
     lo, hi = math.sqrt(n), float(n)
     if beta == 0.0 or balance(lo) < 0.0:
-        return ScaleResult(lo, "lower", residual(lo))
+        return _clamped_scale(n, beta, tail, "lower")
     if balance(hi) > 0.0:
-        return ScaleResult(hi, "upper", residual(hi))
+        return _clamped_scale(n, beta, tail, "upper")
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         if balance(mid) > 0.0:
@@ -157,7 +154,18 @@ def fluctuation_scale(n: int, beta: float, tail: TailParams) -> ScaleResult:
         if hi - lo <= 1e-9 * lo:
             break
     h = 0.5 * (lo + hi)
-    return ScaleResult(h, None, residual(h))
+    return ScaleResult(h, None, _residual(n, beta, tail, h))
+
+
+def _residual(n: int, beta: float, tail: TailParams, h: float) -> float:
+    """``fluctuation_scale``'s balance residual beta * quantile(n h) - h^2 / n."""
+    return beta * quantile(tail, n * h) - h * h / n
+
+
+def _clamped_scale(n: int, beta: float, tail: TailParams, clamped: str) -> ScaleResult:
+    """The scale at the "lower" (sqrt(n)) or "upper" (n) end of the bracket."""
+    h = math.sqrt(n) if clamped == "lower" else float(n)
+    return ScaleResult(h, clamped, _residual(n, beta, tail, h))
 
 
 def fluctuation_exponent(alpha: float, gamma: float) -> float | None:
@@ -461,7 +469,10 @@ def classify(
     splits into the two scales.  With ``seed`` given, those splits are
     resolved by comparing the probe coupling to a Monte Carlo estimate
     of the critical coupling (``SPLIT_ESTIMATE`` sets its cost);
-    without a seed the unsplit label is returned with both recipes.
+    without a seed the unsplit label is returned with both recipes.  A
+    resolved alpha < 1/2 split reports its branch's scale: n_probe
+    ("upper") on the order-n branch, sqrt(n_probe) ("lower") on the
+    diffusive one.
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError("unsupported alpha: classification needs alpha in (0, 2)")
@@ -477,7 +488,8 @@ def classify(
         raise ValueError("n_probe is too large: (16 n_probe)^2 leaves the float range") from None
 
     (q1, q2, q3), probes = _probe_limits(schedule, tail, n_probe)
-    h = fluctuation_scale(n_probe, schedule.at(n_probe), tail)
+    beta_n = schedule.at(n_probe)
+    h = fluctuation_scale(n_probe, beta_n, tail)
     xi = (
         fluctuation_exponent(alpha, schedule.gamma)
         if isinstance(schedule, PowerLawSchedule)
@@ -510,6 +522,8 @@ def classify(
         split_threshold = critical_coupling(alpha, **SPLIT_ESTIMATE, seed=seed).median
         label = above if beta_limit > split_threshold else below
         beta_limit = _branch_coupling(label, beta_limit)
+        if above == LABEL_SMALL_N:  # below 1/2 the scale is sqrt(n) or n
+            h = _clamped_scale(n_probe, beta_n, tail, "upper" if label == above else "lower")
 
     if label == LABEL_BOUNDARY:
         ratio = quantile(tail, float(n_probe) ** 2) / (

@@ -706,6 +706,50 @@ def test_critical_coupling_deterministic():
     assert a.median == b.median and a.ci_low == b.ci_low
 
 
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _interval(boot_medians):
+    """The threshold interval by ``CI_RANKS`` and ``CI_GAMMAS``, as
+    ``critical_coupling`` takes it from the bootstrap medians."""
+    ordered = np.sort(boot_medians)
+    below, above = ordered[continuum.CI_RANKS], ordered[continuum.CI_RANKS + 1]
+    step = above - below
+    gamma = continuum.CI_GAMMAS
+    return np.where(gamma >= 0.5, above - step * (1 - gamma), below + step * gamma)
+
+
+def test_summary_rule_gives_the_bits_of_numpy_median_and_percentile():
+    # a numpy release that changes either rule fails here, not by drift
+    rng = np.random.default_rng(32)
+    for k in range(1, 65):
+        spread = 10.0 ** rng.uniform(-4.0, 4.0, k)
+        tied = rng.choice(spread[:3], size=k)
+        constant = np.full(k, spread[0])
+        for values in (spread, tied, constant, np.full(k, continuum.BRACKET_LOW)):
+            assert _bits(continuum._median(np.sort(values))) == _bits(np.median(values)), k
+            draws = rng.choice(values, size=(continuum.BOOTSTRAP, k))
+            boot_medians = np.median(draws, axis=1)
+            assert _bits(continuum._median(np.sort(draws, axis=1))) == _bits(boot_medians), k
+            assert _bits(_interval(boot_medians)) == _bits(
+                np.percentile(boot_medians, [2.5, 97.5])), k
+
+
+@pytest.mark.parametrize("alpha, replicas", [(1.2, 1), (1.2, 6), (0.3, 7), (1.7, 12)])
+def test_critical_coupling_summary_matches_numpy(alpha, replicas):
+    # the bootstrap draws from the finite thresholds in replica order
+    est = critical_coupling(alpha, replicas=replicas, top=16, seed=41)
+    finite = est.samples[np.isfinite(est.samples)]
+    boot_seed = np.random.SeedSequence(41).spawn(replicas + 1)[replicas]
+    draws = np.random.default_rng(boot_seed).choice(
+        finite, size=(continuum.BOOTSTRAP, finite.size), replace=True)
+    ci = np.percentile(np.median(draws, axis=1), [2.5, 97.5])
+    assert _bits([est.median, est.ci_low, est.ci_high]) == _bits([np.median(finite), *ci])
+    doubled = est.doubled_samples[np.isfinite(est.doubled_samples)]
+    assert _bits(est.doubled_median) == _bits(np.median(doubled))
+
+
 @pytest.mark.parametrize("alpha, top", [(1.2, 1), (0.01, 2)])
 def test_critical_coupling_with_no_threshold_in_the_bracket_is_an_input_error(alpha, top):
     with pytest.raises(ValueError, match="inside the bracket"):

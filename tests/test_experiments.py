@@ -949,8 +949,7 @@ print(result.meta["quadrature_warnings"], loaded())
 def test_first_jobs_import_nothing():
     # every module a beta_c estimate, a fluctuation campaign or a
     # diffusive (R5) campaign reads is loaded with the package, so no
-    # first job pays an import (np.median and np.percentile read np.ma,
-    # which numpy loads on first access)
+    # first job pays an import
     src = str(Path(experiments.__file__).parent.parent)
     probe = f"""
 import sys

@@ -36,7 +36,8 @@ iteration builds one geometry, so ``elpp.top_geometry`` and its row
 helper stay gone, and ``continuum`` selects geometry rows only in the
 tie check's helper ``_rows``, which only ``_tied`` calls.  The tie check
 is one top-two pass (``elpp.second_value``): ``_tied`` neither solves
-nor builds a geometry.  Each
+nor builds a geometry.  The threshold summary
+sorts and calls neither ``np.median`` nor ``np.percentile``.  Each
 functional is written once: ``elpp._step_cost`` alone prices a chain leg
 (``_rate`` has no other caller and ``prepare_geometry`` only forms the
 differences), and every campaign companion is drawn by its regime
@@ -403,6 +404,16 @@ def test_one_geometry_per_threshold_iteration():
     # the tie check is one top-two pass: it neither solves nor builds
     assert "_tied" not in _calls(trees["continuum"], "solve", "prepare_geometry")
     assert _calls(trees["continuum"], "second_value") == ["_tied"]
+
+
+def test_threshold_summary_calls_neither_median_nor_percentile():
+    # the summary sorts each array once and keeps numpy's bits by its own
+    # arithmetic; tests/test_continuum.py checks those bits
+    tree = ast.parse((Path(polymerlab.__file__).parent / "continuum.py").read_text())
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "np"}
+    assert "sort" in read
+    assert not read & {"median", "percentile", "quantile", "partition"}
 
 
 def test_each_functional_written_once():

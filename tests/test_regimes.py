@@ -221,6 +221,10 @@ def test_resolved_small_alpha_split_couplings():
     assert order_n.label == "alpha-small-n-scale"
     assert order_n.beta_limit == order_n.probes[0] > order_n.split_threshold
     assert order_n.limit_object == f"lipschitz_chain_value at coupling {order_n.probes[0]:g}"
+    # below 1/2 the scale is sqrt(n) or n: each branch reports its own end
+    assert (diffusive.h_n, diffusive.clamped) == (1000.0, "lower")
+    assert (order_n.h_n, order_n.clamped) == (1e6, "upper")
+    assert diffusive.xi is None and order_n.xi is None  # the schedule's value
 
 
 def test_classify_half_boundary():
