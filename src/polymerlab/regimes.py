@@ -142,9 +142,9 @@ def fluctuation_scale(n: int, beta: float, tail: TailParams) -> ScaleResult:
 
     lo, hi = math.sqrt(n), float(n)
     if beta == 0.0 or balance(lo) < 0.0:
-        return _clamped_scale(n, beta, tail, "lower")
+        return _scale_at(n, beta, tail, lo, "lower")
     if balance(hi) > 0.0:
-        return _clamped_scale(n, beta, tail, "upper")
+        return _scale_at(n, beta, tail, hi, "upper")
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         if balance(mid) > 0.0:
@@ -153,19 +153,12 @@ def fluctuation_scale(n: int, beta: float, tail: TailParams) -> ScaleResult:
             hi = mid
         if hi - lo <= 1e-9 * lo:
             break
-    h = 0.5 * (lo + hi)
-    return ScaleResult(h, None, _residual(n, beta, tail, h))
+    return _scale_at(n, beta, tail, 0.5 * (lo + hi))
 
 
-def _residual(n: int, beta: float, tail: TailParams, h: float) -> float:
-    """``fluctuation_scale``'s balance residual beta * quantile(n h) - h^2 / n."""
-    return beta * quantile(tail, n * h) - h * h / n
-
-
-def _clamped_scale(n: int, beta: float, tail: TailParams, clamped: str) -> ScaleResult:
-    """The scale at the "lower" (sqrt(n)) or "upper" (n) end of the bracket."""
-    h = math.sqrt(n) if clamped == "lower" else float(n)
-    return ScaleResult(h, clamped, _residual(n, beta, tail, h))
+def _scale_at(n: int, beta: float, tail: TailParams, h: float, clamped=None) -> ScaleResult:
+    """The scale h with its balance residual beta * quantile(n h) - h^2 / n."""
+    return ScaleResult(h, clamped, beta * quantile(tail, n * h) - h * h / n)
 
 
 def fluctuation_exponent(alpha: float, gamma: float) -> float | None:
@@ -523,7 +516,8 @@ def classify(
         label = above if beta_limit > split_threshold else below
         beta_limit = _branch_coupling(label, beta_limit)
         if above == LABEL_SMALL_N:  # below 1/2 the scale is sqrt(n) or n
-            h = _clamped_scale(n_probe, beta_n, tail, "upper" if label == above else "lower")
+            h = (_scale_at(n_probe, beta_n, tail, float(n_probe), "upper") if label == above
+                 else _scale_at(n_probe, beta_n, tail, math.sqrt(n_probe), "lower"))
 
     if label == LABEL_BOUNDARY:
         ratio = quantile(tail, float(n_probe) ** 2) / (

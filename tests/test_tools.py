@@ -14,7 +14,8 @@ _spec.loader.exec_module(ab_pairs)
 
 def _line(throughput, p50, correct=True):
     return json.dumps({"correct": correct, "attempted": 4, "failed": 0 if correct else 1,
-                       "metrics": {"throughput_rps": throughput, "job_p50_s": p50}})
+                       "metrics": {"throughput_rps": {"value": throughput, "unit": "1/s"},
+                                   "job_p50_s": {"value": p50, "unit": "s"}}})
 
 
 CANNED = {  # (pair, side) -> the run's stdout, its result line last

@@ -34,7 +34,8 @@ def directions(benchmark: dict) -> dict:
 
 
 def parse_result(stdout: str) -> dict:
-    """The benchmark's last stdout line: {"correct", "attempted", "failed", "metrics"}."""
+    """The benchmark's last stdout line: {"correct", "attempted", "failed",
+    "metrics"}, each metric a {"value", "unit"} record."""
     return json.loads(stdout.strip().splitlines()[-1])
 
 
@@ -51,7 +52,7 @@ def summarize(runs, better: dict) -> dict:
     summary = {"pairs": len(pairs), "all_correct": all(run["correct"] for run in runs),
                "median": {side: {} for side in SIDES}, "parent_iqr": {}, "change_wins": {}}
     for name, way in better.items() if pairs else ():
-        parent, change = ([by_side[side][p][name] for p in pairs] for side in SIDES)
+        parent, change = ([by_side[side][p][name]["value"] for p in pairs] for side in SIDES)
         summary["median"]["parent"][name] = statistics.median(parent)
         summary["median"]["change"][name] = statistics.median(change)
         q1, _, q3 = (statistics.quantiles(parent, n=4, method="inclusive")
